@@ -13,7 +13,7 @@
 //! sentence (the marginal-probability query semantics of Section 3.1).
 
 use crate::arena::{ArenaStats, LineageArena};
-use crate::lineage::lineage_of_arena;
+use crate::lineage::{lineage_of_arena, GroundingDomain};
 use crate::{lifted, monte_carlo, shannon, worlds, FiniteError, TiTable};
 use infpdb_core::space::rand_core::RngCore;
 use infpdb_core::value::Value;
@@ -209,12 +209,7 @@ pub fn answer_marginals(
         let p = prob_boolean(query, table, engine)?;
         return Ok(if p > 0.0 { vec![(vec![], p)] } else { vec![] });
     }
-    let mut domain: Vec<Value> = table.active_domain().into_iter().collect();
-    for c in infpdb_logic::vars::constants(query) {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
+    let domain = GroundingDomain::new(table, query);
     let mut out = Vec::new();
     let mut assignment: Vec<(String, Value)> = Vec::with_capacity(fv.len());
     enumerate_tuples(
@@ -222,7 +217,7 @@ pub fn answer_marginals(
         table,
         engine,
         &fv,
-        &domain,
+        domain.values(),
         0,
         &mut assignment,
         &mut out,

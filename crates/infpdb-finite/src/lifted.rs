@@ -11,12 +11,16 @@
 //!
 //! Values outside the active domain contribute factors of `1 − 0`, so
 //! restricting the projection to `adom(table) ∪ adom(Q)` is complete
-//! (Fact 2.1 again).
+//! (Fact 2.1 again). By the same argument a project whose body is a
+//! single atom needs only that atom's facts: [`prob_hierarchical`] scans
+//! them instead of the domain, and builds the domain only for a project
+//! that still needs it.
 
+use crate::lineage::GroundingDomain;
 use crate::{FiniteError, TiTable};
 use infpdb_core::fact::Fact;
 use infpdb_core::value::Value;
-use infpdb_logic::ast::Formula;
+use infpdb_logic::ast::{Formula, Term};
 use infpdb_logic::normal::{as_cq, CqAtom};
 use infpdb_logic::safety::{safe_plan, substitute_in_plan, SafePlan};
 use infpdb_math::KahanSum;
@@ -24,40 +28,113 @@ use infpdb_math::KahanSum;
 /// Probability of a hierarchical Boolean self-join-free CQ, evaluated
 /// extensionally. Errors if the query is outside that fragment (use the
 /// lineage engine instead).
+///
+/// Bit-for-bit [`eval_plan`] over the full `adom(table) ∪ adom(Q)`
+/// domain, at the cost of only the facts the plan reaches.
 pub fn prob_hierarchical(query: &Formula, table: &TiTable) -> Result<f64, FiniteError> {
     let cq = as_cq(query)?;
     let plan = safe_plan(&cq)?;
-    let mut domain: Vec<Value> = table.active_domain().into_iter().collect();
-    for c in infpdb_logic::vars::constants(query) {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
-    Ok(eval_plan(&plan, table, &domain))
+    Ok(eval_reached(
+        &plan,
+        table,
+        &GroundingDomain::new(table, query),
+    ))
 }
 
 /// Evaluates a safe plan whose remaining variables are all bound by its own
-/// projects.
+/// projects, every project ranging over `domain`. The general case, and
+/// the reference [`prob_hierarchical`] is tested against.
 pub fn eval_plan(plan: &SafePlan, table: &TiTable, domain: &[Value]) -> f64 {
     match plan {
         SafePlan::Atom(atom) => atom_prob(atom, table),
         SafePlan::IndependentJoin(parts) => {
             parts.iter().map(|p| eval_plan(p, table, domain)).product()
         }
+        SafePlan::IndependentProject { var, plan } => project(
+            domain
+                .iter()
+                .map(|a| eval_plan(&substitute_in_plan(plan, var, a), table, domain)),
+        ),
+    }
+}
+
+/// [`eval_plan`] with a lazily built domain and fact-driven single-atom
+/// projects.
+///
+/// A project over a single atom gets a nonzero term only from the atom's
+/// own facts; every other domain value adds `ln_1p(−0) = −0.0`, which
+/// leaves the compensated sum's bits unchanged (DESIGN.md §9). Scanning
+/// the table's facts costs no more than building the domain, so the
+/// scan runs unless an enclosing project has already built a domain
+/// smaller than the table.
+fn eval_reached(plan: &SafePlan, table: &TiTable, domain: &GroundingDomain) -> f64 {
+    match plan {
+        SafePlan::Atom(atom) => atom_prob(atom, table),
+        SafePlan::IndependentJoin(parts) => parts
+            .iter()
+            .map(|p| eval_reached(p, table, domain))
+            .product(),
         SafePlan::IndependentProject { var, plan } => {
-            // 1 − ∏ (1 − p_a), accumulated in log space for stability
-            let mut log_none = KahanSum::new();
-            for a in domain {
-                let sub = substitute_in_plan(plan, var, a);
-                let p = eval_plan(&sub, table, domain);
-                if p >= 1.0 {
-                    return 1.0;
+            if let SafePlan::Atom(atom) = &**plan {
+                if !domain.is_built() || table.len() <= domain.values().len() {
+                    if let Some(p) = project_facts(atom, var, table) {
+                        return p;
+                    }
                 }
-                log_none.add((-p).ln_1p());
             }
-            (-log_none.value().exp_m1()).max(0.0)
+            project(
+                domain
+                    .values()
+                    .iter()
+                    .map(|a| eval_reached(&substitute_in_plan(plan, var, a), table, domain)),
+            )
         }
     }
+}
+
+/// `1 − ∏ (1 − p)` over the terms, accumulated in log space for
+/// stability; a certain term short-circuits to 1.
+fn project(terms: impl IntoIterator<Item = f64>) -> f64 {
+    let mut log_none = KahanSum::new();
+    for p in terms {
+        if p >= 1.0 {
+            return 1.0;
+        }
+        log_none.add((-p).ln_1p());
+    }
+    (-log_none.value().exp_m1()).max(0.0)
+}
+
+/// The project of `atom` over `var` from the atom's matching facts,
+/// visited in the order of the value `var` binds — the order those
+/// values have in the grounding domain. `None` when the atom mentions a
+/// variable other than `var`, or not `var` at all.
+fn project_facts(atom: &CqAtom, var: &str, table: &TiTable) -> Option<f64> {
+    let pattern: Vec<Option<&Value>> = atom
+        .args
+        .iter()
+        .map(|t| match t {
+            Term::Const(c) => Some(Some(c)),
+            Term::Var(v) if v == var => Some(None),
+            Term::Var(_) => None,
+        })
+        .collect::<Option<_>>()?;
+    let bound = pattern.iter().position(Option::is_none)?;
+    let mut hits: Vec<(&Value, f64)> = table
+        .iter()
+        .filter(|(_, f, _)| f.rel() == atom.rel)
+        .filter_map(|(_, f, p)| {
+            let args = f.args();
+            let value = &args[bound];
+            let matches = pattern
+                .iter()
+                .zip(args)
+                .all(|(want, arg)| want.unwrap_or(value) == arg);
+            matches.then_some((value, p))
+        })
+        .collect();
+    hits.sort_by(|a, b| a.0.cmp(b.0));
+    Some(project(hits.into_iter().map(|(_, p)| p)))
 }
 
 fn atom_prob(atom: &CqAtom, table: &TiTable) -> f64 {

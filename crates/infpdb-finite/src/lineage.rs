@@ -20,7 +20,59 @@ use infpdb_core::instance::Instance;
 use infpdb_core::value::Value;
 use infpdb_logic::ast::{Formula, Term, Var};
 use infpdb_logic::vars::free_vars;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
+
+/// The grounding domain `adom(table) ∪ adom(Q)` of Fact 2.1, built on
+/// first use.
+///
+/// Only quantifiers, safe-plan projects and free-variable grounding
+/// enumerate the domain, so a ground query never pays the O(n log n)
+/// pass over the table's facts. The order is fixed: the table's active
+/// domain ascending, then the query's constants outside it, ascending.
+/// Every engine that grounds over the domain visits it in this order, so
+/// laziness changes no result bit.
+pub(crate) struct GroundingDomain<'a> {
+    table: &'a TiTable,
+    query: &'a Formula,
+    values: OnceCell<Vec<Value>>,
+}
+
+impl<'a> GroundingDomain<'a> {
+    /// The (not yet built) domain of `query` over `table`.
+    pub(crate) fn new(table: &'a TiTable, query: &'a Formula) -> Self {
+        Self {
+            table,
+            query,
+            values: OnceCell::new(),
+        }
+    }
+
+    /// The domain values, built on the first call.
+    pub(crate) fn values(&self) -> &[Value] {
+        self.values.get_or_init(|| {
+            let mut values: Vec<Value> = self
+                .table
+                .iter()
+                .flat_map(|(_, f, _)| f.args().iter().cloned())
+                .collect();
+            values.sort_unstable();
+            values.dedup();
+            let adom = values.len();
+            for c in infpdb_logic::vars::constants(self.query) {
+                if values[..adom].binary_search(&c).is_err() {
+                    values.push(c);
+                }
+            }
+            values
+        })
+    }
+
+    /// Whether [`values`](Self::values) has been built.
+    pub(crate) fn is_built(&self) -> bool {
+        self.values.get().is_some()
+    }
+}
 
 /// A Boolean function over fact variables, kept in a canonical form:
 /// `And`/`Or` children are flattened, sorted, and deduplicated; constants
@@ -193,12 +245,7 @@ pub fn lineage_of(query: &Formula, table: &TiTable) -> Result<Lineage, FiniteErr
             fv.into_iter().collect(),
         )));
     }
-    let mut domain: Vec<Value> = table.active_domain().into_iter().collect();
-    for c in infpdb_logic::vars::constants(query) {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
+    let domain = GroundingDomain::new(table, query);
     let mut env: Vec<(Var, Value)> = Vec::new();
     Ok(build(query, table, &domain, &mut env))
 }
@@ -215,7 +262,12 @@ fn resolve(t: &Term, env: &[(Var, Value)]) -> Value {
     }
 }
 
-fn build(f: &Formula, table: &TiTable, domain: &[Value], env: &mut Vec<(Var, Value)>) -> Lineage {
+fn build(
+    f: &Formula,
+    table: &TiTable,
+    domain: &GroundingDomain,
+    env: &mut Vec<(Var, Value)>,
+) -> Lineage {
     match f {
         Formula::True => Lineage::Top,
         Formula::False => Lineage::Bot,
@@ -248,8 +300,9 @@ fn build(f: &Formula, table: &TiTable, domain: &[Value], env: &mut Vec<(Var, Val
         Formula::And(gs) => Lineage::and(gs.iter().map(|g| build(g, table, domain, env))),
         Formula::Or(gs) => Lineage::or(gs.iter().map(|g| build(g, table, domain, env))),
         Formula::Exists(v, g) => {
-            let mut children = Vec::with_capacity(domain.len());
-            for val in domain {
+            let values = domain.values();
+            let mut children = Vec::with_capacity(values.len());
+            for val in values {
                 env.push((v.clone(), val.clone()));
                 children.push(build(g, table, domain, env));
                 env.pop();
@@ -257,8 +310,9 @@ fn build(f: &Formula, table: &TiTable, domain: &[Value], env: &mut Vec<(Var, Val
             Lineage::or(children)
         }
         Formula::Forall(v, g) => {
-            let mut children = Vec::with_capacity(domain.len());
-            for val in domain {
+            let values = domain.values();
+            let mut children = Vec::with_capacity(values.len());
+            for val in values {
                 env.push((v.clone(), val.clone()));
                 children.push(build(g, table, domain, env));
                 env.pop();
@@ -290,12 +344,7 @@ pub fn lineage_of_arena(
             fv.into_iter().collect(),
         )));
     }
-    let mut domain: Vec<Value> = table.active_domain().into_iter().collect();
-    for c in infpdb_logic::vars::constants(query) {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
+    let domain = GroundingDomain::new(table, query);
     let mut env: Vec<(Var, Value)> = Vec::new();
     Ok(build_arena(query, table, &domain, &mut env, arena))
 }
@@ -303,7 +352,7 @@ pub fn lineage_of_arena(
 fn build_arena(
     f: &Formula,
     table: &TiTable,
-    domain: &[Value],
+    domain: &GroundingDomain,
     env: &mut Vec<(Var, Value)>,
     arena: &mut LineageArena,
 ) -> LineageId {
@@ -354,8 +403,9 @@ fn build_arena(
             arena.or(ids)
         }
         Formula::Exists(v, g) => {
-            let mut children = Vec::with_capacity(domain.len());
-            for val in domain {
+            let values = domain.values();
+            let mut children = Vec::with_capacity(values.len());
+            for val in values {
                 env.push((v.clone(), val.clone()));
                 children.push(build_arena(g, table, domain, env, arena));
                 env.pop();
@@ -363,8 +413,9 @@ fn build_arena(
             arena.or(children)
         }
         Formula::Forall(v, g) => {
-            let mut children = Vec::with_capacity(domain.len());
-            for val in domain {
+            let values = domain.values();
+            let mut children = Vec::with_capacity(values.len());
+            for val in values {
                 env.push((v.clone(), val.clone()));
                 children.push(build_arena(g, table, domain, env, arena));
                 env.pop();
@@ -393,15 +444,18 @@ pub fn answer_lineages(
             vec![(vec![], l)]
         });
     }
-    let mut domain: Vec<Value> = table.active_domain().into_iter().collect();
-    for c in infpdb_logic::vars::constants(query) {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
+    let domain = GroundingDomain::new(table, query);
     let mut out = Vec::new();
     let mut assignment: Vec<(Var, Value)> = Vec::with_capacity(fv.len());
-    ground_rec(query, table, &fv, &domain, 0, &mut assignment, &mut out)?;
+    ground_rec(
+        query,
+        table,
+        &fv,
+        domain.values(),
+        0,
+        &mut assignment,
+        &mut out,
+    )?;
     Ok(out)
 }
 

@@ -12,7 +12,9 @@
 //! * a **repeat at the same ε** takes the memoized `Arc<TiTable>` and
 //!   pays zero grounding cost;
 //! * an **ε-refinement** extends the catalog by the missing facts only
-//!   (ids never move: the catalog is append-only), then snapshots;
+//!   (ids never move: the catalog is append-only), then snapshots; the
+//!   memo is dropped first, so the append reuses the catalog's backing
+//!   instead of deep-cloning it under the memo's views;
 //! * a **different query** shares everything, because the prefix is
 //!   query-independent.
 //!
@@ -57,6 +59,9 @@ const TABLE_MEMO_CAP: usize = 64;
 #[derive(Debug)]
 struct State {
     catalog: FactCatalog,
+    /// Views handed out per prefix length: a repeat at one ε skips
+    /// `table_prefix`'s O(n) re-validation of the view's probabilities.
+    /// Cleared before the catalog grows.
     tables: HashMap<usize, Arc<TiTable>>,
 }
 
@@ -188,6 +193,12 @@ impl PreparedPdb {
             });
         }
         let start = state.catalog.len();
+        if start < cap {
+            // the memo's views share the catalog's backing, so growing
+            // under them would make every push deep-clone it; a caller
+            // still holding an older view pays that clone instead
+            state.tables.clear();
+        }
         for i in start..cap {
             if i % CHECK_EVERY == 0 {
                 if let Err(kind) = cancel.check() {

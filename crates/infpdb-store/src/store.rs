@@ -43,7 +43,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use infpdb_core::fingerprint::UnorderedCombiner;
 use infpdb_core::json::Json;
@@ -66,11 +66,21 @@ const MANIFEST_TMP: &str = "MANIFEST.tmp";
 pub const DEFAULT_SHARD_CAPACITY: u64 = 1 << 20;
 
 /// A durable fact store rooted at a directory.
+///
+/// Clones share one snapshot lock, so snapshots through a store and its
+/// clones never overlap. Two `Store` values opened separately on one
+/// directory do not coordinate.
 #[derive(Debug, Clone)]
 pub struct Store {
     dir: PathBuf,
     io: Arc<dyn StoreIo>,
     shard_capacity: u64,
+    /// Held across a whole [`snapshot`](Self::snapshot): each one reads
+    /// the committed manifest, picks the next epoch, writes
+    /// `MANIFEST.tmp` and collects garbage, so two at once would pick
+    /// one epoch, race on the temporary manifest and unlink each other's
+    /// fresh shards.
+    snapshot_lock: Arc<Mutex<()>>,
 }
 
 /// What a snapshot did.
@@ -242,6 +252,7 @@ impl Store {
             dir: dir.into(),
             io,
             shard_capacity: DEFAULT_SHARD_CAPACITY,
+            snapshot_lock: Arc::new(Mutex::new(())),
         }
     }
 
@@ -311,12 +322,21 @@ impl Store {
     /// `pdb_fingerprint` identifies the generating supply (so an open
     /// against a different database is detected); `descriptor` is an
     /// opaque blob the caller wants restored alongside the facts.
+    ///
+    /// Concurrent calls on one store (or its clones) run one at a time,
+    /// each committing its own epoch.
     pub fn snapshot(
         &self,
         catalog: &FactCatalog,
         pdb_fingerprint: Option<u64>,
         descriptor: Option<Json>,
     ) -> Result<SnapshotInfo, StoreError> {
+        // a panicked snapshot leaves at worst uncommitted garbage, which
+        // the next snapshot's GC removes, so the poison carries nothing
+        let _serial = self
+            .snapshot_lock
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         io_err(self.io.create_dir_all(&self.dir), "create_dir", &self.dir)?;
         // a corrupt manifest is not fatal to writing: treat it as absent
         // (next_epoch_after then scans file names) and rewrite everything
@@ -683,7 +703,7 @@ fn parse_epoch(path: &Path) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::io::{FaultyIo, IoFault, Trigger, SITE_FSYNC, SITE_RENAME, SITE_WRITE};
-    use infpdb_core::fact::Fact;
+    use infpdb_core::fact::{Fact, FactId};
     use infpdb_core::value::Value;
 
     fn schema() -> Schema {
@@ -1076,6 +1096,71 @@ mod tests {
         assert_eq!(rec.catalog.len(), 0);
         // and snapshotting the same emptiness again is a no-op
         assert!(store.snapshot(&catalog, None, None).unwrap().unchanged);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_snapshots_commit_one_at_a_time() {
+        // two threads snapshot their own growing catalogs through clones
+        // of one store, 50 times each, released together by a barrier;
+        // small shards make every commit reuse, rewrite and collect
+        // shards the other thread touches
+        let dir = tempdir("concurrent");
+        let store = Store::open_dir(&dir).with_shard_capacity(8);
+        let source = sample_catalog(160);
+        let barrier = std::sync::Barrier::new(2);
+        let calls: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..=2)
+                .map(|step| {
+                    let (store, source, barrier) = (store.clone(), &source, &barrier);
+                    scope.spawn(move || {
+                        let mut catalog = FactCatalog::new(schema());
+                        let mut ids = (0..source.len()).map(|i| FactId(i as u32));
+                        (0..50)
+                            .map(|_| {
+                                for id in ids.by_ref().take(step) {
+                                    catalog
+                                        .push(source.fact(id).clone(), source.prob(id))
+                                        .unwrap();
+                                }
+                                // errors are collected, not raised, so a
+                                // failing thread never strands the other
+                                // at the barrier
+                                barrier.wait();
+                                let info = store.snapshot(&catalog, None, None);
+                                (info, catalog.len(), catalog.fingerprint())
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        let commits: Vec<(SnapshotInfo, usize, u64)> = calls
+            .into_iter()
+            .map(|(info, len, fp)| {
+                let info = info.unwrap_or_else(|e| panic!("snapshot at {len} facts failed: {e}"));
+                (info, len, fp)
+            })
+            .collect();
+        let mut epochs: Vec<u64> = commits
+            .iter()
+            .filter(|(info, ..)| !info.unchanged)
+            .map(|(info, ..)| info.epoch)
+            .collect();
+        epochs.sort_unstable();
+        let written = epochs.len();
+        epochs.dedup();
+        assert_eq!(epochs.len(), written, "two commits shared an epoch");
+        // a no-op snapshot reports the epoch of an identical catalog
+        let (_, len, fp) = commits.iter().max_by_key(|(info, ..)| info.epoch).unwrap();
+        let rec = Store::open_dir(&dir).load().unwrap().unwrap();
+        assert!(rec.report.clean(), "{:?}", rec.report);
+        assert_eq!(rec.catalog.len(), *len);
+        assert_eq!(rec.catalog.fingerprint(), *fp);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
