@@ -1,17 +1,12 @@
 //! The reproducible perf harness behind `infpdb bench`.
 //!
 //! Times the Proposition 6.1 hot path — grounding, Shannon expansion,
-//! and end-to-end `approx_prob_boolean` — on the geometric, zeta, and
-//! blocks PDBs at ε ∈ {1e-2, 1e-3, 1e-4}, for either lineage
-//! implementation:
-//!
-//! * `tree` — the boxed-tree reference engine
-//!   ([`infpdb_finite::lineage::lineage_of`] +
-//!   [`infpdb_finite::shannon::probability`]), i.e. the pre-arena code
-//!   path, kept as the differential baseline;
-//! * `arena` — the hash-consed production engine
-//!   ([`infpdb_finite::lineage::lineage_of_arena`] +
-//!   [`infpdb_finite::shannon::probability_dag`]).
+//! end-to-end `approx_prob_boolean`, and repeat execution of a
+//! [`PreparedQuery`] — on the geometric, zeta, and blocks PDBs at
+//! ε ∈ {1e-2, 1e-3, 1e-4}, with the hash-consed production engine
+//! ([`infpdb_finite::lineage::lineage_of_arena`] +
+//! [`infpdb_finite::shannon::probability_dag`]). The boxed-tree engine
+//! is the tests' bit-for-bit reference, not a measured implementation.
 //!
 //! The output is a stable JSON artifact (`BENCH_<iso-date>.json`, see
 //! [`to_json`]) recording per-cell median ns/op, the Shannon memo hit
@@ -26,14 +21,15 @@ use std::time::{Duration, Instant};
 use infpdb_core::json::Json;
 use infpdb_finite::arena::LineageArena;
 use infpdb_finite::engine::Engine;
-use infpdb_finite::lineage::{lineage_of, lineage_of_arena};
+use infpdb_finite::lineage::lineage_of_arena;
 use infpdb_finite::shannon;
 use infpdb_logic::ast::Formula;
 use infpdb_logic::parse;
-use infpdb_query::approx::approx_prob_boolean_par;
+use infpdb_query::approx::{approx_prob_boolean_par, PartialOnCancel};
 use infpdb_query::cancel::CancelToken;
 use infpdb_query::prepared::{PreparedPdb, PreparedQuery};
 use infpdb_query::truncate::TruncationPlan;
+use infpdb_query::PlanKnobs;
 use infpdb_ti::construction::CountableTiPdb;
 
 use crate::planner::PlannerRow;
@@ -43,39 +39,9 @@ use crate::{blocks_pdb, geometric_pdb, zeta_pdb};
 /// The tolerances every workload is measured at.
 pub const DEFAULT_EPS: [f64; 3] = [1e-2, 1e-3, 1e-4];
 
-/// Which lineage implementation a run measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ImplKind {
-    /// Boxed-tree reference engine (the pre-arena code path).
-    Tree,
-    /// Hash-consed arena + DAG Shannon engine (the production path).
-    Arena,
-}
-
-impl ImplKind {
-    /// The name used in CLI flags and the JSON artifact.
-    pub fn name(self) -> &'static str {
-        match self {
-            ImplKind::Tree => "tree",
-            ImplKind::Arena => "arena",
-        }
-    }
-
-    /// Inverse of [`name`](Self::name).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "tree" => Some(ImplKind::Tree),
-            "arena" => Some(ImplKind::Arena),
-            _ => None,
-        }
-    }
-}
-
 /// Harness configuration.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
-    /// Which engine to measure.
-    pub impl_kind: ImplKind,
     /// Smoke mode: one iteration per cell, no warmup — just enough to
     /// keep the harness green in CI.
     pub smoke: bool,
@@ -85,10 +51,9 @@ pub struct BenchConfig {
     /// the prefix is grounded once outside the timer, then the query is
     /// re-executed at least this many times (`infpdb bench --repeats`).
     pub repeats: usize,
-    /// Intra-query thread budget for the arena engine's Shannon, e2e,
-    /// and prepared stages (`infpdb bench --threads`). Estimates are
-    /// bit-for-bit identical at every value; `1` stays sequential. The
-    /// tree engine ignores this and always runs sequentially.
+    /// Intra-query thread budget for the Shannon, e2e, and prepared
+    /// stages (`infpdb bench --threads`). Estimates are bit-for-bit
+    /// identical at every value; `1` stays sequential.
     pub threads: usize,
 }
 
@@ -97,9 +62,8 @@ pub const DEFAULT_REPEATS: usize = 8;
 
 impl BenchConfig {
     /// The standard configuration for `infpdb bench`.
-    pub fn new(impl_kind: ImplKind, smoke: bool) -> Self {
+    pub fn new(smoke: bool) -> Self {
         Self {
-            impl_kind,
             smoke,
             eps: DEFAULT_EPS.to_vec(),
             repeats: DEFAULT_REPEATS,
@@ -130,13 +94,12 @@ pub struct BenchRow {
     /// Median wall-clock nanoseconds per operation.
     pub median_ns: u64,
     /// The probability the stage computes (sanity anchor; identical
-    /// across implementations by the equivalence tests).
+    /// to the tree reference engine by the equivalence tests).
     pub estimate: f64,
     /// Shannon memo hits / (hits + expansions + decompositions), from
     /// an untimed probe. `None` for ground-only rows.
     pub memo_hit_rate: Option<f64>,
-    /// Interned arena nodes after the stage (tree rows report the tree
-    /// node count for `ground`, `None` elsewhere).
+    /// Interned arena nodes after the stage.
     pub arena_nodes: Option<usize>,
 }
 
@@ -144,8 +107,6 @@ pub struct BenchRow {
 /// artifacts across PRs.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Which engine was measured.
-    pub impl_kind: ImplKind,
     /// Whether smoke mode was on.
     pub smoke: bool,
     /// UTC date of the run (`YYYY-MM-DD`).
@@ -280,39 +241,20 @@ struct Probe {
     estimate: f64,
     memo_hit_rate: f64,
     ground_nodes: usize,
-    eval_nodes: Option<usize>,
+    eval_nodes: usize,
 }
 
-fn probe_cell(
-    impl_kind: ImplKind,
-    query: &Formula,
-    table: &infpdb_finite::TiTable,
-) -> Result<Probe, String> {
-    let probs = |id| table.prob(id);
-    match impl_kind {
-        ImplKind::Tree => {
-            let l = lineage_of(query, table).map_err(|e| e.to_string())?;
-            let (p, stats) = shannon::probability_with_stats(&l, &probs);
-            Ok(Probe {
-                estimate: p,
-                memo_hit_rate: hit_rate(&stats),
-                ground_nodes: l.size(),
-                eval_nodes: None,
-            })
-        }
-        ImplKind::Arena => {
-            let mut arena = LineageArena::new();
-            let root = lineage_of_arena(query, table, &mut arena).map_err(|e| e.to_string())?;
-            let ground_nodes = arena.len();
-            let (p, stats) = shannon::probability_dag_with_stats(&mut arena, root, &probs);
-            Ok(Probe {
-                estimate: p,
-                memo_hit_rate: hit_rate(&stats),
-                ground_nodes,
-                eval_nodes: Some(arena.len()),
-            })
-        }
-    }
+fn probe_cell(query: &Formula, table: &infpdb_finite::TiTable) -> Result<Probe, String> {
+    let mut arena = LineageArena::new();
+    let root = lineage_of_arena(query, table, &mut arena).map_err(|e| e.to_string())?;
+    let ground_nodes = arena.len();
+    let (p, stats) = shannon::probability_dag_with_stats(&mut arena, root, &|id| table.prob(id));
+    Ok(Probe {
+        estimate: p,
+        memo_hit_rate: hit_rate(&stats),
+        ground_nodes,
+        eval_nodes: arena.len(),
+    })
 }
 
 fn hit_rate(stats: &shannon::Stats) -> f64 {
@@ -324,7 +266,7 @@ fn hit_rate(stats: &shannon::Stats) -> f64 {
     }
 }
 
-/// Runs the full workload × ε × stage matrix for one engine.
+/// Runs the full workload × ε × stage matrix.
 pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
     let policy = IterPolicy::for_config(config);
     let threads = config.threads.max(1);
@@ -336,27 +278,18 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
             let plan = TruncationPlan::new(&w.pdb, eps).map_err(|e| e.to_string())?;
             let table = &plan.table;
             let n = plan.n();
-            let probe = probe_cell(config.impl_kind, &query, table)?;
+            let probe = probe_cell(&query, table)?;
             let probs = |id| table.prob(id);
 
             // stage 1: grounding (query → lineage over Ω_n)
-            let (median_ns, iters) = match config.impl_kind {
-                ImplKind::Tree => run_timed(
-                    policy,
-                    || (),
-                    |()| {
-                        black_box(lineage_of(&query, table).expect("probed"));
-                    },
-                ),
-                ImplKind::Arena => run_timed(
-                    policy,
-                    || (),
-                    |()| {
-                        let mut arena = LineageArena::new();
-                        black_box(lineage_of_arena(&query, table, &mut arena).expect("probed"));
-                    },
-                ),
-            };
+            let (median_ns, iters) = run_timed(
+                policy,
+                || (),
+                |()| {
+                    let mut arena = LineageArena::new();
+                    black_box(lineage_of_arena(&query, table, &mut arena).expect("probed"));
+                },
+            );
             rows.push(BenchRow {
                 workload: w.pdb_name,
                 query: w.query_name,
@@ -372,37 +305,25 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
             });
 
             // stage 2: Shannon expansion (grounding outside the timer)
-            let (median_ns, iters) = match config.impl_kind {
-                ImplKind::Tree => {
-                    let l = lineage_of(&query, table).expect("probed");
-                    run_timed(
-                        policy,
-                        || (),
-                        |()| {
-                            black_box(shannon::probability_with_stats(&l, &probs));
-                        },
-                    )
-                }
-                ImplKind::Arena => run_timed(
-                    policy,
-                    || {
-                        let mut arena = LineageArena::new();
-                        let root = lineage_of_arena(&query, table, &mut arena).expect("probed");
-                        (arena, root)
-                    },
-                    |(mut arena, root)| {
-                        if threads >= 2 {
-                            black_box(shannon::probability_dag_parallel(
-                                &mut arena, root, &probs, par_policy,
-                            ));
-                        } else {
-                            black_box(shannon::probability_dag_with_stats(
-                                &mut arena, root, &probs,
-                            ));
-                        }
-                    },
-                ),
-            };
+            let (median_ns, iters) = run_timed(
+                policy,
+                || {
+                    let mut arena = LineageArena::new();
+                    let root = lineage_of_arena(&query, table, &mut arena).expect("probed");
+                    (arena, root)
+                },
+                |(mut arena, root)| {
+                    if threads >= 2 {
+                        black_box(shannon::probability_dag_parallel(
+                            &mut arena, root, &probs, par_policy,
+                        ));
+                    } else {
+                        black_box(shannon::probability_dag_with_stats(
+                            &mut arena, root, &probs,
+                        ));
+                    }
+                },
+            );
             rows.push(BenchRow {
                 workload: w.pdb_name,
                 query: w.query_name,
@@ -414,32 +335,21 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
                 median_ns,
                 estimate: probe.estimate,
                 memo_hit_rate: Some(probe.memo_hit_rate),
-                arena_nodes: probe.eval_nodes,
+                arena_nodes: Some(probe.eval_nodes),
             });
 
             // stage 3: end-to-end approx_prob_boolean (truncation
             // planning + grounding + Shannon, all inside the timer)
-            let (median_ns, iters) = match config.impl_kind {
-                ImplKind::Tree => run_timed(
-                    policy,
-                    || (),
-                    |()| {
-                        let plan = TruncationPlan::new(&w.pdb, eps).expect("probed");
-                        let l = lineage_of(&query, &plan.table).expect("probed");
-                        black_box(shannon::probability(&l, &|id| plan.table.prob(id)));
-                    },
-                ),
-                ImplKind::Arena => run_timed(
-                    policy,
-                    || (),
-                    |()| {
-                        black_box(
-                            approx_prob_boolean_par(&w.pdb, &query, eps, Engine::Lineage, threads)
-                                .expect("probed"),
-                        );
-                    },
-                ),
-            };
+            let (median_ns, iters) = run_timed(
+                policy,
+                || (),
+                |()| {
+                    black_box(
+                        approx_prob_boolean_par(&w.pdb, &query, eps, Engine::Lineage, threads)
+                            .expect("probed"),
+                    );
+                },
+            );
             rows.push(BenchRow {
                 workload: w.pdb_name,
                 query: w.query_name,
@@ -451,7 +361,7 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
                 median_ns,
                 estimate: probe.estimate,
                 memo_hit_rate: Some(probe.memo_hit_rate),
-                arena_nodes: probe.eval_nodes,
+                arena_nodes: Some(probe.eval_nodes),
             });
 
             // stage 4: repeat-query execution. The prefix is grounded
@@ -462,33 +372,26 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
             // against the `e2e` row of the same cell.
             let mut repeat_policy = policy;
             repeat_policy.min_iters = repeat_policy.min_iters.max(config.repeats);
-            let (median_ns, iters) = match config.impl_kind {
-                // the tree engine predates the prepared pipeline; its
-                // repeat-query analogue reuses the grounded table and
-                // re-runs lineage + Shannon per iteration
-                ImplKind::Tree => run_timed(
-                    repeat_policy,
-                    || (),
-                    |()| {
-                        let l = lineage_of(&query, table).expect("probed");
-                        black_box(shannon::probability(&l, &probs));
-                    },
-                ),
-                ImplKind::Arena => {
-                    let prepared = PreparedPdb::new(w.pdb.clone());
-                    let pq = PreparedQuery::prepare(prepared, &query, Engine::Lineage)
-                        .with_parallelism(threads);
-                    let token = CancelToken::new();
-                    pq.execute(eps, &token).expect("probed"); // prepare: grounds once
-                    run_timed(
-                        repeat_policy,
-                        || (),
-                        |()| {
-                            black_box(pq.execute(eps, &token).expect("probed"));
-                        },
-                    )
-                }
+            let pq = PreparedQuery::prepare(
+                PreparedPdb::new(w.pdb.clone()),
+                &query,
+                Engine::Lineage,
+                PlanKnobs::default(),
+            )
+            .with_parallelism(threads);
+            let token = CancelToken::new();
+            let execute = || {
+                pq.execute(eps, &token, PartialOnCancel::Evaluate, None)
+                    .expect("probed")
             };
+            execute(); // prepare: grounds once
+            let (median_ns, iters) = run_timed(
+                repeat_policy,
+                || (),
+                |()| {
+                    black_box(execute());
+                },
+            );
             rows.push(BenchRow {
                 workload: w.pdb_name,
                 query: w.query_name,
@@ -500,12 +403,11 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
                 median_ns,
                 estimate: probe.estimate,
                 memo_hit_rate: Some(probe.memo_hit_rate),
-                arena_nodes: probe.eval_nodes,
+                arena_nodes: Some(probe.eval_nodes),
             });
         }
     }
     Ok(BenchReport {
-        impl_kind: config.impl_kind,
         smoke: config.smoke,
         date: iso_date_utc(),
         rows,
@@ -621,7 +523,8 @@ pub fn to_json(report: &BenchReport) -> String {
     Json::obj([
         ("schema", Json::str("infpdb-bench/4")),
         ("date", Json::str(report.date.clone())),
-        ("impl", Json::str(report.impl_kind.name())),
+        // the lineage implementation the rows measure
+        ("impl", Json::str("arena")),
         ("smoke", Json::Bool(report.smoke)),
         ("rows", Json::Array(rows)),
         ("saturation", Json::Array(saturation)),
@@ -633,14 +536,7 @@ pub fn to_json(report: &BenchReport) -> String {
 /// A human-readable summary table (what `infpdb bench` prints).
 pub fn summary_table(report: &BenchReport) -> String {
     let mut out = String::new();
-    writeln!(
-        out,
-        "impl={} smoke={} date={}",
-        report.impl_kind.name(),
-        report.smoke,
-        report.date
-    )
-    .ok();
+    writeln!(out, "smoke={} date={}", report.smoke, report.date).ok();
     writeln!(
         out,
         "{:<10} {:<7} {:<8} {:>7} {:>3} {:>6} {:>6} {:>14} {:>9} {:>7}",
@@ -769,37 +665,40 @@ mod tests {
         assert_eq!(civil_from_days(-1), (1969, 12, 31));
     }
 
-    /// A tiny run of both engines covers the full matrix shape and
-    /// agrees on every estimate (the deep equivalence guarantees live
-    /// in `infpdb-finite`'s property tests).
+    /// A tiny run covers the full matrix shape, and every cell's
+    /// estimate is bit-for-bit the tree reference engine's on the same
+    /// prefix (the deep equivalence guarantees live in
+    /// `infpdb-finite`'s property tests).
     #[test]
     fn smoke_run_produces_full_matrix_and_engines_agree() {
-        let mk = |impl_kind| BenchConfig {
-            impl_kind,
-            smoke: true,
+        let config = BenchConfig {
             eps: vec![1e-2],
             repeats: 1,
-            threads: 1,
+            ..BenchConfig::new(true)
         };
-        let tree = run(&mk(ImplKind::Tree)).unwrap();
-        let arena = run(&mk(ImplKind::Arena)).unwrap();
+        let arena = run(&config).unwrap();
         // 4 workloads × 1 ε × 4 stages
-        assert_eq!(tree.rows.len(), 16);
         assert_eq!(arena.rows.len(), 16);
-        assert!(tree.rows.iter().any(|r| r.stage == "prepared"));
-        assert!(tree.rows.iter().any(|r| r.workload == "blocks"));
-        for (t, a) in tree.rows.iter().zip(&arena.rows) {
-            assert_eq!(
-                (t.workload, t.query, t.stage, t.n),
-                (a.workload, a.query, a.stage, a.n)
-            );
-            assert_eq!(t.estimate.to_bits(), a.estimate.to_bits());
-            assert!(t.median_ns > 0 && a.median_ns > 0);
+        assert!(arena.rows.iter().any(|r| r.stage == "prepared"));
+        assert!(arena.rows.iter().any(|r| r.workload == "blocks"));
+        assert!(arena.rows.iter().all(|r| r.median_ns > 0));
+        for (w, row) in workloads().iter().zip(arena.rows.chunks(4)) {
+            let query = parse(w.query_text, w.pdb.schema()).unwrap();
+            let plan = TruncationPlan::new(&w.pdb, 1e-2).unwrap();
+            let tree = infpdb_finite::lineage::lineage_of(&query, &plan.table).unwrap();
+            let reference = shannon::probability(&tree, &|id| plan.table.prob(id));
+            for r in row {
+                assert_eq!(
+                    (r.workload, r.query, r.n),
+                    (w.pdb_name, w.query_name, plan.n())
+                );
+                assert_eq!(r.estimate.to_bits(), reference.to_bits(), "{r:?}");
+            }
         }
-        // a parallel arena run reproduces every estimate bit-for-bit
+        // a parallel run reproduces every estimate bit-for-bit
         let par = run(&BenchConfig {
             threads: 4,
-            ..mk(ImplKind::Arena)
+            ..config
         })
         .unwrap();
         for (s, p) in arena.rows.iter().zip(&par.rows) {
@@ -811,18 +710,13 @@ mod tests {
             );
             assert_eq!(p.threads, 4);
         }
-        // the arena reports node counts on every row; tree only for ground
+        // every row reports its node count
         assert!(arena.rows.iter().all(|r| r.arena_nodes.is_some()));
-        assert!(tree
-            .rows
-            .iter()
-            .all(|r| (r.stage == "ground") == r.arena_nodes.is_some()));
     }
 
     #[test]
     fn json_artifact_is_well_formed() {
         let report = BenchReport {
-            impl_kind: ImplKind::Arena,
             smoke: true,
             date: "2026-08-06".into(),
             saturation: vec![SaturationRow {
@@ -929,13 +823,5 @@ mod tests {
         let row = &doc.get("rows").unwrap().as_array().unwrap()[0];
         assert_eq!(row.get("memo_hit_rate"), Some(&Json::Null));
         assert_eq!(row.get("arena_nodes"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn impl_kind_round_trips() {
-        for k in [ImplKind::Tree, ImplKind::Arena] {
-            assert_eq!(ImplKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(ImplKind::parse("btree"), None);
     }
 }

@@ -32,7 +32,8 @@ use infpdb_finite::engine::Engine;
 use infpdb_logic::parse;
 use infpdb_query::approx::{approx_prob_boolean_par, PartialOnCancel};
 use infpdb_query::cancel::CancelToken;
-use infpdb_query::prepared::{execute_prepared_par, PreparedPdb};
+use infpdb_query::prepared::{PreparedPdb, PreparedQuery};
+use infpdb_query::PlanKnobs;
 use infpdb_store::{SnapshotInfo, Store};
 use infpdb_ti::catalog::FactCatalog;
 use infpdb_ti::fingerprint::countable_pdb_fingerprint;
@@ -473,16 +474,16 @@ fn run_in(config: &StoreBenchConfig, dir: &std::path::Path) -> Result<StoreBench
             let expected =
                 approx_prob_boolean_par(&fresh, &query, ANSWER_EPS, Engine::Auto, threads)
                     .map_err(|e| format!("fresh eval {q:?}: {e}"))?;
-            let (got, _) = execute_prepared_par(
-                &prepared,
+            let got = PreparedQuery::prepare(
+                prepared.clone(),
                 &query,
-                ANSWER_EPS,
                 Engine::Auto,
-                threads,
-                &cancel,
-                PartialOnCancel::Evaluate,
+                PlanKnobs::default(),
             )
-            .map_err(|e| format!("reopened eval {q:?}: {e}"))?;
+            .with_parallelism(threads)
+            .execute(ANSWER_EPS, &cancel, PartialOnCancel::Evaluate, None)
+            .map_err(|e| format!("reopened eval {q:?}: {e}"))?
+            .approx;
             bits.push(got.estimate.to_bits());
             identical &= got.estimate.to_bits() == expected.estimate.to_bits();
         }

@@ -134,53 +134,59 @@ pub fn prob_boolean_traced_exec(
     }
 }
 
-/// The intensional path: ground straight into a hash-consed arena and run
-/// the DAG Shannon engine over it. One arena serves the whole evaluation,
-/// so the grounding's shared substructure is discovered before inference
-/// starts and memo probes are id-indexed.
 fn prob_by_lineage(
     query: &Formula,
     table: &TiTable,
     parallelism: usize,
     exec: Option<&dyn shannon::TaskExecutor>,
 ) -> Result<Option<(f64, EvalTrace)>, FiniteError> {
+    let mut trace = EvalTrace::default();
+    let p = shannon::ScopedExecutor::or_default(exec, parallelism, |exec| {
+        shannon_traced(query, table, parallelism, exec, &mut trace)
+    })?;
+    Ok(p.map(|p| (p, trace)))
+}
+
+/// The intensional path: ground straight into a hash-consed arena and run
+/// the DAG Shannon engine over it, adding its work counters to `trace`.
+/// One arena serves the whole evaluation, so the grounding's shared
+/// substructure is discovered before inference starts and memo probes
+/// are id-indexed. `Ok(None)` means `exec` skipped a component task.
+pub(crate) fn shannon_traced(
+    query: &Formula,
+    table: &TiTable,
+    parallelism: usize,
+    exec: &dyn shannon::TaskExecutor,
+    trace: &mut EvalTrace,
+) -> Result<Option<f64>, FiniteError> {
     let mut arena = LineageArena::new();
     let root = lineage_of_arena(query, table, &mut arena)?;
-    if parallelism >= 2 {
+    let probs = |id| table.prob(id);
+    let (p, stats, arena_stats) = if parallelism >= 2 {
         let policy = shannon::ParallelPolicy::with_threads(parallelism);
-        let default_exec = shannon::ScopedExecutor {
-            threads: policy.threads,
-        };
-        let exec = exec.unwrap_or(&default_exec);
-        let Some((p, stats, arena_stats, report)) = shannon::probability_dag_parallel_exec(
-            &mut arena,
-            root,
-            &|id| table.prob(id),
-            policy,
-            exec,
-        ) else {
+        let Some((p, stats, arena_stats, report)) =
+            shannon::probability_dag_parallel_exec(&mut arena, root, &probs, policy, exec)
+        else {
             return Ok(None);
         };
-        return Ok(Some((
-            p,
-            EvalTrace {
-                shannon: Some(stats),
-                arena: Some(arena_stats),
-                parallel: Some(report),
-                plan: None,
-            },
-        )));
-    }
-    let (p, stats) = shannon::probability_dag_with_stats(&mut arena, root, &|id| table.prob(id));
-    Ok(Some((
-        p,
-        EvalTrace {
-            shannon: Some(stats),
-            arena: Some(arena.stats()),
-            parallel: None,
-            plan: None,
-        },
-    )))
+        let par = trace
+            .parallel
+            .get_or_insert_with(shannon::ParReport::default);
+        par.tasks += report.tasks;
+        par.fallback_seq |= report.fallback_seq;
+        (p, stats, arena_stats)
+    } else {
+        let (p, stats) = shannon::probability_dag_with_stats(&mut arena, root, &probs);
+        (p, stats, arena.stats())
+    };
+    let s = trace.shannon.get_or_insert_with(shannon::Stats::default);
+    s.expansions += stats.expansions;
+    s.cache_hits += stats.cache_hits;
+    s.decompositions += stats.decompositions;
+    let a = trace.arena.get_or_insert_with(ArenaStats::default);
+    a.nodes += arena_stats.nodes;
+    a.intern_hits += arena_stats.intern_hits;
+    Ok(Some(p))
 }
 
 /// Monte-Carlo estimate (separate from [`prob_boolean`] because it needs an

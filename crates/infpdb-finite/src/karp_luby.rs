@@ -17,11 +17,13 @@
 
 use crate::arena::{LineageArena, LineageId, LineageNode};
 use crate::lineage::{lineage_of_arena, Lineage};
+use crate::shannon::TaskExecutor;
 use crate::{FiniteError, TiTable};
 use infpdb_core::fact::FactId;
 use infpdb_core::space::rand_core::RngCore;
 use infpdb_logic::ast::Formula;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A monotone DNF: each clause is a set of fact variables, all positive.
 pub type Dnf = Vec<Vec<FactId>>;
@@ -269,23 +271,30 @@ fn kl_chunk<R: RngCore>(
 /// seeded per chunk from `seed` (the same golden-ratio stream as
 /// [`crate::monte_carlo::estimate_parallel`]) and hit counts are summed,
 /// so the estimate is **bit-for-bit identical** at every thread count.
+/// With `threads ≥ 2` the chunks are striped over tasks on `exec`, each
+/// owning a clone of the table and sharing the DNF; `None` means the
+/// executor skipped a stripe.
 pub fn estimate_dnf_parallel(
     dnf: &Dnf,
     table: &TiTable,
     samples: usize,
     seed: u64,
     threads: usize,
-) -> KlEstimate {
-    use crate::monte_carlo::{chunk_seed, SAMPLE_CHUNK};
+    exec: &dyn TaskExecutor,
+) -> Option<KlEstimate> {
+    use crate::monte_carlo::{run_stripes, sample_chunks};
     use infpdb_core::space::rand_core::SplitMix64;
     assert!(samples > 0, "need at least one sample");
     let m = dnf.len();
-    if m == 0 {
-        return KlEstimate {
-            estimate: 0.0,
+    let constant = |estimate| {
+        Some(KlEstimate {
+            estimate,
             samples,
-            clauses: 0,
-        };
+            clauses: m,
+        })
+    };
+    if m == 0 {
+        return constant(0.0);
     }
     let weights: Vec<f64> = dnf
         .iter()
@@ -293,55 +302,49 @@ pub fn estimate_dnf_parallel(
         .collect();
     let total_w: f64 = weights.iter().sum();
     if total_w == 0.0 {
-        return KlEstimate {
-            estimate: 0.0,
-            samples,
-            clauses: m,
-        };
+        return constant(0.0);
     }
     if dnf.iter().any(|c| c.is_empty()) {
-        return KlEstimate {
-            estimate: 1.0,
-            samples,
-            clauses: m,
-        };
+        return constant(1.0);
     }
     let mut vars: Vec<FactId> = dnf.iter().flatten().copied().collect();
     vars.sort_unstable();
     vars.dedup();
-    let chunks: Vec<(u64, usize)> = (0..samples.div_ceil(SAMPLE_CHUNK))
-        .map(|c| {
-            let n = SAMPLE_CHUNK.min(samples - c * SAMPLE_CHUNK);
-            (chunk_seed(seed, c as u64), n)
-        })
-        .collect();
-    let run = |(s, n): (u64, usize)| {
-        let mut rng = SplitMix64::new(s);
-        kl_chunk(dnf, table, &weights, total_w, &vars, n, &mut rng)
-    };
+    let chunks = sample_chunks(samples, seed);
     let hits: usize = if threads < 2 || chunks.len() < 2 {
-        chunks.iter().copied().map(run).sum()
+        chunks
+            .iter()
+            .map(|&(s, n)| {
+                kl_chunk(
+                    dnf,
+                    table,
+                    &weights,
+                    total_w,
+                    &vars,
+                    n,
+                    &mut SplitMix64::new(s),
+                )
+            })
+            .sum()
     } else {
-        let workers = threads.min(chunks.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|k| {
-                    let mine: Vec<(u64, usize)> =
-                        chunks.iter().skip(k).step_by(workers).copied().collect();
-                    scope.spawn(move || mine.into_iter().map(run).sum::<usize>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sampler worker panicked"))
-                .sum()
-        })
+        let shared = Arc::new((dnf.clone(), weights, vars));
+        run_stripes(&chunks, threads.min(chunks.len()), exec, || {
+            let (shared, table) = (Arc::clone(&shared), table.clone());
+            move |s, n| {
+                let (dnf, weights, vars) = &*shared;
+                kl_chunk(
+                    dnf,
+                    &table,
+                    weights,
+                    total_w,
+                    vars,
+                    n,
+                    &mut SplitMix64::new(s),
+                )
+            }
+        })?
     };
-    KlEstimate {
-        estimate: (total_w * hits as f64 / samples as f64).min(1.0),
-        samples,
-        clauses: m,
-    }
+    constant((total_w * hits as f64 / samples as f64).min(1.0))
 }
 
 /// End-to-end Karp–Luby for a UCQ: computes the (monotone) lineage,
@@ -508,10 +511,14 @@ mod tests {
         let mut arena = LineageArena::new();
         let root = lineage_of_arena(&q, &t, &mut arena).unwrap();
         let dnf = to_dnf_arena(&arena, root, 1000).unwrap();
-        let base = estimate_dnf_parallel(&dnf, &t, 30_000, 17, 1);
+        let run = |dnf: &Dnf, samples, seed, threads| {
+            let exec = crate::shannon::ScopedExecutor { threads };
+            estimate_dnf_parallel(dnf, &t, samples, seed, threads, &exec).unwrap()
+        };
+        let base = run(&dnf, 30_000, 17, 1);
         assert!((base.estimate - exact).abs() < 0.03 * exact.max(0.05));
         for threads in [2, 4, 5] {
-            let e = estimate_dnf_parallel(&dnf, &t, 30_000, 17, threads);
+            let e = run(&dnf, 30_000, 17, threads);
             assert_eq!(
                 e.estimate.to_bits(),
                 base.estimate.to_bits(),
@@ -520,11 +527,8 @@ mod tests {
             assert_eq!(e.clauses, base.clauses);
         }
         // degenerate shapes short-circuit identically at any thread count
-        assert_eq!(estimate_dnf_parallel(&vec![], &t, 10, 3, 4).estimate, 0.0);
-        assert_eq!(
-            estimate_dnf_parallel(&vec![vec![]], &t, 10, 3, 4).estimate,
-            1.0
-        );
+        assert_eq!(run(&vec![], 10, 3, 4).estimate, 0.0);
+        assert_eq!(run(&vec![vec![]], 10, 3, 4).estimate, 1.0);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::arena::LineageArena;
 use crate::lineage::lineage_of_arena;
+use crate::shannon::{ParTask, TaskExecutor};
 use crate::{FiniteError, TiTable};
 use infpdb_core::space::rand_core::RngCore;
 use infpdb_logic::ast::Formula;
@@ -80,8 +81,51 @@ pub const SAMPLE_CHUNK: usize = 1024;
 
 /// The per-chunk seed stream: a SplitMix64-style golden-ratio mix of the
 /// master seed and the chunk index.
-pub(crate) fn chunk_seed(seed: u64, chunk: u64) -> u64 {
+fn chunk_seed(seed: u64, chunk: u64) -> u64 {
     seed.wrapping_add((chunk.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// The `(seed, samples)` chunks of a deterministic sampler: chunk `c`
+/// covers samples `[c·CHUNK, min((c+1)·CHUNK, samples))`.
+pub(crate) fn sample_chunks(samples: usize, seed: u64) -> Vec<(u64, usize)> {
+    (0..samples.div_ceil(SAMPLE_CHUNK))
+        .map(|c| {
+            let n = SAMPLE_CHUNK.min(samples - c * SAMPLE_CHUNK);
+            (chunk_seed(seed, c as u64), n)
+        })
+        .collect()
+}
+
+/// Sums the hit counts of `chunks` as one task per worker stripe on
+/// `exec`: stripe `k` of `workers` runs chunks `k, k + workers, …` with
+/// the kernel `stripe()` built for it, which owns everything it reads.
+/// Integer sums are order-free, so the total is the sequential one;
+/// `None` when the executor skipped a stripe.
+pub(crate) fn run_stripes<K>(
+    chunks: &[(u64, usize)],
+    workers: usize,
+    exec: &dyn TaskExecutor,
+    mut stripe: impl FnMut() -> K,
+) -> Option<usize>
+where
+    K: FnMut(u64, usize) -> usize + Send + 'static,
+{
+    let (tx, rx) = std::sync::mpsc::channel();
+    let tasks: Vec<ParTask> = (0..workers)
+        .map(|k| {
+            let mine: Vec<(u64, usize)> = chunks.iter().skip(k).step_by(workers).copied().collect();
+            let mut kernel = stripe();
+            let tx = tx.clone();
+            Box::new(move || {
+                let hits: usize = mine.into_iter().map(|(s, n)| kernel(s, n)).sum();
+                let _ = tx.send(hits);
+            }) as ParTask
+        })
+        .collect();
+    drop(tx);
+    exec.run_tasks(tasks);
+    let hits: Vec<usize> = rx.try_iter().collect();
+    (hits.len() == workers).then(|| hits.into_iter().sum())
 }
 
 /// The flat per-chunk kernel: worlds are drawn into a reused dense
@@ -117,16 +161,19 @@ fn run_chunk(
 /// `chunk_seed`-derived RNG; chunk hit counts are summed (an
 /// order-free integer sum), so the result is **bit-for-bit identical**
 /// for every `threads` value, including `1`. With `threads ≥ 2` the
-/// chunks are striped over std scoped threads, each evaluating worlds
+/// chunks are striped over tasks on `exec`, each evaluating worlds
 /// against its own clone of the grounded arena (the memoized structural
-/// comparator makes `&LineageArena` non-`Sync`).
+/// comparator makes `&LineageArena` non-`Sync`) and of the table (whose
+/// interner and probabilities are shared). `Ok(None)` means the executor
+/// skipped a stripe.
 pub fn estimate_parallel(
     query: &Formula,
     table: &TiTable,
     samples: usize,
     seed: u64,
     threads: usize,
-) -> Result<McEstimate, FiniteError> {
+    exec: &dyn TaskExecutor,
+) -> Result<Option<McEstimate>, FiniteError> {
     let fv = free_vars(query);
     if !fv.is_empty() {
         return Err(FiniteError::Logic(infpdb_logic::LogicError::NotASentence(
@@ -136,49 +183,30 @@ pub fn estimate_parallel(
     assert!(samples > 0, "need at least one sample");
     let mut arena = LineageArena::new();
     let root = lineage_of_arena(query, table, &mut arena)?;
-    // chunk c covers samples [c·CHUNK, min((c+1)·CHUNK, samples))
-    let chunks: Vec<(u64, usize)> = (0..samples.div_ceil(SAMPLE_CHUNK))
-        .map(|c| {
-            let n = SAMPLE_CHUNK.min(samples - c * SAMPLE_CHUNK);
-            (chunk_seed(seed, c as u64), n)
-        })
-        .collect();
-    let hits: usize = if threads < 2 || chunks.len() < 2 {
+    let chunks = sample_chunks(samples, seed);
+    let hits = if threads < 2 || chunks.len() < 2 {
         let (mut present, mut buf) = (Vec::new(), Vec::new());
         chunks
             .iter()
             .map(|&(s, n)| run_chunk(&arena, root, table, n, s, &mut present, &mut buf))
             .sum()
     } else {
-        let workers = threads.min(chunks.len());
-        let clones: Vec<LineageArena> = (0..workers).map(|_| arena.clone()).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = clones
-                .into_iter()
-                .enumerate()
-                .map(|(k, cl)| {
-                    let mine: Vec<(u64, usize)> =
-                        chunks.iter().skip(k).step_by(workers).copied().collect();
-                    scope.spawn(move || {
-                        let (mut present, mut buf) = (Vec::new(), Vec::new());
-                        mine.into_iter()
-                            .map(|(s, n)| run_chunk(&cl, root, table, n, s, &mut present, &mut buf))
-                            .sum::<usize>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sampler worker panicked"))
-                .sum()
-        })
+        let stripes = run_stripes(&chunks, threads.min(chunks.len()), exec, || {
+            let (arena, table) = (arena.clone(), table.clone());
+            let (mut present, mut buf) = (Vec::new(), Vec::new());
+            move |s, n| run_chunk(&arena, root, &table, n, s, &mut present, &mut buf)
+        });
+        let Some(hits) = stripes else {
+            return Ok(None);
+        };
+        hits
     };
     let half_width = ((2.0f64 / 0.05).ln() / (2.0 * samples as f64)).sqrt();
-    Ok(McEstimate {
+    Ok(Some(McEstimate {
         estimate: hits as f64 / samples as f64,
         samples,
         half_width,
-    })
+    }))
 }
 
 /// Estimates with an `(ε, δ)` guarantee, choosing the sample count by
@@ -266,10 +294,16 @@ mod tests {
         let t = table();
         let q = parse("exists x. R(x) \\/ S(x)", t.schema()).unwrap();
         let truth = t.worlds().unwrap().prob_boolean(&q).unwrap();
-        let base = estimate_parallel(&q, &t, 10_000, 42, 1).unwrap();
+        let run = |seed, threads| {
+            let exec = crate::shannon::ScopedExecutor { threads };
+            estimate_parallel(&q, &t, 10_000, seed, threads, &exec)
+                .unwrap()
+                .unwrap()
+        };
+        let base = run(42, 1);
         assert!((base.estimate - truth).abs() < 0.03);
         for threads in [2, 4, 7] {
-            let e = estimate_parallel(&q, &t, 10_000, 42, threads).unwrap();
+            let e = run(42, threads);
             assert_eq!(
                 e.estimate.to_bits(),
                 base.estimate.to_bits(),
@@ -278,7 +312,7 @@ mod tests {
             assert_eq!(e.samples, base.samples);
         }
         // a different master seed gives a different (still valid) estimate
-        let other = estimate_parallel(&q, &t, 10_000, 43, 2).unwrap();
+        let other = run(43, 2);
         assert_ne!(other.estimate.to_bits(), base.estimate.to_bits());
     }
 

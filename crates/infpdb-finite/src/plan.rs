@@ -15,11 +15,11 @@
 //! this, and both samplers derive their RNG streams from the plan's
 //! per-component seeds in fixed-size chunks.
 
-use crate::arena::{ArenaStats, LineageArena};
-use crate::engine::EvalTrace;
+use crate::arena::LineageArena;
+use crate::engine::{shannon_traced, EvalTrace};
 use crate::lineage::lineage_of_arena;
 use crate::{karp_luby, lifted, monte_carlo, shannon, FiniteError, TiTable};
-use infpdb_logic::compile::{CompiledQuery, Connective, QueryComponent};
+use infpdb_logic::compile::{CompiledQuery, Connective};
 
 /// The evaluation strategy assigned to one query component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,9 +203,11 @@ impl PlanSummary {
 
 /// Evaluates a compiled query under a [`ChosenPlan`]: each component by
 /// its assigned strategy, combined in canonical component order by the
-/// compiled connective. Returns `Ok(None)` when a caller-supplied
-/// executor skipped tasks (cancellation), exactly like
-/// [`crate::engine::prob_boolean_traced_exec`].
+/// compiled connective. With `parallelism ≥ 2`, Shannon components fork
+/// their independent sub-components and samplers their chunk stripes
+/// onto `exec` (a fork-join [`shannon::ScopedExecutor`] when `None`).
+/// Returns `Ok(None)` when the executor skipped tasks (cancellation),
+/// exactly like [`crate::engine::prob_boolean_traced_exec`].
 ///
 /// The returned trace reports what actually ran: merged Shannon/arena
 /// counters over the exact components, and `plan` set to the summary of
@@ -224,125 +226,67 @@ pub fn evaluate_plan(
         plan.components.len(),
         "plan must match the compiled query's component list"
     );
-    let mut executed = plan.clone();
-    let mut acc = 1.0f64;
-    let mut single = 0.0f64;
-    let mut trace = EvalTrace::default();
-    for (i, (comp, cplan)) in components.iter().zip(&plan.components).enumerate() {
-        let p = match cplan.strategy {
-            Strategy::Lifted => lifted::prob_hierarchical(comp.formula(), table)?,
-            Strategy::Shannon => {
-                match shannon_component(comp, table, parallelism, exec, &mut trace)? {
-                    Some(p) => p,
-                    None => return Ok(None),
-                }
-            }
-            Strategy::MonteCarlo { samples } => {
-                monte_carlo::estimate_parallel(
-                    comp.formula(),
+    shannon::ScopedExecutor::or_default(exec, parallelism, |exec| {
+        let mut executed = plan.clone();
+        let mut acc = 1.0f64;
+        let mut single = 0.0f64;
+        let mut trace = EvalTrace::default();
+        for (i, (comp, cplan)) in components.iter().zip(&plan.components).enumerate() {
+            let formula = comp.formula();
+            let p = match cplan.strategy {
+                Strategy::Lifted => Some(lifted::prob_hierarchical(formula, table)?),
+                Strategy::Shannon => shannon_traced(formula, table, parallelism, exec, &mut trace)?,
+                Strategy::MonteCarlo { samples } => monte_carlo::estimate_parallel(
+                    formula,
                     table,
                     samples,
                     cplan.seed,
                     parallelism,
+                    exec,
                 )?
-                .estimate
-            }
-            Strategy::KarpLuby {
-                samples,
-                max_clauses,
-            } => {
-                let mut arena = LineageArena::new();
-                let root = lineage_of_arena(comp.formula(), table, &mut arena)?;
-                match karp_luby::to_dnf_arena(&arena, root, max_clauses) {
-                    Some(dnf) => {
-                        karp_luby::estimate_dnf_parallel(
+                .map(|e| e.estimate),
+                Strategy::KarpLuby {
+                    samples,
+                    max_clauses,
+                } => {
+                    let mut arena = LineageArena::new();
+                    let root = lineage_of_arena(formula, table, &mut arena)?;
+                    match karp_luby::to_dnf_arena(&arena, root, max_clauses) {
+                        Some(dnf) => karp_luby::estimate_dnf_parallel(
                             &dnf,
                             table,
                             samples,
                             cplan.seed,
                             parallelism,
+                            exec,
                         )
-                        .estimate
-                    }
-                    // deterministic fallback: the eval-table lineage
-                    // outgrew the clause cap the profile predicted under
-                    None => {
-                        executed.components[i].strategy = Strategy::Shannon;
-                        match shannon_component(comp, table, parallelism, exec, &mut trace)? {
-                            Some(p) => p,
-                            None => return Ok(None),
+                        .map(|e| e.estimate),
+                        // deterministic fallback: the eval-table lineage
+                        // outgrew the clause cap the profile predicted under
+                        None => {
+                            executed.components[i].strategy = Strategy::Shannon;
+                            shannon_traced(formula, table, parallelism, exec, &mut trace)?
                         }
                     }
                 }
+            };
+            let Some(p) = p else {
+                return Ok(None);
+            };
+            match plan.connective {
+                Connective::Single => single = p,
+                Connective::And => acc *= p,
+                Connective::Or => acc *= 1.0 - p,
             }
-        };
-        match plan.connective {
-            Connective::Single => single = p,
-            Connective::And => acc *= p,
-            Connective::Or => acc *= 1.0 - p,
         }
-    }
-    let estimate = match plan.connective {
-        Connective::Single => single,
-        Connective::And => acc,
-        Connective::Or => 1.0 - acc,
-    };
-    trace.plan = Some(executed.summary());
-    Ok(Some((estimate, trace)))
-}
-
-/// Evaluates one component on the exact Shannon path, merging its work
-/// counters into the running trace. Mirrors the lineage arm of
-/// [`crate::engine::prob_boolean_traced_exec`] per component.
-fn shannon_component(
-    comp: &QueryComponent,
-    table: &TiTable,
-    parallelism: usize,
-    exec: Option<&dyn shannon::TaskExecutor>,
-    trace: &mut EvalTrace,
-) -> Result<Option<f64>, FiniteError> {
-    let mut arena = LineageArena::new();
-    let root = lineage_of_arena(comp.formula(), table, &mut arena)?;
-    if parallelism >= 2 {
-        let policy = shannon::ParallelPolicy::with_threads(parallelism);
-        let default_exec = shannon::ScopedExecutor {
-            threads: policy.threads,
+        let estimate = match plan.connective {
+            Connective::Single => single,
+            Connective::And => acc,
+            Connective::Or => 1.0 - acc,
         };
-        let exec = exec.unwrap_or(&default_exec);
-        let Some((p, stats, arena_stats, report)) = shannon::probability_dag_parallel_exec(
-            &mut arena,
-            root,
-            &|id| table.prob(id),
-            policy,
-            exec,
-        ) else {
-            return Ok(None);
-        };
-        merge_shannon(trace, stats, arena_stats);
-        let merged = match trace.parallel {
-            Some(prev) => shannon::ParReport {
-                tasks: prev.tasks + report.tasks,
-                fallback_seq: prev.fallback_seq || report.fallback_seq,
-            },
-            None => report,
-        };
-        trace.parallel = Some(merged);
-        return Ok(Some(p));
-    }
-    let (p, stats) = shannon::probability_dag_with_stats(&mut arena, root, &|id| table.prob(id));
-    let arena_stats = arena.stats();
-    merge_shannon(trace, stats, arena_stats);
-    Ok(Some(p))
-}
-
-fn merge_shannon(trace: &mut EvalTrace, stats: shannon::Stats, arena_stats: ArenaStats) {
-    let s = trace.shannon.get_or_insert_with(shannon::Stats::default);
-    s.expansions += stats.expansions;
-    s.cache_hits += stats.cache_hits;
-    s.decompositions += stats.decompositions;
-    let a = trace.arena.get_or_insert_with(ArenaStats::default);
-    a.nodes += arena_stats.nodes;
-    a.intern_hits += arena_stats.intern_hits;
+        trace.plan = Some(executed.summary());
+        Ok(Some((estimate, trace)))
+    })
 }
 
 #[cfg(test)]
@@ -351,7 +295,9 @@ mod tests {
     use crate::engine::{prob_boolean, Engine};
     use infpdb_core::fact::Fact;
     use infpdb_core::schema::{Relation, Schema};
+    use infpdb_logic::compile::QueryComponent;
     use infpdb_logic::parse;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn table() -> TiTable {
         let s = Schema::from_relations([
@@ -474,6 +420,86 @@ mod tests {
                 assert_eq!(tr1, trn);
             }
         }
+    }
+
+    /// Runs every task inline, counting them.
+    #[derive(Default)]
+    struct CountingExecutor(AtomicUsize);
+
+    impl shannon::TaskExecutor for CountingExecutor {
+        fn run_tasks(&self, tasks: Vec<shannon::ParTask>) {
+            self.0.fetch_add(tasks.len(), Ordering::Relaxed);
+            for t in tasks {
+                t();
+            }
+        }
+    }
+
+    #[test]
+    fn sampler_stripes_run_on_the_callers_executor() {
+        let t = table();
+        let q = parse("exists x, y. R(x) /\\ S(x, y) /\\ T(y)", t.schema()).unwrap();
+        let compiled = CompiledQuery::compile(t.schema(), &q);
+        for strategy in [
+            Strategy::MonteCarlo { samples: 5_000 },
+            Strategy::KarpLuby {
+                samples: 5_000,
+                max_clauses: 1024,
+            },
+        ] {
+            let plan = ChosenPlan {
+                connective: compiled.connective(),
+                components: vec![ComponentPlan {
+                    strategy,
+                    cost: 1.0,
+                    seed: 11,
+                }],
+                eps: 0.05,
+                eps_trunc: 0.025,
+            };
+            let (p1, tr1) = evaluate_plan(&compiled, &plan, &t, 1, None)
+                .unwrap()
+                .unwrap();
+            let exec = CountingExecutor::default();
+            let (p2, tr2) = evaluate_plan(&compiled, &plan, &t, 2, Some(&exec))
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                exec.0.load(Ordering::Relaxed),
+                2,
+                "{}: one task per stripe",
+                strategy.name()
+            );
+            assert_eq!(p1.to_bits(), p2.to_bits(), "{}", strategy.name());
+            assert_eq!(tr1, tr2);
+        }
+    }
+
+    /// Drops every task unrun, like a stealing executor whose request
+    /// was cancelled.
+    struct SkippingExecutor;
+
+    impl shannon::TaskExecutor for SkippingExecutor {
+        fn run_tasks(&self, _tasks: Vec<shannon::ParTask>) {}
+    }
+
+    #[test]
+    fn skipped_sampler_stripes_yield_no_estimate() {
+        let t = table();
+        let q = parse("exists x, y. R(x) /\\ S(x, y) /\\ T(y)", t.schema()).unwrap();
+        let compiled = CompiledQuery::compile(t.schema(), &q);
+        let plan = ChosenPlan {
+            connective: compiled.connective(),
+            components: vec![ComponentPlan {
+                strategy: Strategy::MonteCarlo { samples: 5_000 },
+                cost: 1.0,
+                seed: 11,
+            }],
+            eps: 0.05,
+            eps_trunc: 0.025,
+        };
+        let got = evaluate_plan(&compiled, &plan, &t, 2, Some(&SkippingExecutor)).unwrap();
+        assert!(got.is_none());
     }
 
     #[test]

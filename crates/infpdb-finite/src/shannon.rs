@@ -714,6 +714,22 @@ pub struct ScopedExecutor {
     pub threads: usize,
 }
 
+impl ScopedExecutor {
+    /// Calls `f` with the caller's executor, or with a fork-join
+    /// executor of `threads` when there is none: the one place the
+    /// default is built.
+    pub(crate) fn or_default<R>(
+        exec: Option<&dyn TaskExecutor>,
+        threads: usize,
+        f: impl FnOnce(&dyn TaskExecutor) -> R,
+    ) -> R {
+        match exec {
+            Some(exec) => f(exec),
+            None => f(&ScopedExecutor { threads }),
+        }
+    }
+}
+
 impl TaskExecutor for ScopedExecutor {
     fn run_tasks(&self, tasks: Vec<ParTask>) {
         if tasks.is_empty() {
@@ -769,11 +785,10 @@ pub fn probability_dag_parallel<F>(
 where
     F: Fn(FactId) -> f64 + Sync,
 {
-    let exec = ScopedExecutor {
-        threads: policy.threads,
-    };
-    probability_dag_parallel_exec(arena, root, probs, policy, &exec)
-        .expect("ScopedExecutor runs every task")
+    ScopedExecutor::or_default(None, policy.threads, |exec| {
+        probability_dag_parallel_exec(arena, root, probs, policy, exec)
+    })
+    .expect("ScopedExecutor runs every task")
 }
 
 /// [`probability_dag_parallel`] with a caller-supplied [`TaskExecutor`].

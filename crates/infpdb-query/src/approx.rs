@@ -15,12 +15,13 @@
 //! handles via `r`-equivalence: the conditioned instances are exactly the
 //! sub-instances of `{f₁ … f_n}`, which is how the finite engine evaluates.
 
-use crate::cancel::{CancelInfo, CancelToken};
+use crate::cancel::{CancelInfo, CancelKind, CancelToken};
 use crate::planner::{self, PlanKnobs, PlanProfile, ProfileOutcome};
 use crate::truncate::{partial_certificate, PlannedTruncation, TruncationPlan};
 use crate::QueryError;
 use infpdb_finite::engine::{self, Engine, EvalTrace};
-use infpdb_finite::plan::evaluate_plan;
+use infpdb_finite::plan::{evaluate_plan, ChosenPlan};
+use infpdb_finite::TiTable;
 use infpdb_logic::ast::Formula;
 use infpdb_logic::compile::CompiledQuery;
 use infpdb_ti::construction::CountableTiPdb;
@@ -192,58 +193,83 @@ pub fn approx_prob_boolean_cancellable_traced_par(
     if matches!(finite_engine, Engine::Auto) {
         return auto_planned_cancellable(pdb, query, eps, parallelism, cancel, partial_policy);
     }
-    let (kind, facts_processed, partial_table) =
-        match TruncationPlan::new_cancellable(pdb, eps, cancel)? {
-            PlannedTruncation::Complete(plan) => {
-                // last checkpoint before the engine: don't start a run
-                // whose budget is already spent
-                match cancel.check() {
-                    Ok(()) => {
-                        let (estimate, trace) = engine::prob_boolean_traced_par(
-                            query,
-                            &plan.table,
-                            finite_engine,
-                            parallelism,
-                        )?;
-                        return Ok((
-                            Approximation {
-                                estimate,
-                                eps,
-                                n: plan.n(),
-                                tail_mass: plan.truncation.tail_mass,
-                            },
-                            trace,
-                        ));
-                    }
-                    Err(kind) => (kind, plan.n(), plan.table),
+    let stop = match TruncationPlan::new_cancellable(pdb, eps, cancel)? {
+        PlannedTruncation::Complete(plan) => {
+            // last checkpoint before the engine: don't start a run
+            // whose budget is already spent
+            match cancel.check() {
+                Ok(()) => {
+                    let (estimate, trace) = engine::prob_boolean_traced_par(
+                        query,
+                        &plan.table,
+                        finite_engine,
+                        parallelism,
+                    )?;
+                    return Ok((
+                        Approximation {
+                            estimate,
+                            eps,
+                            n: plan.n(),
+                            tail_mass: plan.truncation.tail_mass,
+                        },
+                        trace,
+                    ));
                 }
+                Err(kind) => (kind, plan.n(), plan.table),
             }
-            PlannedTruncation::Cancelled {
-                kind,
-                facts_processed,
-                partial_table,
-            } => (kind, facts_processed, partial_table),
-        };
-    let partial = match partial_policy {
-        PartialOnCancel::Skip => None,
-        PartialOnCancel::Evaluate => {
-            partial_certificate(pdb, facts_processed).and_then(|(trunc, eps_m)| {
-                engine::prob_boolean_traced_par(query, &partial_table, finite_engine, parallelism)
-                    .ok()
-                    .map(|(estimate, _)| Approximation {
-                        estimate,
-                        eps: eps_m,
-                        n: trunc.n,
-                        tail_mass: trunc.tail_mass,
-                    })
-            })
         }
+        PlannedTruncation::Cancelled {
+            kind,
+            facts_processed,
+            partial_table,
+        } => (kind, facts_processed, partial_table),
     };
-    Err(QueryError::Cancelled(CancelInfo {
+    Err(cancelled(
+        pdb,
+        query,
+        finite_engine,
+        parallelism,
+        partial_policy,
+        None,
+        stop,
+    ))
+}
+
+/// The cancellation tail of every Proposition 6.1 path: certify the
+/// facts materialized before the checkpoint fired, at the `ε_m` their
+/// prefix supports, and (policy permitting) evaluate a sound partial
+/// answer on them with `finite_engine`. When the chosen plan samples a
+/// component there is no partial: the exact engine would run the
+/// Shannon expansion the plan priced out, after the budget is spent.
+pub(crate) fn cancelled(
+    pdb: &CountableTiPdb,
+    query: &Formula,
+    finite_engine: Engine,
+    parallelism: usize,
+    partial_policy: PartialOnCancel,
+    plan: Option<&ChosenPlan>,
+    (kind, facts_processed, partial_table): (CancelKind, usize, TiTable),
+) -> QueryError {
+    let evaluate =
+        partial_policy == PartialOnCancel::Evaluate && !plan.is_some_and(ChosenPlan::has_sampling);
+    let partial = evaluate
+        .then(|| partial_certificate(pdb, facts_processed))
+        .flatten()
+        .and_then(|(trunc, eps_m)| {
+            engine::prob_boolean_traced_par(query, &partial_table, finite_engine, parallelism)
+                .ok()
+                .map(|(estimate, _)| Approximation {
+                    estimate,
+                    eps: eps_m,
+                    n: trunc.n,
+                    tail_mass: trunc.tail_mass,
+                })
+        });
+    QueryError::Cancelled(CancelInfo {
         kind,
         facts_processed,
         partial,
-    }))
+    })
 }
 
 /// The one-shot `Engine::Auto` path: profile at the canonical knobs
@@ -265,7 +291,8 @@ fn auto_planned_cancellable(
     let n_eval = planner::eval_prefix_len(pdb, eps)?;
     let knobs = PlanKnobs::default();
     let compiled = CompiledQuery::compile(pdb.schema(), query);
-    let (kind, facts_processed, partial_table) = 'cancelled: {
+    let mut chosen = None;
+    let stop = 'cancelled: {
         let profile = match PlanProfile::build_oneshot(pdb, &compiled, &knobs, cancel)? {
             ProfileOutcome::Ready(profile) => profile,
             ProfileOutcome::Cancelled {
@@ -274,11 +301,11 @@ fn auto_planned_cancellable(
                 partial_table,
             } => break 'cancelled (kind, facts_processed, partial_table),
         };
-        let plan = profile.choose(eps, n_eval, &knobs);
+        let plan = chosen.insert(profile.choose(eps, n_eval, &knobs));
         match TruncationPlan::new_cancellable(pdb, plan.eps_trunc, cancel)? {
             PlannedTruncation::Complete(tplan) => match cancel.check() {
                 Ok(()) => {
-                    match evaluate_plan(&compiled, &plan, &tplan.table, parallelism, None)? {
+                    match evaluate_plan(&compiled, plan, &tplan.table, parallelism, None)? {
                         Some((estimate, trace)) => {
                             return Ok((
                                 Approximation {
@@ -294,9 +321,7 @@ fn auto_planned_cancellable(
                         // this path runs without one — treat defensively
                         // as a cancellation
                         None => {
-                            let kind = cancel
-                                .cancelled_kind()
-                                .unwrap_or(crate::cancel::CancelKind::Explicit);
+                            let kind = cancel.cancelled_kind().unwrap_or(CancelKind::Explicit);
                             break 'cancelled (kind, tplan.n(), tplan.table);
                         }
                     }
@@ -310,26 +335,15 @@ fn auto_planned_cancellable(
             } => break 'cancelled (kind, facts_processed, partial_table),
         }
     };
-    let partial = match partial_policy {
-        PartialOnCancel::Skip => None,
-        PartialOnCancel::Evaluate => {
-            partial_certificate(pdb, facts_processed).and_then(|(trunc, eps_m)| {
-                engine::prob_boolean_traced_par(query, &partial_table, Engine::Auto, parallelism)
-                    .ok()
-                    .map(|(estimate, _)| Approximation {
-                        estimate,
-                        eps: eps_m,
-                        n: trunc.n,
-                        tail_mass: trunc.tail_mass,
-                    })
-            })
-        }
-    };
-    Err(QueryError::Cancelled(CancelInfo {
-        kind,
-        facts_processed,
-        partial,
-    }))
+    Err(cancelled(
+        pdb,
+        query,
+        Engine::Auto,
+        parallelism,
+        partial_policy,
+        chosen.as_ref(),
+        stop,
+    ))
 }
 
 /// The same algorithm against an explicit [`TruncationPlan`] (reuse across
@@ -570,6 +584,51 @@ mod tests {
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn cancelled_tail_skips_the_partial_a_sampling_plan_priced_out() {
+        use infpdb_finite::plan::{ComponentPlan, Strategy};
+        let p = pdb(GeometricSeries::new(0.5, 0.5).unwrap());
+        let q = parse("exists x. R(x)", p.schema()).unwrap();
+        let truth = truth_exists(&p, 2000);
+        let compiled = CompiledQuery::compile(p.schema(), &q);
+        let prefix = TruncationPlan::new(&p, 0.01).unwrap();
+        let n = prefix.n();
+        assert!(n > 0);
+        let tail = |strategy| {
+            let plan = ChosenPlan {
+                connective: compiled.connective(),
+                components: vec![ComponentPlan {
+                    strategy,
+                    cost: 1.0,
+                    seed: 1,
+                }],
+                eps: 0.01,
+                eps_trunc: 0.01,
+            };
+            let stop = (CancelKind::Deadline, n, prefix.table.clone());
+            match cancelled(
+                &p,
+                &q,
+                Engine::Auto,
+                1,
+                PartialOnCancel::Evaluate,
+                Some(&plan),
+                stop,
+            ) {
+                QueryError::Cancelled(info) => info,
+                other => panic!("expected Cancelled, got {other:?}"),
+            }
+        };
+        let sampled = tail(Strategy::MonteCarlo { samples: 1000 });
+        assert_eq!(sampled.facts_processed, n);
+        assert!(sampled.partial.is_none());
+        let exact = tail(Strategy::Lifted);
+        let partial = exact.partial.expect("an all-exact plan keeps its partial");
+        assert_eq!(partial.n, n);
+        assert!(partial.eps < 0.5);
+        assert!(partial.interval().contains(truth));
     }
 
     #[test]

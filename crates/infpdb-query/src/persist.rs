@@ -275,6 +275,7 @@ mod tests {
     use super::*;
     use crate::approx::PartialOnCancel;
     use crate::cancel::CancelToken;
+    use crate::planner::PlanKnobs;
     use crate::prepared::PreparedQuery;
     use infpdb_core::schema::{RelId, Relation, Schema};
     use infpdb_finite::engine::Engine;
@@ -322,9 +323,10 @@ mod tests {
 
         let prepared = PreparedPdb::new(pdb.clone());
         prepared.warm(0.001).unwrap();
-        let baseline = PreparedQuery::prepare(prepared.clone(), &q, Engine::Lineage)
-            .execute(0.001, &CancelToken::new())
-            .unwrap();
+        let baseline =
+            PreparedQuery::prepare(prepared.clone(), &q, Engine::Lineage, PlanKnobs::default())
+                .execute(0.001, &CancelToken::new(), PartialOnCancel::Evaluate, None)
+                .unwrap();
         prepared
             .persist(&store, Some(7), Some(Json::obj([("tail", Json::Int(1))])))
             .unwrap();
@@ -341,11 +343,14 @@ mod tests {
             "clean + matching fingerprints + same schema must take the fast path"
         );
         assert_eq!(reopened.materialized_len(), prepared.materialized_len());
-        let replay = PreparedQuery::prepare(reopened, &q, Engine::Lineage)
-            .execute(0.001, &CancelToken::new())
+        let replay = PreparedQuery::prepare(reopened, &q, Engine::Lineage, PlanKnobs::default())
+            .execute(0.001, &CancelToken::new(), PartialOnCancel::Evaluate, None)
             .unwrap();
-        assert_eq!(replay.0, baseline.0, "answers must be bit-for-bit equal");
-        assert_eq!(replay.1, baseline.1, "work counters must agree");
+        assert_eq!(
+            replay.approx, baseline.approx,
+            "answers must be bit-for-bit equal"
+        );
+        assert_eq!(replay.trace, baseline.trace, "work counters must agree");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -404,13 +409,13 @@ mod tests {
                 // a query at a tolerance looser than the floor is warm
                 let q = parse("exists x. R(x)", pdb.schema()).unwrap();
                 let fresh = PreparedPdb::new(pdb.clone());
-                let a = PreparedQuery::prepare(reopened, &q, Engine::Lineage)
-                    .execute(0.01, &CancelToken::new())
+                let a = PreparedQuery::prepare(reopened, &q, Engine::Lineage, PlanKnobs::default())
+                    .execute(0.01, &CancelToken::new(), PartialOnCancel::Evaluate, None)
                     .unwrap();
-                let b = PreparedQuery::prepare(fresh, &q, Engine::Lineage)
-                    .execute(0.01, &CancelToken::new())
+                let b = PreparedQuery::prepare(fresh, &q, Engine::Lineage, PlanKnobs::default())
+                    .execute(0.01, &CancelToken::new(), PartialOnCancel::Evaluate, None)
                     .unwrap();
-                assert_eq!(a.0, b.0, "recovered prefix answers match fresh");
+                assert_eq!(a.approx, b.approx, "recovered prefix answers match fresh");
             }
             other => panic!("expected Recovered, got {other:?}"),
         }
@@ -468,8 +473,8 @@ mod tests {
         let q = parse("exists x. R(x)", pdb.schema()).unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let err = PreparedQuery::prepare(reopened, &q, Engine::Auto)
-            .execute_with_policy(0.01, &token, PartialOnCancel::Evaluate)
+        let err = PreparedQuery::prepare(reopened, &q, Engine::Auto, PlanKnobs::default())
+            .execute(0.01, &token, PartialOnCancel::Evaluate, None)
             .unwrap_err();
         assert!(matches!(err, crate::QueryError::Cancelled(_)));
         std::fs::remove_dir_all(&dir).ok();

@@ -31,17 +31,17 @@
 //! extension checkpoints the [`CancelToken`] every
 //! [`CHECK_EVERY`] facts, and a cancelled
 //! execution can still certify a sound partial answer via
-//! [`partial_certificate`]. When the catalog was pre-warmed past the
+//! [`partial_certificate`](crate::truncate::partial_certificate). When the catalog was pre-warmed past the
 //! cancellation point, the partial answer uses everything materialized —
 //! at least as tight as the one-shot partial.
 
-use crate::approx::{Approximation, PartialOnCancel};
-use crate::cancel::{CancelInfo, CancelKind, CancelToken, CHECK_EVERY};
+use crate::approx::{cancelled, Approximation, PartialOnCancel};
+use crate::cancel::{CancelKind, CancelToken, CHECK_EVERY};
 use crate::planner::{self, PlanEvent, PlanKnobs, PlanProfile, Planner, ProfileOutcome};
-use crate::truncate::partial_certificate;
 use crate::QueryError;
 use infpdb_finite::engine::{self, Engine, EvalTrace};
 use infpdb_finite::plan::{evaluate_plan, ChosenPlan};
+use infpdb_finite::shannon::TaskExecutor;
 use infpdb_finite::TiTable;
 use infpdb_logic::ast::Formula;
 use infpdb_logic::compile::CompiledQuery;
@@ -49,7 +49,7 @@ use infpdb_math::truncation::{self, Truncation};
 use infpdb_ti::catalog::FactCatalog;
 use infpdb_ti::construction::CountableTiPdb;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Memoized prefix snapshots kept per distinct length before the memo is
 /// reset (a safety valve against unbounded growth under adversarial ε
@@ -221,308 +221,58 @@ impl PreparedPdb {
     }
 }
 
-/// Proposition 6.1 evaluation against a [`PreparedPdb`]: bit-for-bit the
-/// same result (estimate, certificates, and engine work counters) as
-/// [`approx_prob_boolean_cancellable_traced`], with the grounding cost
-/// amortized across executions.
-///
-/// [`approx_prob_boolean_cancellable_traced`]: crate::approx::approx_prob_boolean_cancellable_traced
-pub fn execute_prepared(
-    prepared: &PreparedPdb,
-    query: &Formula,
-    eps: f64,
-    finite_engine: Engine,
-    cancel: &CancelToken,
-    partial_policy: PartialOnCancel,
-) -> Result<(Approximation, EvalTrace), QueryError> {
-    execute_prepared_par(
-        prepared,
-        query,
-        eps,
-        finite_engine,
-        1,
-        cancel,
-        partial_policy,
-    )
+/// One execution's answer, with the plan behind it.
+#[derive(Debug, Clone)]
+pub struct Execution {
+    /// The certified approximation.
+    pub approx: Approximation,
+    /// The finite engine's work counters.
+    pub trace: EvalTrace,
+    /// The chosen plan and what the planner's memo did, whenever the
+    /// planner ran (`Engine::Auto`); `None` under an explicit engine.
+    pub planned: Option<(Arc<ChosenPlan>, PlanEvent)>,
 }
 
-/// [`execute_prepared`] with up to `parallelism` worker threads inside
-/// the finite evaluation. Estimates, certificates, cancellation behavior,
-/// and work counters are bit-for-bit identical at every thread count; the
-/// trace additionally carries [`EvalTrace::parallel`] when
-/// `parallelism ≥ 2` reaches the lineage engine.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_prepared_par(
-    prepared: &PreparedPdb,
-    query: &Formula,
-    eps: f64,
-    finite_engine: Engine,
-    parallelism: usize,
-    cancel: &CancelToken,
-    partial_policy: PartialOnCancel,
-) -> Result<(Approximation, EvalTrace), QueryError> {
-    execute_prepared_exec(
-        prepared,
-        query,
-        eps,
-        finite_engine,
-        parallelism,
-        cancel,
-        partial_policy,
-        None,
-    )
-}
-
-/// [`execute_prepared_par`] with a caller-supplied
-/// [`TaskExecutor`](infpdb_finite::shannon::TaskExecutor) for the finite
-/// evaluation's component tasks (the serve layer passes its work-stealing
-/// scheduler here). An executor that *skips* tasks — because `cancel`
-/// fired while they were queued — surfaces as the usual
-/// [`QueryError::Cancelled`], including the sound-partial-answer path;
-/// with `exec = None` behavior is bit-for-bit `execute_prepared_par`.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_prepared_exec(
-    prepared: &PreparedPdb,
-    query: &Formula,
-    eps: f64,
-    finite_engine: Engine,
-    parallelism: usize,
-    cancel: &CancelToken,
-    partial_policy: PartialOnCancel,
-    exec: Option<&dyn infpdb_finite::shannon::TaskExecutor>,
-) -> Result<(Approximation, EvalTrace), QueryError> {
-    if matches!(finite_engine, Engine::Auto) {
-        // Engine::Auto routes through the cost-based planner; profiling
-        // on the shared prefix is byte-identical to the one-shot profile,
-        // so results stay bit-for-bit equal to the one-shot Auto path
-        let compiled = CompiledQuery::compile(prepared.pdb().schema(), query);
-        let knobs = PlanKnobs::default();
-        return match PlanProfile::build_prepared(prepared, &compiled, &knobs, cancel)? {
-            ProfileOutcome::Ready(profile) => {
-                let planner = Planner::new(profile);
-                execute_prepared_planned(
-                    prepared,
-                    &compiled,
-                    &planner,
-                    &knobs,
-                    eps,
-                    parallelism,
-                    cancel,
-                    partial_policy,
-                    exec,
-                )
-                .map(|(a, t, _, _)| (a, t))
-            }
-            ProfileOutcome::Cancelled {
-                kind,
-                facts_processed,
-                partial_table,
-            } => Err(cancelled_error(
-                prepared,
-                query,
-                Engine::Auto,
-                parallelism,
-                partial_policy,
-                kind,
-                facts_processed,
-                &partial_table,
-            )),
-        };
-    }
-    let (kind, facts_processed, partial_table) = match prepared.prefix_for(eps, cancel)? {
-        PreparedPrefix::Complete { truncation, table } => {
-            // last checkpoint before the engine: don't start a run whose
-            // budget is already spent (mirrors the one-shot path)
-            match cancel.check() {
-                Ok(()) => {
-                    match engine::prob_boolean_traced_exec(
-                        query,
-                        &table,
-                        finite_engine,
-                        parallelism,
-                        exec,
-                    )? {
-                        Some((estimate, trace)) => {
-                            return Ok((
-                                Approximation {
-                                    estimate,
-                                    eps,
-                                    n: truncation.n,
-                                    tail_mass: truncation.tail_mass,
-                                },
-                                trace,
-                            ));
-                        }
-                        // the executor skipped component tasks: the
-                        // request was cancelled while they were queued
-                        None => {
-                            let kind = cancel.cancelled_kind().unwrap_or(CancelKind::Explicit);
-                            (kind, truncation.n, (*table).clone())
-                        }
-                    }
-                }
-                Err(kind) => (kind, truncation.n, (*table).clone()),
-            }
-        }
-        PreparedPrefix::Cancelled {
-            kind,
-            facts_processed,
-            partial_table,
-        } => (kind, facts_processed, partial_table),
-    };
-    Err(cancelled_error(
-        prepared,
-        query,
-        finite_engine,
-        parallelism,
-        partial_policy,
-        kind,
-        facts_processed,
-        &partial_table,
-    ))
-}
-
-/// The shared cancellation tail: certify and (policy permitting) evaluate
-/// a sound partial answer from the facts materialized so far.
-#[allow(clippy::too_many_arguments)]
-pub fn cancelled_error(
-    prepared: &PreparedPdb,
-    query: &Formula,
-    finite_engine: Engine,
-    parallelism: usize,
-    partial_policy: PartialOnCancel,
-    kind: CancelKind,
-    facts_processed: usize,
-    partial_table: &TiTable,
-) -> QueryError {
-    let partial = match partial_policy {
-        PartialOnCancel::Skip => None,
-        PartialOnCancel::Evaluate => {
-            partial_certificate(prepared.pdb(), facts_processed).and_then(|(trunc, eps_m)| {
-                engine::prob_boolean_traced_par(query, partial_table, finite_engine, parallelism)
-                    .ok()
-                    .map(|(estimate, _)| Approximation {
-                        estimate,
-                        eps: eps_m,
-                        n: trunc.n,
-                        tail_mass: trunc.tail_mass,
-                    })
-            })
-        }
-    };
-    QueryError::Cancelled(CancelInfo {
-        kind,
-        facts_processed,
-        partial,
-    })
-}
-
-/// Planned execution against a prepared PDB: look up (or derive) the
-/// [`ChosenPlan`] for this ε from `planner`'s memo, slice the prefix at
-/// the plan's `ε_trunc`, and evaluate the per-component strategies.
-/// Returns the plan and a [`PlanEvent`] (memo hit / true re-plan) for the
-/// serve layer's metrics. With the same PDB, query, ε, and knobs this is
-/// bit-for-bit identical — answer and [`EvalTrace`] — to the one-shot
-/// `Engine::Auto` path, across thread counts and schedulers.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_prepared_planned(
-    prepared: &PreparedPdb,
-    compiled: &CompiledQuery,
-    planner: &Planner,
-    knobs: &PlanKnobs,
-    eps: f64,
-    parallelism: usize,
-    cancel: &CancelToken,
-    partial_policy: PartialOnCancel,
-    exec: Option<&dyn infpdb_finite::shannon::TaskExecutor>,
-) -> Result<(Approximation, EvalTrace, Arc<ChosenPlan>, PlanEvent), QueryError> {
-    let n_eval = planner::eval_prefix_len(prepared.pdb(), eps)?;
-    let (plan, event) = planner.plan_at(eps, n_eval, knobs);
-    let query = compiled.original();
-    let (kind, facts_processed, partial_table) =
-        match prepared.prefix_for(plan.eps_trunc, cancel)? {
-            PreparedPrefix::Complete { truncation, table } => match cancel.check() {
-                Ok(()) => match evaluate_plan(compiled, &plan, &table, parallelism, exec)? {
-                    Some((estimate, trace)) => {
-                        return Ok((
-                            Approximation {
-                                estimate,
-                                eps,
-                                n: truncation.n,
-                                tail_mass: truncation.tail_mass,
-                            },
-                            trace,
-                            plan,
-                            event,
-                        ));
-                    }
-                    // the executor skipped component tasks: the request
-                    // was cancelled while they were queued
-                    None => {
-                        let kind = cancel.cancelled_kind().unwrap_or(CancelKind::Explicit);
-                        (kind, truncation.n, (*table).clone())
-                    }
-                },
-                Err(kind) => (kind, truncation.n, (*table).clone()),
-            },
-            PreparedPrefix::Cancelled {
-                kind,
-                facts_processed,
-                partial_table,
-            } => (kind, facts_processed, partial_table),
-        };
-    Err(cancelled_error(
-        prepared,
-        query,
-        Engine::Auto,
-        parallelism,
-        partial_policy,
-        kind,
-        facts_processed,
-        &partial_table,
-    ))
-}
-
-/// A compiled query bound to a prepared PDB and an engine choice: the
-/// complete prepare-phase artifact. [`execute`](Self::execute) replays
-/// only the ε-dependent work.
+/// A compiled query bound to a prepared PDB, an engine choice and the
+/// planner's knobs: the complete prepare-phase artifact, and the one
+/// code path from a prepared PDB, a compiled query and ε to a certified
+/// answer. [`execute`](Self::execute) replays only the ε-dependent work.
+/// Clones share the catalog, the compiled query and the planner.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     pdb: PreparedPdb,
     compiled: Arc<CompiledQuery>,
     engine: Engine,
+    knobs: PlanKnobs,
     parallelism: usize,
-    // lazily-built, shared across clones: profiling runs once per
-    // prepared query, plans are memoized per ε inside the Planner
-    planner: Arc<Mutex<Option<Arc<Planner>>>>,
+    // profiled on the first `Engine::Auto` execution and shared across
+    // clones; plans are memoized per ε inside the Planner
+    planner: Arc<OnceLock<Planner>>,
 }
 
 impl PreparedQuery {
-    /// Binds a compiled query to a prepared PDB.
-    pub fn new(pdb: PreparedPdb, compiled: CompiledQuery, engine: Engine) -> Self {
+    /// Binds a compiled query to a prepared PDB. `knobs` tune the
+    /// cost-based planner, which only `Engine::Auto` runs.
+    pub fn new(
+        pdb: PreparedPdb,
+        compiled: CompiledQuery,
+        engine: Engine,
+        knobs: PlanKnobs,
+    ) -> Self {
         PreparedQuery {
             pdb,
             compiled: Arc::new(compiled),
             engine,
+            knobs,
             parallelism: 1,
-            planner: Arc::new(Mutex::new(None)),
+            planner: Arc::new(OnceLock::new()),
         }
     }
 
     /// Compiles `query` against the PDB's schema and binds it.
-    pub fn prepare(pdb: PreparedPdb, query: &Formula, engine: Engine) -> Self {
+    pub fn prepare(pdb: PreparedPdb, query: &Formula, engine: Engine, knobs: PlanKnobs) -> Self {
         let compiled = CompiledQuery::compile(pdb.pdb().schema(), query);
-        Self::new(pdb, compiled, engine)
-    }
-
-    /// The compile-phase artifact.
-    pub fn compiled(&self) -> &CompiledQuery {
-        &self.compiled
-    }
-
-    /// The prepared PDB this query runs against.
-    pub fn pdb(&self) -> &PreparedPdb {
-        &self.pdb
+        Self::new(pdb, compiled, engine, knobs)
     }
 
     /// Sets the intra-query thread budget used by
@@ -533,99 +283,114 @@ impl PreparedQuery {
         self
     }
 
-    /// Executes at tolerance `eps` under a cancellation token, evaluating
-    /// partial answers on cancellation. Bit-for-bit identical to the
-    /// one-shot path for the same query, ε, and engine.
+    /// Proposition 6.1 at tolerance `eps`: under `Engine::Auto`, profile
+    /// once, plan at `eps` and evaluate the plan's per-component
+    /// strategies on the prefix at its `ε_trunc`; under an explicit
+    /// engine, evaluate the query on the prefix at `eps`. Bit-for-bit
+    /// the one-shot
+    /// [`approx_prob_boolean_cancellable_traced_par`](crate::approx::approx_prob_boolean_cancellable_traced_par)
+    /// result — estimate, certificates and work counters — at every
+    /// thread count and under every executor.
+    ///
+    /// `cancel` is checkpointed while the catalog grows and once more
+    /// before the finite engine starts. `exec` runs the finite
+    /// evaluation's parallel tasks (a fork-join executor when `None`);
+    /// one that skips tasks because `cancel` fired surfaces as
+    /// [`QueryError::Cancelled`] too. A cancelled execution carries a
+    /// sound partial answer when `partial_policy` asks for one and no
+    /// component of the chosen plan samples.
     pub fn execute(
         &self,
         eps: f64,
         cancel: &CancelToken,
-    ) -> Result<(Approximation, EvalTrace), QueryError> {
-        self.execute_with_policy(eps, cancel, PartialOnCancel::Evaluate)
-    }
-
-    /// [`execute`](Self::execute) with an explicit partial-answer policy.
-    pub fn execute_with_policy(
-        &self,
-        eps: f64,
-        cancel: &CancelToken,
         partial_policy: PartialOnCancel,
-    ) -> Result<(Approximation, EvalTrace), QueryError> {
-        if matches!(self.engine, Engine::Auto) {
-            let knobs = PlanKnobs::default();
-            let planner = match self.planner_for(&knobs, cancel)? {
-                Ok(planner) => planner,
-                Err((kind, facts_processed, partial_table)) => {
-                    return Err(cancelled_error(
+        exec: Option<&dyn TaskExecutor>,
+    ) -> Result<Execution, QueryError> {
+        let mut planned = None;
+        let stop = 'cancelled: {
+            let eps_trunc = if self.engine == Engine::Auto {
+                let planner = match self.planner.get() {
+                    Some(planner) => planner,
+                    None => match PlanProfile::build_prepared(
                         &self.pdb,
-                        self.compiled.original(),
-                        Engine::Auto,
-                        self.parallelism,
-                        partial_policy,
-                        kind,
-                        facts_processed,
-                        &partial_table,
-                    ));
-                }
+                        &self.compiled,
+                        &self.knobs,
+                        cancel,
+                    )? {
+                        // under a race the first initializer wins, so the
+                        // shared per-ε memo (and its re-plan history)
+                        // survives; the loser's profile is identical
+                        ProfileOutcome::Ready(profile) => {
+                            self.planner.get_or_init(|| Planner::new(profile))
+                        }
+                        ProfileOutcome::Cancelled {
+                            kind,
+                            facts_processed,
+                            partial_table,
+                        } => break 'cancelled (kind, facts_processed, partial_table),
+                    },
+                };
+                let n_eval = planner::eval_prefix_len(self.pdb.pdb(), eps)?;
+                let (plan, event) = planner.plan_at(eps, n_eval, &self.knobs);
+                planned.insert((plan, event)).0.eps_trunc
+            } else {
+                eps
             };
-            return execute_prepared_planned(
-                &self.pdb,
-                &self.compiled,
-                &planner,
-                &knobs,
-                eps,
-                self.parallelism,
-                cancel,
-                partial_policy,
-                None,
-            )
-            .map(|(a, t, _, _)| (a, t));
-        }
-        execute_prepared_par(
-            &self.pdb,
+            let (truncation, table) = match self.pdb.prefix_for(eps_trunc, cancel)? {
+                PreparedPrefix::Complete { truncation, table } => (truncation, table),
+                PreparedPrefix::Cancelled {
+                    kind,
+                    facts_processed,
+                    partial_table,
+                } => break 'cancelled (kind, facts_processed, partial_table),
+            };
+            // last checkpoint before the engine: don't start a run whose
+            // budget is already spent (mirrors the one-shot path)
+            if let Err(kind) = cancel.check() {
+                break 'cancelled (kind, truncation.n, (*table).clone());
+            }
+            let evaluated = match &planned {
+                Some((plan, _)) => {
+                    evaluate_plan(&self.compiled, plan, &table, self.parallelism, exec)?
+                }
+                None => engine::prob_boolean_traced_exec(
+                    self.compiled.original(),
+                    &table,
+                    self.engine,
+                    self.parallelism,
+                    exec,
+                )?,
+            };
+            match evaluated {
+                Some((estimate, trace)) => {
+                    return Ok(Execution {
+                        approx: Approximation {
+                            estimate,
+                            eps,
+                            n: truncation.n,
+                            tail_mass: truncation.tail_mass,
+                        },
+                        trace,
+                        planned,
+                    });
+                }
+                // the executor skipped tasks: the request was cancelled
+                // while they were queued
+                None => {
+                    let kind = cancel.cancelled_kind().unwrap_or(CancelKind::Explicit);
+                    (kind, truncation.n, (*table).clone())
+                }
+            }
+        };
+        Err(cancelled(
+            self.pdb.pdb(),
             self.compiled.original(),
-            eps,
             self.engine,
             self.parallelism,
-            cancel,
             partial_policy,
-        )
-    }
-
-    /// The memoized planner (profiling runs once and is shared across
-    /// clones); the `Err` carries cancellation state from profiling.
-    #[allow(clippy::type_complexity)]
-    fn planner_for(
-        &self,
-        knobs: &PlanKnobs,
-        cancel: &CancelToken,
-    ) -> Result<Result<Arc<Planner>, (CancelKind, usize, TiTable)>, QueryError> {
-        let cached = self
-            .planner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        if let Some(planner) = cached {
-            return Ok(Ok(planner));
-        }
-        match PlanProfile::build_prepared(&self.pdb, &self.compiled, knobs, cancel)? {
-            ProfileOutcome::Ready(profile) => {
-                let planner = Arc::new(Planner::new(profile));
-                let mut slot = self
-                    .planner
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                // a racing clone may have installed one first; keep the
-                // existing instance so its ε-memo survives
-                let kept = slot.get_or_insert_with(|| Arc::clone(&planner));
-                Ok(Ok(Arc::clone(kept)))
-            }
-            ProfileOutcome::Cancelled {
-                kind,
-                facts_processed,
-                partial_table,
-            } => Ok(Err((kind, facts_processed, partial_table))),
-        }
+            planned.as_ref().map(|(plan, _)| &**plan),
+            stop,
+        ))
     }
 }
 
@@ -640,6 +405,15 @@ mod tests {
 
     fn schema() -> Schema {
         Schema::from_relations([Relation::new("R", 1)]).unwrap()
+    }
+
+    fn knobs() -> PlanKnobs {
+        Default::default()
+    }
+
+    fn run(pq: &PreparedQuery, eps: f64) -> Execution {
+        pq.execute(eps, &CancelToken::new(), PartialOnCancel::Evaluate, None)
+            .unwrap()
     }
 
     fn geometric() -> CountableTiPdb {
@@ -657,9 +431,13 @@ mod tests {
         let prepared = PreparedPdb::new(pdb.clone());
         for qs in ["exists x. R(x)", "R(1) /\\ !R(2)", "!(!R(1))"] {
             let q = parse(qs, pdb.schema()).unwrap();
-            let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Lineage);
+            let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Lineage, knobs());
             for eps in [0.1, 0.01, 0.001] {
-                let (a, t) = pq.execute(eps, &CancelToken::new()).unwrap();
+                let Execution {
+                    approx: a,
+                    trace: t,
+                    ..
+                } = run(&pq, eps);
                 let (a0, t0) = approx_prob_boolean_cancellable_traced(
                     &pdb,
                     &q,
@@ -679,16 +457,16 @@ mod tests {
     fn refinement_extends_without_regrounding() {
         let prepared = PreparedPdb::new(geometric());
         let q = parse("exists x. R(x)", prepared.pdb().schema()).unwrap();
-        let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Auto);
-        pq.execute(0.1, &CancelToken::new()).unwrap();
+        let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Auto, knobs());
+        run(&pq, 0.1);
         let after_loose = prepared.materialized_len();
         // tightening ε extends the same catalog monotonically
-        pq.execute(0.001, &CancelToken::new()).unwrap();
+        run(&pq, 0.001);
         let after_tight = prepared.materialized_len();
         assert!(after_tight > after_loose);
         // repeating at either ε leaves the catalog untouched (memo hit)
-        pq.execute(0.1, &CancelToken::new()).unwrap();
-        pq.execute(0.001, &CancelToken::new()).unwrap();
+        run(&pq, 0.1);
+        run(&pq, 0.001);
         assert_eq!(prepared.materialized_len(), after_tight);
     }
 
@@ -712,8 +490,8 @@ mod tests {
         let n = prepared.warm(0.01).unwrap();
         assert_eq!(prepared.materialized_len(), n);
         let q = parse("exists x. R(x)", prepared.pdb().schema()).unwrap();
-        let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Auto);
-        let (a, _) = pq.execute(0.01, &CancelToken::new()).unwrap();
+        let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Auto, knobs());
+        let a = run(&pq, 0.01).approx;
         assert_eq!(a.n, n);
         assert_eq!(prepared.materialized_len(), n, "no further grounding");
     }
@@ -728,9 +506,12 @@ mod tests {
         .unwrap();
         let prepared = PreparedPdb::new(pdb.clone());
         let q = parse("exists x. R(x)", pdb.schema()).unwrap();
-        let pq = PreparedQuery::prepare(prepared, &q, Engine::Auto);
+        let pq = PreparedQuery::prepare(prepared, &q, Engine::Auto, knobs());
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        match pq.execute(0.01, &token).unwrap_err() {
+        match pq
+            .execute(0.01, &token, PartialOnCancel::Evaluate, None)
+            .unwrap_err()
+        {
             QueryError::Cancelled(info) => {
                 assert_eq!(info.kind, CancelKind::Deadline);
                 if let Some(partial) = info.partial {
@@ -746,11 +527,11 @@ mod tests {
     fn skip_policy_returns_no_partial() {
         let prepared = PreparedPdb::new(geometric());
         let q = parse("exists x. R(x)", prepared.pdb().schema()).unwrap();
-        let pq = PreparedQuery::prepare(prepared, &q, Engine::Auto);
+        let pq = PreparedQuery::prepare(prepared, &q, Engine::Auto, knobs());
         let token = CancelToken::new();
         token.cancel();
         match pq
-            .execute_with_policy(0.01, &token, PartialOnCancel::Skip)
+            .execute(0.01, &token, PartialOnCancel::Skip, None)
             .unwrap_err()
         {
             QueryError::Cancelled(info) => {
@@ -773,8 +554,8 @@ mod tests {
         let pdb = CountableTiPdb::new(supply).unwrap();
         let prepared = PreparedPdb::new(pdb.clone());
         let q = parse("exists x. R(x)", pdb.schema()).unwrap();
-        let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Auto);
-        let (a, _) = pq.execute(0.01, &CancelToken::new()).unwrap();
+        let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Auto, knobs());
+        let a = run(&pq, 0.01).approx;
         let a0 = crate::approx::approx_prob_boolean(&pdb, &q, 0.01, Engine::Auto).unwrap();
         assert_eq!(a, a0);
         assert_eq!(prepared.materialized_len(), 3);

@@ -16,11 +16,15 @@ use infpdb_core::schema::{RelId, Relation, Schema};
 use infpdb_core::space::rand_core::{RngCore, SplitMix64};
 use infpdb_core::value::Value;
 use infpdb_finite::engine::Engine;
+use infpdb_finite::engine::EvalTrace;
 use infpdb_logic::parse;
 use infpdb_math::series::GeometricSeries;
-use infpdb_query::approx::{approx_prob_boolean_cancellable_traced, PartialOnCancel};
+use infpdb_query::approx::{
+    approx_prob_boolean_cancellable_traced, Approximation, PartialOnCancel,
+};
 use infpdb_query::cancel::CancelToken;
 use infpdb_query::prepared::{PreparedPdb, PreparedQuery};
+use infpdb_query::{PlanKnobs, QueryError};
 use infpdb_ti::construction::CountableTiPdb;
 use infpdb_ti::enumerator::FactSupply;
 use proptest::prelude::*;
@@ -54,6 +58,17 @@ fn random_pdb(rng: &mut SplitMix64) -> CountableTiPdb {
         CountableTiPdb::new(FactSupply::from_vec(schema(), pairs).expect("distinct facts"))
             .expect("finite supplies converge")
     }
+}
+
+/// One prepared execution's answer and trace, evaluating a partial
+/// answer on cancellation.
+fn execute(
+    pq: &PreparedQuery,
+    eps: f64,
+    cancel: &CancelToken,
+) -> Result<(Approximation, EvalTrace), QueryError> {
+    pq.execute(eps, cancel, PartialOnCancel::Evaluate, None)
+        .map(|e| (e.approx, e.trace))
 }
 
 /// Boolean queries over `{R/1}`, including unsafe (self-join) shapes so
@@ -96,8 +111,8 @@ proptest! {
         ).expect("one-shot path succeeds");
 
         let prepared = PreparedPdb::new(pdb);
-        let pq = PreparedQuery::prepare(prepared.clone(), &query, engine);
-        let (a1, t1) = pq.execute(eps, &CancelToken::new()).expect("prepared path succeeds");
+        let pq = PreparedQuery::prepare(prepared.clone(), &query, engine, PlanKnobs::default());
+        let (a1, t1) = execute(&pq, eps, &CancelToken::new()).expect("prepared path succeeds");
 
         prop_assert!(a0.estimate.to_bits() == a1.estimate.to_bits(),
             "estimates differ: {} vs {} for {:?}", a0.estimate, a1.estimate, QUERIES[qi]);
@@ -106,7 +121,7 @@ proptest! {
 
         // repeat: the memoized snapshot answers, nothing re-grounds
         let grounded = prepared.materialized_len();
-        let (a2, t2) = pq.execute(eps, &CancelToken::new()).expect("repeat succeeds");
+        let (a2, t2) = execute(&pq, eps, &CancelToken::new()).expect("repeat succeeds");
         prop_assert_eq!(a1, a2);
         prop_assert_eq!(t1, t2);
         prop_assert_eq!(prepared.materialized_len(), grounded);
@@ -128,9 +143,9 @@ proptest! {
         let engine = ENGINES[gi];
 
         let prepared = PreparedPdb::new(pdb.clone());
-        let pq = PreparedQuery::prepare(prepared.clone(), &query, engine);
+        let pq = PreparedQuery::prepare(prepared.clone(), &query, engine, PlanKnobs::default());
         for eps in [0.2, 0.005, 0.2] {
-            let (a1, t1) = pq.execute(eps, &CancelToken::new()).expect("prepared path succeeds");
+            let (a1, t1) = execute(&pq, eps, &CancelToken::new()).expect("prepared path succeeds");
             let (a0, t0) = approx_prob_boolean_cancellable_traced(
                 &pdb, &query, eps, engine, &CancelToken::new(), PartialOnCancel::Evaluate,
             ).expect("one-shot path succeeds");
@@ -158,12 +173,12 @@ proptest! {
         let eps = EPS[ei];
 
         let prepared = PreparedPdb::new(pdb);
-        let seq = PreparedQuery::prepare(prepared.clone(), &query, Engine::Lineage);
-        let (a1, t1) = seq.execute(eps, &CancelToken::new()).expect("sequential succeeds");
+        let seq = PreparedQuery::prepare(prepared.clone(), &query, Engine::Lineage, PlanKnobs::default());
+        let (a1, t1) = execute(&seq, eps, &CancelToken::new()).expect("sequential succeeds");
         for threads in [2usize, 4] {
-            let par = PreparedQuery::prepare(prepared.clone(), &query, Engine::Lineage)
+            let par = PreparedQuery::prepare(prepared.clone(), &query, Engine::Lineage, PlanKnobs::default())
                 .with_parallelism(threads);
-            let (ap, tp) = par.execute(eps, &CancelToken::new()).expect("parallel succeeds");
+            let (ap, tp) = execute(&par, eps, &CancelToken::new()).expect("parallel succeeds");
             prop_assert!(a1.estimate.to_bits() == ap.estimate.to_bits(),
                 "threads {}: {} vs {}", threads, a1.estimate, ap.estimate);
             prop_assert_eq!(a1, ap);
@@ -174,8 +189,8 @@ proptest! {
             // agree at every thread count too
             let cancelled = CancelToken::new();
             cancelled.cancel();
-            let e1 = seq.execute(eps, &cancelled).expect_err("cancelled");
-            let ep = par.execute(eps, &cancelled).expect_err("cancelled");
+            let e1 = execute(&seq, eps, &cancelled).expect_err("cancelled");
+            let ep = execute(&par, eps, &cancelled).expect_err("cancelled");
             match (e1, ep) {
                 (
                     infpdb_query::QueryError::Cancelled(i1),
@@ -209,8 +224,8 @@ proptest! {
         let mut grounded_after_first = None;
         for qs in QUERIES {
             let query = parse(qs, pdb.schema()).expect("static query");
-            let pq = PreparedQuery::prepare(prepared.clone(), &query, Engine::Auto);
-            let (a1, t1) = pq.execute(eps, &CancelToken::new()).expect("prepared path succeeds");
+            let pq = PreparedQuery::prepare(prepared.clone(), &query, Engine::Auto, PlanKnobs::default());
+            let (a1, t1) = execute(&pq, eps, &CancelToken::new()).expect("prepared path succeeds");
             let (a0, t0) = approx_prob_boolean_cancellable_traced(
                 &pdb, &query, eps, Engine::Auto, &CancelToken::new(), PartialOnCancel::Evaluate,
             ).expect("one-shot path succeeds");

@@ -1,4 +1,4 @@
-//! A per-engine circuit breaker: fail fast after consecutive failures.
+//! The service's circuit breaker: fail fast after consecutive failures.
 //!
 //! Retrying a persistently failing engine wastes the pool on work that
 //! cannot succeed and amplifies an outage under load. The breaker trips

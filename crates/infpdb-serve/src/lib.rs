@@ -25,7 +25,7 @@
 //! * [`admission`] — budgets (max `n`, deadlines) and ε-degradation,
 //!   sound because the widened evaluation carries its own Prop. 6.1
 //!   certificate;
-//! * [`breaker`] — a per-engine circuit breaker that fails fast after a
+//! * [`breaker`] — the service's circuit breaker, which fails fast after a
 //!   run of consecutive evaluation failures;
 //! * [`faults`] — a deterministic, seeded fault-injection harness for
 //!   chaos testing (panics, latency, spurious errors at named sites);
@@ -51,7 +51,7 @@
 //! | [`DeadlineExceeded`](ServeError::DeadlineExceeded) | truncation loop / ticket wait | the request's deadline passed — at a checkpoint mid-loop, or while the ticket was still waiting |
 //! | [`EnginePanic`](ServeError::EnginePanic) | worker | the evaluation panicked; the panic was caught, the worker survives, and the payload is preserved |
 //! | [`Transient`](ServeError::Transient) | anywhere (injected) | a spurious, retryable failure — retried with bounded exponential backoff before surfacing |
-//! | [`CircuitOpen`](ServeError::CircuitOpen) | cache-miss gate | the per-engine circuit breaker is open after too many consecutive failures; the request fails fast without evaluating (cache hits still serve) |
+//! | [`CircuitOpen`](ServeError::CircuitOpen) | cache-miss gate | the circuit breaker is open after too many consecutive failures; the request fails fast without evaluating (cache hits still serve) |
 //! | [`Shutdown`](ServeError::Shutdown) | pool | the service shut down before this request ran |
 //!
 //! **Soundness of cancelled partial results.** A cancelled evaluation may
@@ -148,7 +148,7 @@ pub enum ServeError {
         /// The site that failed.
         site: String,
     },
-    /// The per-engine circuit breaker is open: too many consecutive
+    /// The circuit breaker is open: too many consecutive
     /// failures, so the request fails fast without evaluating.
     CircuitOpen {
         /// Consecutive failures observed when the breaker opened.

@@ -12,16 +12,17 @@
 //!    answer is cached under the tolerance it actually satisfies and can
 //!    never be returned for a stricter request;
 //! 3. **Breaker** ([`crate::breaker`]) — on a miss, consult the
-//!    per-engine circuit breaker; open means fail fast (cache hits keep
+//!    service's circuit breaker; open means fail fast (cache hits keep
 //!    serving while open);
-//! 4. **Plan cache** — probe the compiled-query cache, keyed by the
+//! 4. **Plan cache** — probe the [`PreparedQuery`] cache, keyed by the
 //!    (PDB, normalized query) fingerprints and shared across tolerances;
-//!    a miss compiles the query ([`CompiledQuery`]) and inserts it;
-//! 5. **Engine** — run the Proposition 6.1 evaluation against the
-//!    service's shared [`PreparedPdb`] ([`execute_prepared_par`](infpdb_query::prepared::execute_prepared_par)): repeat
-//!    requests slice the already-materialized fact catalog instead of
-//!    re-grounding, with a [`CancelToken`] threaded into any remaining
-//!    truncation work; record throughput, insert the answer.
+//!    a miss compiles the query against the service's shared
+//!    [`PreparedPdb`] and inserts it;
+//! 5. **Engine** — [`PreparedQuery::execute`] runs the Proposition 6.1
+//!    evaluation: repeat requests slice the already-materialized fact
+//!    catalog instead of re-grounding, with a [`CancelToken`] threaded
+//!    into any remaining truncation work; record throughput, insert the
+//!    answer.
 //!
 //! The whole pipeline runs under panic containment and a bounded-backoff
 //! retry loop for transient failures; see the crate-level *Failure
@@ -40,22 +41,20 @@ use crate::pool::{OverflowPolicy, PoolConfig, SchedulerKind, StealingExecutor, T
 use crate::ServeError;
 use infpdb_core::fingerprint::Fingerprinter;
 use infpdb_finite::engine::{Engine, EvalTrace};
+use infpdb_finite::shannon::TaskExecutor;
 use infpdb_logic::ast::Formula;
-use infpdb_logic::compile::CompiledQuery;
 use infpdb_query::approx::{Approximation, PartialOnCancel};
 use infpdb_query::budget::BudgetReport;
 use infpdb_query::cancel::{CancelKind, CancelToken};
-use infpdb_query::planner::{PlanKnobs, PlanProfile, Planner, ProfileOutcome};
-use infpdb_query::prepared::{
-    cancelled_error, execute_prepared_exec, execute_prepared_planned, PreparedPdb,
-};
+use infpdb_query::planner::PlanKnobs;
+use infpdb_query::prepared::{Execution, PreparedPdb, PreparedQuery};
 use infpdb_query::{QueryError, StoreStatus};
 use infpdb_store::{SnapshotInfo, Store, StoreError};
 use infpdb_ti::construction::CountableTiPdb;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Grace period added on top of a request's deadline before its
@@ -131,7 +130,7 @@ pub struct ServiceConfig {
     pub overflow: OverflowPolicy,
     /// Retry policy for transient evaluation failures.
     pub retry: RetryPolicy,
-    /// Per-engine circuit-breaker tuning.
+    /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// Include per-engine arena statistics (interned nodes, interning
     /// hits, expansion totals) in [`QueryService::metrics_dump`].
@@ -139,9 +138,9 @@ pub struct ServiceConfig {
     /// Intra-query thread budget for a single lineage evaluation (at
     /// least 1). Independent of [`threads`](Self::threads), which sizes
     /// the pool of concurrent *requests*: parallelism splits one
-    /// request's independent lineage components (and sampler chunks)
-    /// across scoped threads. Estimates stay bit-for-bit identical at
-    /// every value.
+    /// request's independent lineage components (and sampler chunk
+    /// stripes) into tasks for the [`scheduler`](Self::scheduler).
+    /// Estimates stay bit-for-bit identical at every value.
     pub parallelism: usize,
     /// How intra-request component subtasks are scheduled.
     /// [`SchedulerKind::Fixed`] forks scoped threads per request;
@@ -314,41 +313,6 @@ impl Ticket {
     }
 }
 
-/// One circuit breaker per [`Engine`] variant, so a persistently failing
-/// engine fails fast without penalizing the others.
-struct EngineBreakers {
-    breakers: [CircuitBreaker; 4],
-}
-
-impl EngineBreakers {
-    fn new(config: BreakerConfig) -> Self {
-        EngineBreakers {
-            breakers: std::array::from_fn(|_| CircuitBreaker::new(config)),
-        }
-    }
-
-    fn for_engine(&self, engine: Engine) -> &CircuitBreaker {
-        let idx = match engine {
-            Engine::Auto => 0,
-            Engine::Lifted => 1,
-            Engine::Lineage => 2,
-            Engine::Brute => 3,
-        };
-        &self.breakers[idx]
-    }
-}
-
-/// A plan-cache entry: the compiled query plus its lazily built planner.
-/// Compilation happens on first sight of a normalized query; the (more
-/// expensive) cost-model profile is only built when an `Engine::Auto`
-/// evaluation needs it, and is then shared — together with its per-ε
-/// plan memo — by every later request and tolerance of any α-equivalent
-/// alias.
-struct PlanEntry {
-    compiled: CompiledQuery,
-    planner: OnceLock<Arc<Planner>>,
-}
-
 struct Inner {
     prepared: PreparedPdb,
     pdb_fingerprint: u64,
@@ -358,10 +322,13 @@ struct Inner {
     policy: DegradePolicy,
     draining: AtomicBool,
     cache: ShardedLruCache<(Approximation, BudgetReport, EvalTrace)>,
-    plans: ShardedLruCache<Arc<PlanEntry>>,
+    /// The plan cache: one [`PreparedQuery`] per (PDB, normalized query)
+    /// fingerprint, shared by every tolerance and α-equivalent alias.
+    plans: ShardedLruCache<PreparedQuery>,
     metrics: Arc<Metrics>,
     throughput: ThroughputEstimate,
-    breakers: EngineBreakers,
+    /// The service runs one engine, so one breaker guards it.
+    breaker: CircuitBreaker,
     retry: RetryPolicy,
     faults: Option<Arc<FaultInjector>>,
     arena_stats: bool,
@@ -376,6 +343,34 @@ impl Inner {
             Some(f) => f.fire(site),
             None => Ok(()),
         }
+    }
+
+    /// The plan-cache entry for the normalized query `qfp`, prepared
+    /// from `query` on a miss. Keyed by the (PDB, normalized query)
+    /// fingerprints, so every tolerance and α-equivalent alias runs the
+    /// first alias's compiled query and shares its planner and per-ε
+    /// plan memo — the sharing the result cache already makes at equal
+    /// ε. Aliases have equal probabilities; only rounding could tell
+    /// their evaluations apart.
+    fn prepared_query(&self, qfp: u64, query: &Formula) -> PreparedQuery {
+        let key = {
+            let mut fp = Fingerprinter::new();
+            fp.write_u64(self.pdb_fingerprint).write_u64(qfp);
+            fp.finish()
+        };
+        let m = &self.metrics;
+        if let Some(hit) = self.plans.get(key) {
+            m.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+            return hit;
+        }
+        m.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+        let prepared =
+            PreparedQuery::prepare(self.prepared.clone(), query, self.engine, self.knobs)
+                .with_parallelism(self.parallelism);
+        self.plans.insert(key, prepared.clone());
+        m.plan_cache_evictions
+            .store(self.plans.evictions(), Ordering::Relaxed);
+        prepared
     }
 }
 
@@ -452,7 +447,7 @@ impl QueryService {
             plans: ShardedLruCache::new(config.plan_cache_capacity, config.cache_shards),
             metrics: Arc::clone(&metrics),
             throughput: ThroughputEstimate::new(config.prior_facts_per_sec),
-            breakers: EngineBreakers::new(config.breaker),
+            breaker: CircuitBreaker::new(config.breaker),
             retry: config.retry,
             faults,
             arena_stats: config.arena_stats,
@@ -702,7 +697,7 @@ impl QueryService {
 
 /// Panic containment + retry around [`handle`]: catches panics into
 /// [`ServeError::EnginePanic`], retries transient failures with bounded
-/// exponential backoff, and keeps the per-engine breaker informed.
+/// exponential backoff, and keeps the service's breaker informed.
 fn run_resilient(
     inner: &Inner,
     request: &QueryRequest,
@@ -725,12 +720,12 @@ fn run_resilient(
             Ok(resp) => {
                 // cache hits say nothing about the engine's health
                 if !resp.cached {
-                    inner.breakers.for_engine(inner.engine).record_success();
+                    inner.breaker.record_success();
                 }
                 return result;
             }
             Err(e) if e.is_transient() => {
-                inner.breakers.for_engine(inner.engine).record_failure();
+                inner.breaker.record_failure();
                 attempt += 1;
                 if attempt >= max_attempts {
                     return result;
@@ -816,7 +811,7 @@ fn handle(
     inner.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
     // breaker gate at the cache-miss point: open ⇒ fail fast, but cache
     // hits above keep serving
-    match inner.breakers.for_engine(inner.engine).admit() {
+    match inner.breaker.admit() {
         Admission::Proceed => {}
         Admission::FastFail(consecutive_failures) => {
             inner
@@ -829,113 +824,23 @@ fn handle(
         }
     }
     inner.fault("engine")?;
-    // plan cache: keyed by the (PDB, normalized query) fingerprints and
-    // shared across tolerances. A hit skips compilation; the evaluation
-    // below always runs the REQUEST's own formula, so α-equivalent
-    // aliases that share a plan still answer bit-for-bit identically to
-    // their sequential evaluations.
-    let plan_key = {
-        let mut fp = Fingerprinter::new();
-        fp.write_u64(inner.pdb_fingerprint).write_u64(qfp);
-        fp.finish()
-    };
-    let entry = match inner.plans.get(plan_key) {
-        Some(entry) => {
-            inner
-                .metrics
-                .plan_cache_hits
-                .fetch_add(1, Ordering::Relaxed);
-            entry
-        }
-        None => {
-            inner
-                .metrics
-                .plan_cache_misses
-                .fetch_add(1, Ordering::Relaxed);
-            let entry = Arc::new(PlanEntry {
-                compiled: CompiledQuery::compile(pdb.schema(), &request.query),
-                planner: OnceLock::new(),
-            });
-            inner.plans.insert(plan_key, Arc::clone(&entry));
-            inner
-                .metrics
-                .plan_cache_evictions
-                .store(inner.plans.evictions(), Ordering::Relaxed);
-            entry
-        }
-    };
+    let query = inner.prepared_query(qfp, &request.query);
     let start = Instant::now();
-    let (approx, trace) = if inner.engine == Engine::Auto {
-        // cost-based path: build (or reuse) the entry's planner, then run
-        // the per-ε chosen plan. The planner profiles once per compiled
-        // query at the canonical knobs.profile_eps prefix; its per-ε memo
-        // makes repeat tolerances plan-lookup cheap and re-plan detection
-        // meaningful.
-        let planner = match entry.planner.get() {
-            Some(p) => Arc::clone(p),
-            None => {
-                let outcome = PlanProfile::build_prepared(
-                    &inner.prepared,
-                    &entry.compiled,
-                    &inner.knobs,
-                    cancel,
-                )
-                .map_err(serve_error)?;
-                match outcome {
-                    ProfileOutcome::Ready(profile) => {
-                        // under a race the first initializer wins, so the
-                        // shared per-ε memo (and its re-plan history)
-                        // survives; the loser's profile is identical by
-                        // construction and is simply dropped
-                        let fresh = Arc::new(Planner::new(profile));
-                        Arc::clone(entry.planner.get_or_init(|| fresh))
-                    }
-                    ProfileOutcome::Cancelled {
-                        kind,
-                        facts_processed,
-                        partial_table,
-                    } => {
-                        return Err(serve_error(cancelled_error(
-                            &inner.prepared,
-                            &request.query,
-                            Engine::Auto,
-                            inner.parallelism,
-                            PartialOnCancel::Evaluate,
-                            kind,
-                            facts_processed,
-                            &partial_table,
-                        )));
-                    }
-                }
-            }
-        };
-        let (approx, trace, plan, event) = execute_prepared_planned(
-            &inner.prepared,
-            &entry.compiled,
-            &planner,
-            &inner.knobs,
+    let Execution {
+        approx,
+        trace,
+        planned,
+    } = query
+        .execute(
             admitted.eps,
-            inner.parallelism,
             cancel,
             PartialOnCancel::Evaluate,
-            exec.map(|e| e as &dyn infpdb_finite::shannon::TaskExecutor),
+            exec.map(|e| e as &dyn TaskExecutor),
         )
         .map_err(serve_error)?;
+    if let Some((plan, event)) = planned {
         inner.metrics.record_plan(&plan.summary(), event.replanned);
-        (approx, trace)
-    } else {
-        execute_prepared_exec(
-            &inner.prepared,
-            &request.query,
-            admitted.eps,
-            inner.engine,
-            inner.parallelism,
-            cancel,
-            PartialOnCancel::Evaluate,
-            exec.map(|e| e as &dyn infpdb_finite::shannon::TaskExecutor),
-        )
-        .map_err(serve_error)?
-    };
+    }
     let elapsed = start.elapsed();
     inner.metrics.run.record(elapsed);
     inner.metrics.record_trace(&trace);
@@ -958,6 +863,7 @@ fn handle(
 mod tests {
     use super::*;
     use crate::faults::{FaultKind, Trigger};
+    use infpdb_core::fact::Fact;
     use infpdb_core::schema::{RelId, Relation, Schema};
     use infpdb_logic::parse;
     use infpdb_math::series::{GeometricSeries, ZetaSeries};
@@ -1685,6 +1591,66 @@ mod tests {
         assert_eq!(svc.metrics().shed.load(Ordering::Relaxed), 1);
         blocker.wait().unwrap();
         queued.wait().unwrap();
+    }
+
+    /// An 8 × 8 bipartite grid over `{R/1, S/2, T/1}`: the negated join
+    /// below has no monotone DNF and a Shannon trial too costly for
+    /// loose ε, so the planner samples it with Monte-Carlo.
+    fn grid_pdb() -> CountableTiPdb {
+        let schema = Schema::from_relations([
+            Relation::new("R", 1),
+            Relation::new("S", 2),
+            Relation::new("T", 1),
+        ])
+        .unwrap();
+        let int = infpdb_core::value::Value::int;
+        let mut facts = Vec::new();
+        for i in 0..8 {
+            facts.push((Fact::new(RelId(0), [int(i)]), 0.2));
+            facts.push((Fact::new(RelId(2), [int(i)]), 0.8));
+            for j in 0..8 {
+                facts.push((Fact::new(RelId(1), [int(i), int(j)]), 0.3));
+            }
+        }
+        CountableTiPdb::new(FactSupply::from_vec(schema, facts).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn plan_knobs_reach_the_planner() {
+        let eps = 0.45;
+        let knobs = PlanKnobs {
+            seed: 7,
+            ..PlanKnobs::default()
+        };
+        let p = grid_pdb();
+        let q = parse("exists x, y. R(x) /\\ S(x,y) /\\ !T(y)", p.schema()).unwrap();
+        let (compiled, plan, _) = infpdb_query::planner::explain(&p, &q, eps, &knobs).unwrap();
+        let prefix = infpdb_query::truncate::TruncationPlan::new(&p, plan.eps_trunc).unwrap();
+        let (expected, _) =
+            infpdb_finite::plan::evaluate_plan(&compiled, &plan, &prefix.table, 1, None)
+                .unwrap()
+                .unwrap();
+        let answer = |plan_knobs| {
+            let svc = QueryService::new(
+                grid_pdb(),
+                ServiceConfig {
+                    threads: 1,
+                    plan_knobs,
+                    ..ServiceConfig::default()
+                },
+            );
+            svc.evaluate(QueryRequest::new(q.clone(), eps)).unwrap()
+        };
+        let seeded = answer(knobs);
+        assert!(
+            matches!(seeded.strategy(), Some("mc" | "kl")),
+            "{:?}",
+            seeded.strategy()
+        );
+        assert_eq!(seeded.approx.estimate.to_bits(), expected.to_bits());
+        let default = answer(PlanKnobs::default());
+        assert_eq!(default.strategy(), seeded.strategy());
+        assert_ne!(default.approx.estimate.to_bits(), expected.to_bits());
     }
 
     #[test]

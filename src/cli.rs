@@ -51,16 +51,17 @@
 //!   per-relation record counts, checksum failures, fingerprint
 //!   verification; exits nonzero when any corruption is found.
 //! * `store info --dir DIR` — prints the manifest summary.
-//! * `bench [--smoke] [--impl tree|arena] [--out PATH] [--repeats N]
-//!   [--threads T]` —
+//! * `bench [--smoke] [--out PATH] [--repeats N] [--threads T]
+//!   [--scheduler fixed|stealing]` —
 //!   runs the reproducible perf harness over the geometric, zeta, and
 //!   blocks fixtures at ε ∈ {1e-2, 1e-3, 1e-4}, prints a summary table,
 //!   and writes the `BENCH_<iso-date>.json` artifact (see
 //!   `infpdb_bench::harness`). `--repeats` sets the minimum number of
 //!   timed executions in the repeat-query (`prepared`) stage, which
 //!   grounds the prefix once and re-executes the query against it;
-//!   `--threads` sets the arena engine's intra-query thread budget
-//!   (estimates are identical at every value).
+//!   `--threads` sets the intra-query thread budget (estimates are
+//!   identical at every value); `--scheduler` restricts the saturation
+//!   stage to one scheduler.
 //! * `bench store [--smoke] [--facts N] [--append N] [--shard-capacity C]
 //!   [--dir DIR] [--out PATH]` — the durable-store scale bench: grounds
 //!   an `N`-fact zeta prefix into a sharded store, times the full,
@@ -69,7 +70,7 @@
 //!   across thread counts, and writes `BENCH_<iso-date>_store.json`
 //!   (see `infpdb_bench::storebench`).
 
-use infpdb_bench::harness::{self, ImplKind};
+use infpdb_bench::harness;
 use infpdb_bench::planner as bench_planner;
 use infpdb_bench::saturation::{self, SaturationConfig};
 use infpdb_bench::storebench;
@@ -805,16 +806,13 @@ pub fn cmd_store_info(dir: &str) -> Result<String, CliError> {
 /// performs file output itself (the artifact path is part of its
 /// contract); everything printed goes through the usual return value.
 pub fn cmd_bench(
-    impl_name: &str,
     smoke: bool,
     out_path: Option<&str>,
     repeats: usize,
     threads: usize,
     scheduler: Option<SchedulerKind>,
 ) -> Result<String, CliError> {
-    let impl_kind = ImplKind::parse(impl_name)
-        .ok_or_else(|| CliError::Usage(format!("unknown --impl {impl_name:?} (tree|arena)")))?;
-    let mut config = harness::BenchConfig::new(impl_kind, smoke);
+    let mut config = harness::BenchConfig::new(smoke);
     config.repeats = repeats;
     config.threads = threads.max(1);
     let mut report = harness::run(&config).map_err(CliError::Library)?;
@@ -1106,7 +1104,6 @@ pub fn run(
                     out.as_deref(),
                 );
             }
-            let impl_name = flag("--impl", "arena");
             let out = match flag("--out", "") {
                 s if s.is_empty() => None,
                 s => Some(s),
@@ -1125,14 +1122,7 @@ pub fn run(
                     ))
                 })?),
             };
-            cmd_bench(
-                &impl_name,
-                smoke,
-                out.as_deref(),
-                repeats,
-                threads,
-                scheduler,
-            )
+            cmd_bench(smoke, out.as_deref(), repeats, threads, scheduler)
         }
         other => Err(CliError::Usage(format!(
             "unknown subcommand {other:?}; {usage}"
@@ -1581,17 +1571,11 @@ Person(1000000)
     }
 
     #[test]
-    fn bench_rejects_unknown_impl() {
+    fn bench_rejects_malformed_flags() {
         let files = |_: &str| -> std::io::Result<String> {
             Err(std::io::Error::new(std::io::ErrorKind::NotFound, "nope"))
         };
-        let a: Vec<String> = ["bench", "--impl", "btree"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        // fails before measuring anything or touching the filesystem
-        assert!(matches!(run(&a, files), Err(CliError::Usage(_))));
-        // malformed --repeats is a usage error too
+        // each fails before measuring anything or touching the filesystem
         let b: Vec<String> = ["bench", "--repeats", "several"]
             .iter()
             .map(|s| s.to_string())
