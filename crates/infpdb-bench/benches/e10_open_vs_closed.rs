@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use infpdb_bench::{rfact, unary_schema};
 use infpdb_core::universe::FiniteUniverse;
 use infpdb_core::value::Value;
-use infpdb_finite::engine::{self, Engine};
+use infpdb_finite::engine;
 use infpdb_finite::TiTable;
 use infpdb_logic::parse;
 use infpdb_math::series::GeometricSeries;
@@ -19,6 +19,7 @@ use infpdb_openworld::closed_world::open_vs_closed_gap;
 use infpdb_openworld::independent_facts::complete_ti_table;
 use infpdb_openworld::LambdaCompletion;
 use infpdb_query::approx::approx_prob_boolean;
+use infpdb_query::Engine;
 use infpdb_ti::enumerator::FactSupply;
 
 fn print_rows() {
@@ -48,7 +49,7 @@ fn print_rows() {
     let q = parse("exists x. R(x)", &unary_schema()).expect("query");
     let iv = lam.prob_interval(&q).expect("interval");
     let a = approx_prob_boolean(&open, &q, 0.001, Engine::Auto).expect("approx");
-    let closed = engine::prob_boolean(&q, &table, Engine::Auto).expect("prob");
+    let closed = engine::prob_boolean(&q, &table).expect("prob");
     println!(
         "P(exists x. R(x)): closed = {closed:.5}, open = {:.5}, λ-interval = {iv}",
         a.estimate
@@ -64,7 +65,7 @@ fn bench(c: &mut Criterion) {
         TiTable::from_facts(unary_schema(), [(rfact(1), 0.8), (rfact(2), 0.4)]).expect("table");
     let q = parse("exists x. R(x)", &unary_schema()).expect("query");
     group.bench_function("closed_world_query", |b| {
-        b.iter(|| engine::prob_boolean(&q, &table, Engine::Auto).expect("prob"))
+        b.iter(|| engine::prob_boolean(&q, &table).expect("prob"))
     });
     let tail = FactSupply::from_fn(
         unary_schema(),

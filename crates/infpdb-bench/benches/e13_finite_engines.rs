@@ -9,8 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use infpdb_bench::random_finite_table;
 use infpdb_core::space::rand_core::SplitMix64;
-use infpdb_finite::engine::{self, Engine};
-use infpdb_finite::monte_carlo;
+use infpdb_finite::{engine, lifted, monte_carlo, worlds};
 use infpdb_logic::parse;
 
 const SAFE: &str = "exists x, y. R(x) /\\ S(x, y)";
@@ -21,9 +20,9 @@ fn print_rows() {
     let t = random_finite_table(14, 1);
     for qs in [SAFE, UNSAFE] {
         let q = parse(qs, t.schema()).expect("query");
-        let lineage = engine::prob_boolean(&q, &t, Engine::Lineage).expect("lineage");
-        let brute = engine::prob_boolean(&q, &t, Engine::Brute).expect("brute");
-        let lifted = engine::prob_boolean(&q, &t, Engine::Lifted);
+        let lineage = engine::prob_lineage(&q, &t).expect("lineage");
+        let brute = worlds::prob_boolean_brute(&q, &t).expect("brute");
+        let lifted = lifted::prob_hierarchical(&q, &t);
         let mut rng = SplitMix64::new(1);
         let mc = monte_carlo::estimate(&q, &t, 20_000, &mut rng).expect("mc");
         let mut rng_kl = SplitMix64::new(2);
@@ -51,11 +50,11 @@ fn bench(c: &mut Criterion) {
         let t = random_finite_table(n, 777);
         let q_safe = parse(SAFE, t.schema()).expect("query");
         group.bench_with_input(BenchmarkId::new("lifted_safe", n), &n, |b, _| {
-            b.iter(|| engine::prob_boolean(&q_safe, &t, Engine::Lifted).expect("prob"))
+            b.iter(|| lifted::prob_hierarchical(&q_safe, &t).expect("prob"))
         });
         if n <= 200 {
             group.bench_with_input(BenchmarkId::new("lineage_safe", n), &n, |b, _| {
-                b.iter(|| engine::prob_boolean(&q_safe, &t, Engine::Lineage).expect("prob"))
+                b.iter(|| engine::prob_lineage(&q_safe, &t).expect("prob"))
             });
         }
         if n <= 10 {
@@ -63,12 +62,12 @@ fn bench(c: &mut Criterion) {
             // facts on a dense domain the Shannon expansion blows up
             let q_unsafe = parse(UNSAFE, t.schema()).expect("query");
             group.bench_with_input(BenchmarkId::new("lineage_unsafe", n), &n, |b, _| {
-                b.iter(|| engine::prob_boolean(&q_unsafe, &t, Engine::Lineage).expect("prob"))
+                b.iter(|| engine::prob_lineage(&q_unsafe, &t).expect("prob"))
             });
         }
         if n <= 10 {
             group.bench_with_input(BenchmarkId::new("brute", n), &n, |b, _| {
-                b.iter(|| engine::prob_boolean(&q_safe, &t, Engine::Brute).expect("prob"))
+                b.iter(|| worlds::prob_boolean_brute(&q_safe, &t).expect("prob"))
             });
         }
     }

@@ -10,9 +10,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use infpdb_bench::{geometric_pdb, truth_exists_r, zeta_pdb};
-use infpdb_finite::engine::Engine;
 use infpdb_logic::parse;
 use infpdb_query::approx::approx_prob_boolean;
+use infpdb_query::Engine;
 
 fn print_rows() {
     println!("\nE1: additive guarantee of Prop 6.1 (query: exists x. R(x))");

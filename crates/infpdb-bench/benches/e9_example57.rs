@@ -6,12 +6,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use infpdb_core::fact::Fact;
 use infpdb_core::schema::{Relation, Schema};
 use infpdb_core::value::Value;
-use infpdb_finite::engine::Engine;
 use infpdb_finite::TiTable;
 use infpdb_logic::parse;
 use infpdb_math::series::GeometricSeries;
 use infpdb_openworld::independent_facts::complete_ti_table;
 use infpdb_query::approx::approx_prob_boolean;
+use infpdb_query::Engine;
 use infpdb_ti::construction::CountableTiPdb;
 use infpdb_ti::enumerator::FactSupply;
 

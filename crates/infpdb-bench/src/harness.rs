@@ -20,7 +20,6 @@ use std::time::{Duration, Instant};
 
 use infpdb_core::json::Json;
 use infpdb_finite::arena::LineageArena;
-use infpdb_finite::engine::Engine;
 use infpdb_finite::lineage::lineage_of_arena;
 use infpdb_finite::shannon;
 use infpdb_logic::ast::Formula;
@@ -29,12 +28,16 @@ use infpdb_query::approx::{approx_prob_boolean_par, PartialOnCancel};
 use infpdb_query::cancel::CancelToken;
 use infpdb_query::prepared::{PreparedPdb, PreparedQuery};
 use infpdb_query::truncate::TruncationPlan;
-use infpdb_query::PlanKnobs;
+use infpdb_query::{Engine, PlanKnobs, StrategyKind};
 use infpdb_ti::construction::CountableTiPdb;
 
 use crate::planner::PlannerRow;
 use crate::saturation::SaturationRow;
 use crate::{blocks_pdb, geometric_pdb, zeta_pdb};
+
+/// The e2e and prepared stages force Shannon on every component, the
+/// strategy the `shannon` stage times on the whole lineage.
+const SHANNON: Engine = Engine::Force(StrategyKind::Shannon);
 
 /// The tolerances every workload is measured at.
 pub const DEFAULT_EPS: [f64; 3] = [1e-2, 1e-3, 1e-4];
@@ -338,14 +341,15 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
                 arena_nodes: Some(probe.eval_nodes),
             });
 
-            // stage 3: end-to-end approx_prob_boolean (truncation
-            // planning + grounding + Shannon, all inside the timer)
+            // stage 3: end-to-end approx_prob_boolean under a forced
+            // Shannon plan (profile + truncation + grounding + Shannon,
+            // all inside the timer)
             let (median_ns, iters) = run_timed(
                 policy,
                 || (),
                 |()| {
                     black_box(
-                        approx_prob_boolean_par(&w.pdb, &query, eps, Engine::Lineage, threads)
+                        approx_prob_boolean_par(&w.pdb, &query, eps, SHANNON, threads)
                             .expect("probed"),
                     );
                 },
@@ -375,7 +379,7 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
             let pq = PreparedQuery::prepare(
                 PreparedPdb::new(w.pdb.clone()),
                 &query,
-                Engine::Lineage,
+                SHANNON,
                 PlanKnobs::default(),
             )
             .with_parallelism(threads);

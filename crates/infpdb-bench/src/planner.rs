@@ -21,8 +21,8 @@
 //!
 //! For every cell the stage times the Auto plan *and* each strategy
 //! forced across the whole query (same sample counts and seeds the
-//! optimizer would assign, via [`PlanProfile::force`]), so the
-//! checked-in artifact shows Auto matching the fastest explicit engine
+//! optimizer would assign, via [`PlanProfile::plan`]), so the
+//! checked-in artifact shows Auto matching the fastest forced strategy
 //! in every cell. A forced plan whose estimated cost exceeds
 //! [`SKIP_FACTOR`] × the Auto plan's is recorded with its estimate but
 //! not executed (`median_ns: null`, `skipped: true`) — the artifact
@@ -34,7 +34,7 @@ use infpdb_finite::plan::{evaluate_plan, ChosenPlan};
 use infpdb_logic::compile::CompiledQuery;
 use infpdb_logic::parse;
 use infpdb_query::cancel::CancelToken;
-use infpdb_query::planner::{self, PlanKnobs, PlanProfile, ProfileOutcome, StrategyKind};
+use infpdb_query::planner::{self, Engine, PlanKnobs, PlanProfile, ProfileOutcome, StrategyKind};
 use infpdb_query::truncate::TruncationPlan;
 use infpdb_ti::construction::CountableTiPdb;
 
@@ -197,7 +197,9 @@ pub fn run(config: &PlannerConfig) -> Result<Vec<PlannerRow>, String> {
             ProfileOutcome::Cancelled { .. } => unreachable!("a fresh token never fires"),
         };
         let n_eval = planner::eval_prefix_len(&cell.pdb, cell.eps).map_err(|e| e.to_string())?;
-        let auto = profile.choose(cell.eps, n_eval, &knobs);
+        let auto = profile
+            .plan(Engine::Auto, cell.eps, n_eval, &knobs)
+            .expect("Auto always finds a plan");
         let auto_cost = total_cost(&auto);
 
         let mut forced = Vec::with_capacity(4);
@@ -207,7 +209,7 @@ pub fn run(config: &PlannerConfig) -> Result<Vec<PlannerRow>, String> {
             StrategyKind::MonteCarlo,
             StrategyKind::KarpLuby,
         ] {
-            let run = match profile.force(kind, cell.eps, n_eval, &knobs) {
+            let run = match profile.plan(Engine::Force(kind), cell.eps, n_eval, &knobs) {
                 None => ForcedRun {
                     strategy: kind.name(),
                     cost: None,

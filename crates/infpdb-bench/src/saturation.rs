@@ -18,8 +18,8 @@
 
 use std::time::Instant;
 
-use infpdb_finite::engine::Engine;
 use infpdb_logic::parse;
+use infpdb_query::{Engine, StrategyKind};
 use infpdb_serve::pool::SchedulerKind;
 use infpdb_serve::service::{QueryRequest, QueryService, ServiceConfig};
 
@@ -188,7 +188,7 @@ pub fn run(config: &SaturationConfig) -> Result<Vec<SaturationRow>, String> {
                     pdb.clone(),
                     ServiceConfig {
                         threads,
-                        engine: Engine::Lineage,
+                        engine: Engine::Force(StrategyKind::Shannon),
                         parallelism: config.parallelism,
                         scheduler,
                         ..ServiceConfig::default()

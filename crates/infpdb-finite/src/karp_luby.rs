@@ -378,7 +378,7 @@ pub fn samples_for(clauses: usize, eps: f64, delta: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{self, Engine};
+    use crate::engine;
     use infpdb_core::fact::Fact;
     use infpdb_core::schema::{RelId, Relation, Schema};
     use infpdb_core::space::rand_core::SplitMix64;
@@ -465,7 +465,7 @@ mod tests {
         // H₀ is non-hierarchical (no safe plan) but its lineage is monotone
         let t = table();
         let q = parse("exists x, y. R(x) /\\ S(x, y) /\\ T(y)", t.schema()).unwrap();
-        let exact = engine::prob_boolean(&q, &t, Engine::Lineage).unwrap();
+        let exact = engine::prob_lineage(&q, &t).unwrap();
         let mut rng = SplitMix64::new(99);
         let est = estimate_ucq(&q, &t, 60_000, 1000, &mut rng).unwrap();
         assert!(
@@ -480,7 +480,7 @@ mod tests {
     fn karp_luby_matches_exact_on_simple_union() {
         let t = table();
         let q = parse("(exists x. R(x)) \\/ (exists y. T(y))", t.schema()).unwrap();
-        let exact = engine::prob_boolean(&q, &t, Engine::Lineage).unwrap();
+        let exact = engine::prob_lineage(&q, &t).unwrap();
         let mut rng = SplitMix64::new(7);
         let est = estimate_ucq(&q, &t, 40_000, 100, &mut rng).unwrap();
         assert!((est.estimate - exact).abs() < 0.02);
@@ -507,7 +507,7 @@ mod tests {
     fn parallel_estimate_is_thread_count_invariant() {
         let t = table();
         let q = parse("exists x, y. R(x) /\\ S(x, y) /\\ T(y)", t.schema()).unwrap();
-        let exact = engine::prob_boolean(&q, &t, Engine::Lineage).unwrap();
+        let exact = engine::prob_lineage(&q, &t).unwrap();
         let mut arena = LineageArena::new();
         let root = lineage_of_arena(&q, &t, &mut arena).unwrap();
         let dnf = to_dnf_arena(&arena, root, 1000).unwrap();
@@ -641,7 +641,7 @@ mod tests {
         )
         .unwrap();
         let q = parse("exists x. R(x)", t.schema()).unwrap();
-        let exact = engine::prob_boolean(&q, &t, Engine::Lineage).unwrap();
+        let exact = engine::prob_lineage(&q, &t).unwrap();
         let mut rng = SplitMix64::new(11);
         let est = estimate_ucq(&q, &t, 50_000, 10, &mut rng).unwrap();
         let rel = (est.estimate - exact).abs() / exact;

@@ -15,7 +15,7 @@
 
 use crate::arena::LineageArena;
 use crate::lineage::lineage_of_arena;
-use crate::shannon::{ParTask, TaskExecutor};
+use crate::shannon::{run_jobs, Job, TaskExecutor};
 use crate::{FiniteError, TiTable};
 use infpdb_core::space::rand_core::RngCore;
 use infpdb_logic::ast::Formula;
@@ -110,22 +110,14 @@ pub(crate) fn run_stripes<K>(
 where
     K: FnMut(u64, usize) -> usize + Send + 'static,
 {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let tasks: Vec<ParTask> = (0..workers)
+    let jobs: Vec<Job<usize>> = (0..workers)
         .map(|k| {
             let mine: Vec<(u64, usize)> = chunks.iter().skip(k).step_by(workers).copied().collect();
             let mut kernel = stripe();
-            let tx = tx.clone();
-            Box::new(move || {
-                let hits: usize = mine.into_iter().map(|(s, n)| kernel(s, n)).sum();
-                let _ = tx.send(hits);
-            }) as ParTask
+            Box::new(move || mine.into_iter().map(|(s, n)| kernel(s, n)).sum()) as Job<usize>
         })
         .collect();
-    drop(tx);
-    exec.run_tasks(tasks);
-    let hits: Vec<usize> = rx.try_iter().collect();
-    (hits.len() == workers).then(|| hits.into_iter().sum())
+    Some(run_jobs(exec, jobs)?.into_iter().sum())
 }
 
 /// The flat per-chunk kernel: worlds are drawn into a reused dense

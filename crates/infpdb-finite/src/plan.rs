@@ -203,11 +203,12 @@ impl PlanSummary {
 
 /// Evaluates a compiled query under a [`ChosenPlan`]: each component by
 /// its assigned strategy, combined in canonical component order by the
-/// compiled connective. With `parallelism ≥ 2`, Shannon components fork
-/// their independent sub-components and samplers their chunk stripes
-/// onto `exec` (a fork-join [`shannon::ScopedExecutor`] when `None`).
-/// Returns `Ok(None)` when the executor skipped tasks (cancellation),
-/// exactly like [`crate::engine::prob_boolean_traced_exec`].
+/// compiled connective. With `parallelism ≥ 2`, work forks onto `exec`
+/// (a fork-join [`shannon::ScopedExecutor`] when `None`): the heavy
+/// independent parts of all Shannon components fork as one batch of
+/// tasks (a component that does not split is one part), and samplers
+/// fork their chunk stripes. Returns `Ok(None)` when the executor
+/// skipped tasks (cancellation).
 ///
 /// The returned trace reports what actually ran: merged Shannon/arena
 /// counters over the exact components, and `plan` set to the summary of
@@ -228,14 +229,33 @@ pub fn evaluate_plan(
     );
     shannon::ScopedExecutor::or_default(exec, parallelism, |exec| {
         let mut executed = plan.clone();
+        let mut trace = EvalTrace::default();
+        // at parallelism ≥ 2 the Shannon components are evaluated
+        // together up front, so their heavy parts fork as one batch
+        let shannon: Vec<usize> = (0..components.len())
+            .filter(|&i| parallelism >= 2 && plan.components[i].strategy == Strategy::Shannon)
+            .collect();
+        let mut forked = vec![None; components.len()];
+        if !shannon.is_empty() {
+            let formulas: Vec<_> = shannon.iter().map(|&i| components[i].formula()).collect();
+            let Some(ps) = shannon_traced(&formulas, table, parallelism, exec, &mut trace)? else {
+                return Ok(None);
+            };
+            for (&i, p) in shannon.iter().zip(ps) {
+                forked[i] = Some(p);
+            }
+        }
         let mut acc = 1.0f64;
         let mut single = 0.0f64;
-        let mut trace = EvalTrace::default();
         for (i, (comp, cplan)) in components.iter().zip(&plan.components).enumerate() {
             let formula = comp.formula();
             let p = match cplan.strategy {
+                _ if forked[i].is_some() => forked[i],
                 Strategy::Lifted => Some(lifted::prob_hierarchical(formula, table)?),
-                Strategy::Shannon => shannon_traced(formula, table, parallelism, exec, &mut trace)?,
+                Strategy::Shannon => {
+                    shannon_traced(&[formula], table, parallelism, exec, &mut trace)?
+                        .map(|ps| ps[0])
+                }
                 Strategy::MonteCarlo { samples } => monte_carlo::estimate_parallel(
                     formula,
                     table,
@@ -265,7 +285,8 @@ pub fn evaluate_plan(
                         // outgrew the clause cap the profile predicted under
                         None => {
                             executed.components[i].strategy = Strategy::Shannon;
-                            shannon_traced(formula, table, parallelism, exec, &mut trace)?
+                            shannon_traced(&[formula], table, parallelism, exec, &mut trace)?
+                                .map(|ps| ps[0])
                         }
                     }
                 }
@@ -292,12 +313,12 @@ pub fn evaluate_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{prob_boolean, Engine};
+    use crate::worlds::prob_boolean_brute;
     use infpdb_core::fact::Fact;
     use infpdb_core::schema::{Relation, Schema};
     use infpdb_logic::compile::QueryComponent;
     use infpdb_logic::parse;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn table() -> TiTable {
         let s = Schema::from_relations([
@@ -356,7 +377,7 @@ mod tests {
         let q = parse("(exists x. R(x)) /\\ (exists y. T(y))", t.schema()).unwrap();
         let compiled = CompiledQuery::compile(t.schema(), &q);
         assert_eq!(compiled.components().len(), 2);
-        let brute = prob_boolean(&q, &t, Engine::Brute).unwrap();
+        let brute = prob_boolean_brute(&q, &t).unwrap();
         // lifted on safe components
         let plan = exact_plan(&compiled, |c| {
             if c.is_safe() {
@@ -386,7 +407,7 @@ mod tests {
         let t = table();
         let q = parse("exists x, y. R(x) /\\ S(x, y) /\\ T(y)", t.schema()).unwrap();
         let compiled = CompiledQuery::compile(t.schema(), &q);
-        let brute = prob_boolean(&q, &t, Engine::Brute).unwrap();
+        let brute = prob_boolean_brute(&q, &t).unwrap();
         for strategy in [
             Strategy::MonteCarlo { samples: 200_000 },
             Strategy::KarpLuby {
@@ -422,13 +443,13 @@ mod tests {
         }
     }
 
-    /// Runs every task inline, counting them.
+    /// Runs every task inline, recording each batch's size.
     #[derive(Default)]
-    struct CountingExecutor(AtomicUsize);
+    struct BatchExecutor(Mutex<Vec<usize>>);
 
-    impl shannon::TaskExecutor for CountingExecutor {
+    impl shannon::TaskExecutor for BatchExecutor {
         fn run_tasks(&self, tasks: Vec<shannon::ParTask>) {
-            self.0.fetch_add(tasks.len(), Ordering::Relaxed);
+            self.0.lock().unwrap().push(tasks.len());
             for t in tasks {
                 t();
             }
@@ -460,16 +481,12 @@ mod tests {
             let (p1, tr1) = evaluate_plan(&compiled, &plan, &t, 1, None)
                 .unwrap()
                 .unwrap();
-            let exec = CountingExecutor::default();
+            let exec = BatchExecutor::default();
             let (p2, tr2) = evaluate_plan(&compiled, &plan, &t, 2, Some(&exec))
                 .unwrap()
                 .unwrap();
-            assert_eq!(
-                exec.0.load(Ordering::Relaxed),
-                2,
-                "{}: one task per stripe",
-                strategy.name()
-            );
+            let batches = exec.0.into_inner().unwrap();
+            assert_eq!(batches, [2], "{}: one task per stripe", strategy.name());
             assert_eq!(p1.to_bits(), p2.to_bits(), "{}", strategy.name());
             assert_eq!(tr1, tr2);
         }
@@ -502,6 +519,76 @@ mod tests {
         assert!(got.is_none());
     }
 
+    /// `A` and `B` with slowly decaying, interleaved probabilities:
+    /// per-relation queries ground to var-disjoint lineage with 16
+    /// variables each. Binary `C` and `D` hold two groups `x ∈ {0, 1}`
+    /// of 8 facts each, so their pair queries split by `x` into two
+    /// var-disjoint parts of 8 variables.
+    fn blocks_table() -> TiTable {
+        use infpdb_core::value::Value;
+        let rels = [("A", 1), ("B", 1), ("C", 2), ("D", 2)].map(|(r, k)| Relation::new(r, k));
+        let s = Schema::from_relations(rels).unwrap();
+        let id = |r| s.rel_id(r).unwrap();
+        let mut facts = Vec::new();
+        let mut p = 0.45f64;
+        for i in 0..16i64 {
+            facts.push((Fact::new(id("A"), [Value::int(i)]), p));
+            facts.push((Fact::new(id("B"), [Value::int(i)]), p));
+            p *= 0.75;
+        }
+        for rel in ["C", "D"] {
+            for i in 0..16i64 {
+                let fact = Fact::new(id(rel), [Value::int(i / 8), Value::int(i % 8)]);
+                facts.push((fact, 0.05 + 0.025 * i as f64));
+            }
+        }
+        TiTable::from_facts(s, facts).unwrap()
+    }
+
+    #[test]
+    fn heavy_shannon_components_fork_as_tasks() {
+        let t = blocks_table();
+        // the pair conjunction's planned (all-Shannon) and forced plans
+        // coincide in strategies; so do the two single-fact components'.
+        // Components that split fork all their parts in one batch.
+        for (qs, batches) in [
+            (
+                "(exists x, y. A(x) /\\ A(y) /\\ x != y) /\\ (exists x, y. B(x) /\\ B(y) /\\ x != y)",
+                &[2][..],
+            ),
+            ("(exists x. A(x)) /\\ (exists y. B(y))", &[2]),
+            ("A(2) /\\ B(2)", &[]),
+            (
+                "(exists x, y, z. C(x, y) /\\ C(x, z) /\\ y != z) \
+                 /\\ (exists x, y, z. D(x, y) /\\ D(x, z) /\\ y != z)",
+                &[4],
+            ),
+        ] {
+            let q = parse(qs, t.schema()).unwrap();
+            let compiled = CompiledQuery::compile(t.schema(), &q);
+            assert_eq!(compiled.components().len(), 2, "{qs}");
+            let plan = exact_plan(&compiled, |_| Strategy::Shannon);
+            let (p1, tr1) = evaluate_plan(&compiled, &plan, &t, 1, None)
+                .unwrap()
+                .unwrap();
+            let exec = BatchExecutor::default();
+            let (p4, tr4) = evaluate_plan(&compiled, &plan, &t, 4, Some(&exec))
+                .unwrap()
+                .unwrap();
+            assert_eq!(exec.0.into_inner().unwrap(), batches, "{qs}");
+            assert_eq!(p1.to_bits(), p4.to_bits(), "{qs}");
+            assert_eq!((tr1.shannon, tr1.arena), (tr4.shannon, tr4.arena), "{qs}");
+            assert_eq!(tr1.parallel, None);
+            let report = tr4.parallel.expect("parallelism 4 reports");
+            assert_eq!(report.tasks, batches.iter().sum::<usize>(), "{qs}");
+            if !batches.is_empty() {
+                assert!(!report.fallback_seq, "{qs}");
+                let skipped = evaluate_plan(&compiled, &plan, &t, 4, Some(&SkippingExecutor));
+                assert!(skipped.unwrap().is_none(), "{qs}");
+            }
+        }
+    }
+
     #[test]
     fn karp_luby_clause_overflow_falls_back_to_shannon() {
         let t = table();
@@ -523,7 +610,7 @@ mod tests {
         let (p, trace) = evaluate_plan(&compiled, &plan, &t, 1, None)
             .unwrap()
             .unwrap();
-        let brute = prob_boolean(&q, &t, Engine::Brute).unwrap();
+        let brute = prob_boolean_brute(&q, &t).unwrap();
         assert!((p - brute).abs() < 1e-12, "fallback is exact");
         let summary = trace.plan.unwrap();
         assert_eq!(summary.karp_luby, 0);

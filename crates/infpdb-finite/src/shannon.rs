@@ -776,6 +776,8 @@ impl TaskExecutor for ScopedExecutor {
 /// exactly. Per-component memo tables are likewise exact: a memo entry
 /// only ever mentions one component's variables, so the sequential
 /// engine's shared table never produces a cross-component hit.
+/// Plan evaluation ([`crate::plan::evaluate_plan`]) forks through the
+/// same code on any [`TaskExecutor`], so the contract holds there too.
 pub fn probability_dag_parallel<F>(
     arena: &mut LineageArena,
     root: LineageId,
@@ -785,188 +787,217 @@ pub fn probability_dag_parallel<F>(
 where
     F: Fn(FactId) -> f64 + Sync,
 {
-    ScopedExecutor::or_default(None, policy.threads, |exec| {
-        probability_dag_parallel_exec(arena, root, probs, policy, exec)
+    let (mut results, report) = ScopedExecutor::or_default(None, policy.threads, |exec| {
+        probability_dags_exec(vec![(arena, root)], probs, policy, exec)
     })
-    .expect("ScopedExecutor runs every task")
+    .expect("ScopedExecutor runs every task");
+    let (p, stats, arena_stats) = results.pop().expect("one root, one result");
+    (p, stats, arena_stats, report)
 }
 
-/// [`probability_dag_parallel`] with a caller-supplied [`TaskExecutor`].
-///
-/// Each heavy component becomes one independently schedulable [`ParTask`]
-/// owning a private arena clone and a dense gather of its fact
-/// probabilities, so tasks are `'static` and can be queued, stolen, or
-/// dropped by the executor. Light (below-threshold) components run on the
-/// calling thread. Returns `None` if the executor skipped any task
-/// (a cancelled request); [`ScopedExecutor`] never skips.
-///
-/// The determinism contract of [`probability_dag_parallel`] holds for
-/// *every* executor: combination happens here in canonical component
-/// order, and per-component arena deltas add exactly by
-/// variable-disjointness — per-component clones sum to the same merged
-/// [`ArenaStats`] as per-worker clones or the sequential engine.
-pub fn probability_dag_parallel_exec<F>(
-    arena: &mut LineageArena,
-    root: LineageId,
-    probs: &F,
-    policy: ParallelPolicy,
+/// A [`ParTask`] with a result, collected by [`run_jobs`].
+pub(crate) type Job<T> = Box<dyn FnOnce() -> T + Send + 'static>;
+
+/// Runs `jobs` as tasks on `exec` and returns their results in job
+/// order, or `None` when the executor skipped one (a cancelled request).
+pub(crate) fn run_jobs<T: Send + 'static>(
     exec: &dyn TaskExecutor,
-) -> Option<(f64, Stats, ArenaStats, ParReport)>
-where
-    F: Fn(FactId) -> f64,
-{
-    if policy.threads < 2 {
-        let (p, stats) = probability_dag_with_stats(arena, root, probs);
-        return Some((p, stats, arena.stats(), ParReport::default()));
-    }
-    fn seq_fallback<F: Fn(FactId) -> f64>(
-        arena: &mut LineageArena,
-        root: LineageId,
-        probs: &F,
-    ) -> Option<(f64, Stats, ArenaStats, ParReport)> {
-        let (p, stats) = probability_dag_with_stats(arena, root, probs);
-        Some((
-            p,
-            stats,
-            arena.stats(),
-            ParReport {
-                tasks: 0,
-                fallback_seq: true,
-            },
-        ))
-    }
-    // Peel the top-level `Not` chain: sequentially each level contributes
-    // `1 − P(child)` with no counter traffic; replayed after the join.
-    let mut flips = 0usize;
-    let mut top = root;
-    while let LineageNode::Not(g) = arena.node(top) {
-        top = *g;
-        flips += 1;
-    }
-    let (is_and, children) = match arena.node(top) {
-        LineageNode::And(gs) => (true, gs.to_vec()),
-        LineageNode::Or(gs) => (false, gs.to_vec()),
-        // constant or single fact: trivially sequential
-        _ => return seq_fallback(arena, root, probs),
-    };
-    // An all-Var root is the sequential fast path already — nothing to fork.
-    if all_vars_dag(arena, &children) {
-        return seq_fallback(arena, root, probs);
-    }
-    let comps = components_dag(arena, &children);
-    let is_heavy: Vec<bool> = comps
-        .iter()
-        .map(|comp| {
-            comp.iter().map(|&c| arena.vars(c).len()).sum::<usize>() >= policy.min_task_vars
-        })
-        .collect();
-    let heavy: Vec<usize> = (0..comps.len()).filter(|&i| is_heavy[i]).collect();
-    if comps.len() < 2 || heavy.len() < 2 {
-        return seq_fallback(arena, root, probs);
-    }
-    // Replay the sequential root decomposition: intern every component's
-    // sub-node up front (var-disjointness makes the interning deltas
-    // order-independent), snapshot the arena, then fork.
-    let mut stats = Stats {
-        decompositions: 1,
-        ..Stats::default()
-    };
-    let subs: Vec<LineageId> = comps
-        .iter()
-        .map(|comp| {
-            if comp.len() == 1 {
-                comp[0]
-            } else if is_and {
-                arena.and(comp.iter().copied())
-            } else {
-                arena.or(comp.iter().copied())
-            }
-        })
-        .collect();
-    let base = arena.stats();
-    // Dense gather of every fact probability under the root, shared by all
-    // tasks: the same f64 values `probs` returns, indexed by fact id, so
-    // tasks need no reference to the caller's closure to be `'static`.
-    let dense: std::sync::Arc<Vec<f64>> = {
-        let vs = arena.vars_arc(top);
-        let len = vs.iter().map(|f| f.0 as usize + 1).max().unwrap_or(0);
-        let mut d = vec![0.0f64; len];
-        for &f in vs.iter() {
-            d[f.0 as usize] = probs(f);
-        }
-        std::sync::Arc::new(d)
-    };
+    jobs: Vec<Job<T>>,
+) -> Option<Vec<T>> {
     let (tx, rx) = std::sync::mpsc::channel();
-    let tasks: Vec<ParTask> = heavy
-        .iter()
-        .map(|&ci| {
-            let cl = arena.clone();
-            let sub = subs[ci];
-            let pv = std::sync::Arc::clone(&dense);
+    let n = jobs.len();
+    let tasks: Vec<ParTask> = jobs
+        .into_iter()
+        .enumerate()
+        .map(|(i, job)| {
             let tx = tx.clone();
             Box::new(move || {
-                let mut cl = cl;
-                let pr = |id: FactId| pv[id.0 as usize];
-                let mut memo = DagMemo::default();
-                let mut st = Stats::default();
-                let p = prob_rec_dag(&mut cl, sub, &pr, &mut memo, &mut st);
-                let _ = tx.send((ci, p, st, cl.stats()));
+                let _ = tx.send((i, job()));
             }) as ParTask
         })
         .collect();
     drop(tx);
-    // Below-threshold components run on the calling thread. They touch the
-    // owner arena only — clones were snapshotted above, so per-task deltas
-    // stay relative to `base` no matter the interleaving.
-    let mut results: Vec<Option<(f64, Stats)>> = vec![None; subs.len()];
-    for (ci, &sub) in subs.iter().enumerate() {
-        if is_heavy[ci] {
-            continue;
-        }
-        let mut memo = DagMemo::default();
-        let mut st = Stats::default();
-        let p = prob_rec_dag(arena, sub, probs, &mut memo, &mut st);
-        results[ci] = Some((p, st));
-    }
     exec.run_tasks(tasks);
-    let mut worker_delta = ArenaStats::default();
-    for (ci, p, st, cl_stats) in rx.try_iter() {
-        results[ci] = Some((p, st));
-        worker_delta.nodes += cl_stats.nodes - base.nodes;
-        worker_delta.intern_hits += cl_stats.intern_hits - base.intern_hits;
+    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+    for (i, r) in rx.try_iter() {
+        out[i] = Some(r);
     }
-    if results.iter().any(|r| r.is_none()) {
-        // the executor skipped at least one task (cancelled request)
-        return None;
+    out.into_iter().collect()
+}
+
+/// Where the sequential engine first splits a root: into its
+/// independent components when the root (under any `Not`s) is an
+/// `And`/`Or` over two or more of them, else not at all (one part).
+struct RootSplit {
+    /// For a split root, `Some((is_and, Nots peeled above it))`.
+    split: Option<(bool, usize)>,
+    /// The parts' child lists; `[[root]]` when the root does not split.
+    parts: Vec<Vec<LineageId>>,
+    /// Which parts reach `min_task_vars` variable occurrences.
+    heavy: Vec<bool>,
+}
+
+impl RootSplit {
+    fn of(arena: &LineageArena, root: LineageId, min_task_vars: usize) -> Self {
+        let (mut top, mut flips) = (root, 0usize);
+        while let LineageNode::Not(g) = arena.node(top) {
+            (top, flips) = (*g, flips + 1);
+        }
+        // an all-Var root is the sequential fast path already
+        let parts = match arena.node(top) {
+            LineageNode::And(gs) | LineageNode::Or(gs) if !all_vars_dag(arena, gs) => {
+                components_dag(arena, gs)
+            }
+            _ => Vec::new(),
+        };
+        let (split, parts) = match parts.len() {
+            0 | 1 => (None, vec![vec![root]]),
+            _ => (
+                Some((matches!(arena.node(top), LineageNode::And(_)), flips)),
+                parts,
+            ),
+        };
+        let occurrences =
+            |part: &Vec<LineageId>| part.iter().map(|&c| arena.vars(c).len()).sum::<usize>();
+        let heavy = parts
+            .iter()
+            .map(|part| occurrences(part) >= min_task_vars)
+            .collect();
+        RootSplit {
+            split,
+            parts,
+            heavy,
+        }
     }
-    // Combine in canonical component order — the sequential multiplication
-    // order — so the f64 result is bit-for-bit the sequential one.
-    let mut acc = 1.0;
-    for r in &results {
-        let (ps, st) = r.expect("every component evaluated");
-        acc *= if is_and { ps } else { 1.0 - ps };
-        stats.expansions += st.expansions;
-        stats.cache_hits += st.cache_hits;
-        stats.decompositions += st.decompositions;
+
+    /// Replays the sequential root decomposition: interns each part's
+    /// sub-node (var-disjointness makes the interning deltas
+    /// order-independent) and returns the sub-roots.
+    fn sub_roots(&self, arena: &mut LineageArena) -> Vec<LineageId> {
+        let node = |part: &Vec<LineageId>, arena: &mut LineageArena| match self.split {
+            _ if part.len() == 1 => part[0],
+            Some((true, _)) => arena.and(part.iter().copied()),
+            _ => arena.or(part.iter().copied()),
+        };
+        self.parts.iter().map(|part| node(part, arena)).collect()
     }
-    let mut p = if is_and { acc } else { 1.0 - acc };
-    for _ in 0..flips {
-        p = 1.0 - p;
+
+    /// Combines the parts' probabilities in canonical part order — the
+    /// sequential multiplication order.
+    fn combine(&self, ps: &[f64]) -> f64 {
+        let Some((is_and, flips)) = self.split else {
+            return ps[0];
+        };
+        let acc: f64 = ps
+            .iter()
+            .fold(1.0, |acc, &p| acc * if is_and { p } else { 1.0 - p });
+        let p = if is_and { acc } else { 1.0 - acc };
+        (0..flips).fold(p, |p, _| 1.0 - p)
     }
-    let main_stats = arena.stats();
-    let merged = ArenaStats {
-        nodes: main_stats.nodes + worker_delta.nodes,
-        intern_hits: main_stats.intern_hits + worker_delta.intern_hits,
+}
+
+/// A root's probability with its sequential run's counters.
+type Evaluated = (f64, Stats, ArenaStats);
+
+/// The fork of the parallel evaluator, over several grounded roots at
+/// once, each in its own arena (the Shannon components of a plan, or
+/// [`probability_dag_parallel`]'s one root). Every root splits where the
+/// sequential engine first would ([`RootSplit`]). With
+/// `policy.threads ≥ 2` and at least two heavy parts across all roots,
+/// each heavy part becomes one [`Job`] on an arena clone and the light
+/// ones run on the calling thread; otherwise every root runs
+/// sequentially (`fallback_seq`). Returns each root's
+/// `(p, Stats, ArenaStats)`, bit-for-bit those of
+/// [`probability_dag_with_stats`] on that root alone, or `None` when
+/// `exec` skipped a task.
+pub(crate) fn probability_dags_exec<F>(
+    mut roots: Vec<(&mut LineageArena, LineageId)>,
+    probs: &F,
+    policy: ParallelPolicy,
+    exec: &dyn TaskExecutor,
+) -> Option<(Vec<Evaluated>, ParReport)>
+where
+    F: Fn(FactId) -> f64,
+{
+    // below two threads nothing splits: every root runs sequentially
+    let splits: Vec<RootSplit> = roots
+        .iter()
+        .filter(|_| policy.threads >= 2)
+        .map(|(arena, root)| RootSplit::of(arena, *root, policy.min_task_vars))
+        .collect();
+    let tasks = splits.iter().flat_map(|s| &s.heavy).filter(|&&h| h).count();
+    if tasks < 2 {
+        let report = ParReport {
+            tasks: 0,
+            fallback_seq: policy.threads >= 2,
+        };
+        let sequential = roots.into_iter().map(|(arena, root)| {
+            let (p, stats) = probability_dag_with_stats(arena, root, probs);
+            (p, stats, arena.stats())
+        });
+        return Some((sequential.collect(), report));
+    }
+    // Dense gather of every fact probability under the roots, shared by
+    // all jobs: the same f64 values `probs` returns, indexed by fact id,
+    // so jobs need no reference to the caller's closure to be `'static`.
+    let mut dense = Vec::new();
+    for &f in roots.iter().flat_map(|(arena, root)| arena.vars(*root)) {
+        dense.resize(dense.len().max(f.0 as usize + 1), 0.0);
+        dense[f.0 as usize] = probs(f);
+    }
+    let dense = std::sync::Arc::new(dense);
+    // Intern each root's sub-nodes, snapshot its arena for its heavy
+    // parts, then evaluate its light parts on the owner arena — clones
+    // were taken first, so per-job deltas stay relative to `base`.
+    let mut jobs: Vec<Job<Evaluated>> = Vec::with_capacity(tasks);
+    let mut light = Vec::with_capacity(roots.len());
+    for ((arena, _), split) in roots.iter_mut().zip(&splits) {
+        let subs = split.sub_roots(arena);
+        let base = arena.stats();
+        for (&sub, _) in subs.iter().zip(&split.heavy).filter(|(_, &h)| h) {
+            let (mut cl, pv) = (arena.clone(), std::sync::Arc::clone(&dense));
+            jobs.push(Box::new(move || {
+                let probs = |id: FactId| pv[id.0 as usize];
+                let (p, st) = probability_dag_with_stats(&mut cl, sub, &probs);
+                (p, st, cl.stats())
+            }));
+        }
+        let inline = subs.iter().zip(&split.heavy).filter(|(_, &h)| !h);
+        let inline: Vec<_> = inline
+            .map(|(&sub, _)| probability_dag_with_stats(arena, sub, probs))
+            .collect();
+        light.push((base, inline.into_iter()));
+    }
+    let mut forked = run_jobs(exec, jobs)?.into_iter();
+    let roots = roots.iter().zip(&splits).zip(light);
+    let results = roots.map(|(((arena, _), split), (base, mut inline))| {
+        let mut stats = Stats {
+            decompositions: usize::from(split.split.is_some()),
+            ..Stats::default()
+        };
+        let mut arena_stats = arena.stats();
+        let mut ps = Vec::with_capacity(split.parts.len());
+        for &heavy in &split.heavy {
+            let (p, st) = if heavy {
+                let (p, st, cl) = forked.next().expect("one result per job");
+                arena_stats.nodes += cl.nodes - base.nodes;
+                arena_stats.intern_hits += cl.intern_hits - base.intern_hits;
+                (p, st)
+            } else {
+                inline.next().expect("one result per light part")
+            };
+            stats.expansions += st.expansions;
+            stats.cache_hits += st.cache_hits;
+            stats.decompositions += st.decompositions;
+            ps.push(p);
+        }
+        (split.combine(&ps), stats, arena_stats)
+    });
+    let report = ParReport {
+        tasks,
+        fallback_seq: false,
     };
-    Some((
-        p,
-        stats,
-        merged,
-        ParReport {
-            tasks: heavy.len(),
-            fallback_seq: false,
-        },
-    ))
+    Some((results.collect(), report))
 }
 
 #[cfg(test)]

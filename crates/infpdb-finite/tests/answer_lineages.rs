@@ -45,9 +45,7 @@ fn answer_probabilities_match_engine_marginals() {
     let t = table();
     let q = parse("exists y. S(x, y) /\\ R(x)", t.schema()).unwrap();
     let ls = answer_lineages(&q, &t).unwrap();
-    let marginals =
-        infpdb_finite::engine::answer_marginals(&q, &t, infpdb_finite::engine::Engine::Auto)
-            .unwrap();
+    let marginals = infpdb_finite::engine::answer_marginals(&q, &t).unwrap();
     assert_eq!(ls.len(), marginals.len());
     for ((tl, l), (tm, pm)) in ls.iter().zip(marginals.iter()) {
         assert_eq!(tl, tm);

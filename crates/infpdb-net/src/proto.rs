@@ -228,7 +228,7 @@ pub fn response_json(query: &str, r: &QueryResponse) -> Json {
     pairs.push(("requested_eps".into(), Json::Float(r.requested_eps)));
     pairs.push(("degraded".into(), Json::Bool(r.degraded)));
     pairs.push(("cached".into(), Json::Bool(r.cached)));
-    // the planner's strategy verdict (null under explicit engines)
+    // the strategy of the plan that ran (null when the trace has none)
     pairs.push((
         "strategy".into(),
         r.strategy().map(Json::str).unwrap_or(Json::Null),

@@ -17,7 +17,7 @@ use infpdb_core::fact::Fact;
 use infpdb_core::schema::Schema;
 use infpdb_core::universe::Universe;
 use infpdb_core::value::Value;
-use infpdb_finite::engine::{self, Engine};
+use infpdb_finite::engine;
 use infpdb_finite::TiTable;
 use infpdb_logic::ast::Formula;
 use infpdb_logic::normal::as_ucq;
@@ -133,9 +133,9 @@ impl LambdaCompletion {
         if let Err(e) = as_ucq(query) {
             return Err(OpenWorldError::NotMonotone(e.to_string()));
         }
-        let lo = engine::prob_boolean(query, &self.base, Engine::Auto)?;
+        let lo = engine::prob_boolean(query, &self.base)?;
         let upper = self.upper_table()?;
-        let hi = engine::prob_boolean(query, &upper, Engine::Auto)?;
+        let hi = engine::prob_boolean(query, &upper)?;
         ProbInterval::new(lo, hi).map_err(OpenWorldError::Math)
     }
 

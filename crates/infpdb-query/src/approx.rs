@@ -16,10 +16,10 @@
 //! sub-instances of `{f₁ … f_n}`, which is how the finite engine evaluates.
 
 use crate::cancel::{CancelInfo, CancelKind, CancelToken};
-use crate::planner::{self, PlanKnobs, PlanProfile, ProfileOutcome};
+use crate::planner::{self, Engine, PlanKnobs, PlanProfile, Planner, ProfileOutcome};
 use crate::truncate::{partial_certificate, PlannedTruncation, TruncationPlan};
 use crate::QueryError;
-use infpdb_finite::engine::{self, Engine, EvalTrace};
+use infpdb_finite::engine::{self, EvalTrace};
 use infpdb_finite::plan::{evaluate_plan, ChosenPlan};
 use infpdb_finite::TiTable;
 use infpdb_logic::ast::Formula;
@@ -49,15 +49,16 @@ impl Approximation {
 }
 
 /// Proposition 6.1: additive-ε approximation of `P(Q)` for a Boolean FO
-/// query `Q` on a countable t.i. PDB, using the chosen finite engine for
-/// the `P(Q | Ω_n)` evaluation.
+/// query `Q` on a countable t.i. PDB. `engine` picks the plan for the
+/// `P(Q | Ω_n)` evaluation: [`Engine::Auto`] for the cost-based planner,
+/// [`Engine::Force`] for one strategy on every component.
 ///
 /// ```
 /// use infpdb_core::schema::{RelId, Relation, Schema};
-/// use infpdb_finite::engine::Engine;
 /// use infpdb_logic::parse;
 /// use infpdb_math::series::GeometricSeries;
 /// use infpdb_query::approx::approx_prob_boolean;
+/// use infpdb_query::Engine;
 /// use infpdb_ti::{construction::CountableTiPdb, enumerator::FactSupply};
 ///
 /// // R(1), R(2), … with probabilities 1/2, 1/4, …
@@ -75,52 +76,41 @@ pub fn approx_prob_boolean(
     pdb: &CountableTiPdb,
     query: &Formula,
     eps: f64,
-    finite_engine: Engine,
+    engine: Engine,
 ) -> Result<Approximation, QueryError> {
-    approx_prob_boolean_par(pdb, query, eps, finite_engine, 1)
+    approx_prob_boolean_par(pdb, query, eps, engine, 1)
 }
 
 /// [`approx_prob_boolean`] with up to `parallelism` worker threads inside
 /// the finite evaluation (bit-for-bit identical estimates at every thread
-/// count — see [`infpdb_finite::shannon::probability_dag_parallel`]).
+/// count — see [`infpdb_finite::plan::evaluate_plan`]).
 pub fn approx_prob_boolean_par(
     pdb: &CountableTiPdb,
     query: &Formula,
     eps: f64,
-    finite_engine: Engine,
+    engine: Engine,
     parallelism: usize,
 ) -> Result<Approximation, QueryError> {
-    if matches!(finite_engine, Engine::Auto) {
-        // Engine::Auto routes through the cost-based planner; a fresh
-        // token never cancels, so the cancellable path is exact here
-        return auto_planned_cancellable(
-            pdb,
-            query,
-            eps,
-            parallelism,
-            &CancelToken::new(),
-            PartialOnCancel::Skip,
-        )
-        .map(|(a, _)| a);
-    }
-    let plan = TruncationPlan::new(pdb, eps)?;
-    let (estimate, _) =
-        engine::prob_boolean_traced_par(query, &plan.table, finite_engine, parallelism)?;
-    Ok(Approximation {
-        estimate,
+    // a fresh token never cancels
+    approx_prob_boolean_cancellable(
+        pdb,
+        query,
         eps,
-        n: plan.n(),
-        tail_mass: plan.truncation.tail_mass,
-    })
+        engine,
+        parallelism,
+        &CancelToken::new(),
+        PartialOnCancel::Skip,
+    )
+    .map(|(a, _)| a)
 }
 
 /// Whether a cancelled evaluation should still produce a sound partial
 /// answer from the facts processed so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartialOnCancel {
-    /// Run the finite engine on the partial prefix (at the tolerance
+    /// Run the exact evaluator on the partial prefix (at the tolerance
     /// [`partial_certificate`] certifies) and attach the result to the
-    /// [`CancelInfo`]. This spends one engine run *after* the
+    /// [`CancelInfo`]. This spends one evaluation *after* the
     /// cancellation fired, bounded by the work already admitted.
     #[default]
     Evaluate,
@@ -128,160 +118,32 @@ pub enum PartialOnCancel {
     Skip,
 }
 
-/// [`approx_prob_boolean`] with cooperative cancellation: the truncation
-/// loop checks `cancel` every [`crate::cancel::CHECK_EVERY`] facts and,
-/// once more, right before the (non-interruptible) finite-engine stage.
+/// [`approx_prob_boolean_par`] with cooperative cancellation, plus the
+/// finite evaluation's [`EvalTrace`] — Shannon memo/expansion counters,
+/// arena interning statistics and the executed plan's summary. This is
+/// the one-shot Proposition 6.1 path: profile at the canonical knobs
+/// tolerance, plan at `eps` under `engine`, truncate at the plan's
+/// `ε_trunc` and evaluate the plan. Deterministic — the plan depends only
+/// on the PDB/query fingerprints, ε, the engine and the default
+/// [`PlanKnobs`] — and bit-for-bit the prepared path
+/// ([`crate::PreparedQuery::execute`]), which profiles on byte-identical
+/// prefix tables, at every thread count.
 ///
-/// On cancellation the error carries a [`CancelInfo`]: which trigger
-/// fired, how many facts were materialized, and — under
-/// [`PartialOnCancel::Evaluate`] — a sound anytime [`Approximation`] at
-/// the wider tolerance the partial prefix certifies. The partial answer
-/// is a *bona fide* Proposition 6.1 result: the `m`-fact prefix is the
-/// truncation `Ω_m`, and its certificate comes from the series' own
-/// tail bound at `m` (see [`partial_certificate`]).
+/// The truncation loops check `cancel` every
+/// [`crate::cancel::CHECK_EVERY`] facts and, once more, right before the
+/// (non-interruptible) finite evaluation. On cancellation the error
+/// carries a [`CancelInfo`]: which trigger fired, how many facts were
+/// materialized, and — under [`PartialOnCancel::Evaluate`] — a sound
+/// anytime [`Approximation`] at the wider tolerance the partial prefix
+/// certifies. The partial answer is a *bona fide* Proposition 6.1
+/// result: the `m`-fact prefix is the truncation `Ω_m`, and its
+/// certificate comes from the series' own tail bound at `m` (see
+/// [`partial_certificate`]).
 pub fn approx_prob_boolean_cancellable(
     pdb: &CountableTiPdb,
     query: &Formula,
     eps: f64,
-    finite_engine: Engine,
-    cancel: &CancelToken,
-    partial_policy: PartialOnCancel,
-) -> Result<Approximation, QueryError> {
-    approx_prob_boolean_cancellable_traced(pdb, query, eps, finite_engine, cancel, partial_policy)
-        .map(|(a, _)| a)
-}
-
-/// [`approx_prob_boolean_cancellable`] plus the finite engine's
-/// [`EvalTrace`] on success — Shannon memo/expansion counters and arena
-/// interning statistics, which the serve layer exports as metrics. One
-/// hash-consed arena serves the entire evaluation (grounding through
-/// inference); the trace reports its final size.
-pub fn approx_prob_boolean_cancellable_traced(
-    pdb: &CountableTiPdb,
-    query: &Formula,
-    eps: f64,
-    finite_engine: Engine,
-    cancel: &CancelToken,
-    partial_policy: PartialOnCancel,
-) -> Result<(Approximation, EvalTrace), QueryError> {
-    approx_prob_boolean_cancellable_traced_par(
-        pdb,
-        query,
-        eps,
-        finite_engine,
-        1,
-        cancel,
-        partial_policy,
-    )
-}
-
-/// [`approx_prob_boolean_cancellable_traced`] with up to `parallelism`
-/// worker threads inside the finite evaluation. Estimates, cancellation
-/// behavior, and partial answers are bit-for-bit identical to the
-/// sequential path; the trace additionally carries
-/// [`EvalTrace::parallel`] when `parallelism ≥ 2` reaches the lineage
-/// engine.
-pub fn approx_prob_boolean_cancellable_traced_par(
-    pdb: &CountableTiPdb,
-    query: &Formula,
-    eps: f64,
-    finite_engine: Engine,
-    parallelism: usize,
-    cancel: &CancelToken,
-    partial_policy: PartialOnCancel,
-) -> Result<(Approximation, EvalTrace), QueryError> {
-    if matches!(finite_engine, Engine::Auto) {
-        return auto_planned_cancellable(pdb, query, eps, parallelism, cancel, partial_policy);
-    }
-    let stop = match TruncationPlan::new_cancellable(pdb, eps, cancel)? {
-        PlannedTruncation::Complete(plan) => {
-            // last checkpoint before the engine: don't start a run
-            // whose budget is already spent
-            match cancel.check() {
-                Ok(()) => {
-                    let (estimate, trace) = engine::prob_boolean_traced_par(
-                        query,
-                        &plan.table,
-                        finite_engine,
-                        parallelism,
-                    )?;
-                    return Ok((
-                        Approximation {
-                            estimate,
-                            eps,
-                            n: plan.n(),
-                            tail_mass: plan.truncation.tail_mass,
-                        },
-                        trace,
-                    ));
-                }
-                Err(kind) => (kind, plan.n(), plan.table),
-            }
-        }
-        PlannedTruncation::Cancelled {
-            kind,
-            facts_processed,
-            partial_table,
-        } => (kind, facts_processed, partial_table),
-    };
-    Err(cancelled(
-        pdb,
-        query,
-        finite_engine,
-        parallelism,
-        partial_policy,
-        None,
-        stop,
-    ))
-}
-
-/// The cancellation tail of every Proposition 6.1 path: certify the
-/// facts materialized before the checkpoint fired, at the `ε_m` their
-/// prefix supports, and (policy permitting) evaluate a sound partial
-/// answer on them with `finite_engine`. When the chosen plan samples a
-/// component there is no partial: the exact engine would run the
-/// Shannon expansion the plan priced out, after the budget is spent.
-pub(crate) fn cancelled(
-    pdb: &CountableTiPdb,
-    query: &Formula,
-    finite_engine: Engine,
-    parallelism: usize,
-    partial_policy: PartialOnCancel,
-    plan: Option<&ChosenPlan>,
-    (kind, facts_processed, partial_table): (CancelKind, usize, TiTable),
-) -> QueryError {
-    let evaluate =
-        partial_policy == PartialOnCancel::Evaluate && !plan.is_some_and(ChosenPlan::has_sampling);
-    let partial = evaluate
-        .then(|| partial_certificate(pdb, facts_processed))
-        .flatten()
-        .and_then(|(trunc, eps_m)| {
-            engine::prob_boolean_traced_par(query, &partial_table, finite_engine, parallelism)
-                .ok()
-                .map(|(estimate, _)| Approximation {
-                    estimate,
-                    eps: eps_m,
-                    n: trunc.n,
-                    tail_mass: trunc.tail_mass,
-                })
-        });
-    QueryError::Cancelled(CancelInfo {
-        kind,
-        facts_processed,
-        partial,
-    })
-}
-
-/// The one-shot `Engine::Auto` path: profile at the canonical knobs
-/// tolerance, choose the cheapest per-component strategy, truncate at the
-/// plan's `ε_trunc`, and evaluate the chosen plan. Deterministic — the
-/// plan depends only on the PDB/query fingerprints, ε, and the default
-/// [`PlanKnobs`] — and bit-for-bit identical to the prepared-path
-/// planner, which profiles on byte-identical prefix tables.
-fn auto_planned_cancellable(
-    pdb: &CountableTiPdb,
-    query: &Formula,
-    eps: f64,
+    engine: Engine,
     parallelism: usize,
     cancel: &CancelToken,
     partial_policy: PartialOnCancel,
@@ -301,30 +163,23 @@ fn auto_planned_cancellable(
                 partial_table,
             } => break 'cancelled (kind, facts_processed, partial_table),
         };
-        let plan = chosen.insert(profile.choose(eps, n_eval, &knobs));
+        let (plan, _) = Planner::new(profile).plan(engine, eps, n_eval, &knobs)?;
+        let plan = chosen.insert(plan);
         match TruncationPlan::new_cancellable(pdb, plan.eps_trunc, cancel)? {
             PlannedTruncation::Complete(tplan) => match cancel.check() {
                 Ok(()) => {
-                    match evaluate_plan(&compiled, plan, &tplan.table, parallelism, None)? {
-                        Some((estimate, trace)) => {
-                            return Ok((
-                                Approximation {
-                                    estimate,
-                                    eps,
-                                    n: tplan.truncation.n,
-                                    tail_mass: tplan.truncation.tail_mass,
-                                },
-                                trace,
-                            ));
-                        }
-                        // only a task-skipping executor returns None, and
-                        // this path runs without one — treat defensively
-                        // as a cancellation
-                        None => {
-                            let kind = cancel.cancelled_kind().unwrap_or(CancelKind::Explicit);
-                            break 'cancelled (kind, tplan.n(), tplan.table);
-                        }
-                    }
+                    let (estimate, trace) =
+                        evaluate_plan(&compiled, plan, &tplan.table, parallelism, None)?
+                            .expect("the fork-join executor runs every task");
+                    let n = tplan.truncation.n;
+                    let tail_mass = tplan.truncation.tail_mass;
+                    let approx = Approximation {
+                        estimate,
+                        eps,
+                        n,
+                        tail_mass,
+                    };
+                    return Ok((approx, trace));
                 }
                 Err(kind) => break 'cancelled (kind, tplan.n(), tplan.table),
             },
@@ -338,33 +193,53 @@ fn auto_planned_cancellable(
     Err(cancelled(
         pdb,
         query,
-        Engine::Auto,
         parallelism,
         partial_policy,
-        chosen.as_ref(),
+        chosen.as_deref(),
         stop,
     ))
 }
 
-/// The same algorithm against an explicit [`TruncationPlan`] (reuse across
-/// a query workload: the plan depends only on ε and the PDB).
-pub fn approx_with_plan(
-    plan: &TruncationPlan,
+/// The cancellation tail of every Proposition 6.1 path: certify the
+/// facts materialized before the checkpoint fired, at the `ε_m` their
+/// prefix supports, and (policy permitting) evaluate a sound partial
+/// answer on them with the exact evaluator. When the chosen plan samples
+/// a component there is no partial: the exact evaluator would run the
+/// Shannon expansion the plan priced out, after the budget is spent.
+pub(crate) fn cancelled(
+    pdb: &CountableTiPdb,
     query: &Formula,
-    finite_engine: Engine,
-) -> Result<Approximation, QueryError> {
-    let estimate = engine::prob_boolean(query, &plan.table, finite_engine)?;
-    Ok(Approximation {
-        estimate,
-        eps: plan.eps,
-        n: plan.n(),
-        tail_mass: plan.truncation.tail_mass,
+    parallelism: usize,
+    partial_policy: PartialOnCancel,
+    plan: Option<&ChosenPlan>,
+    (kind, facts_processed, partial_table): (CancelKind, usize, TiTable),
+) -> QueryError {
+    let evaluate =
+        partial_policy == PartialOnCancel::Evaluate && !plan.is_some_and(ChosenPlan::has_sampling);
+    let partial = evaluate
+        .then(|| partial_certificate(pdb, facts_processed))
+        .flatten()
+        .and_then(|(trunc, eps_m)| {
+            engine::prob_boolean_traced(query, &partial_table, parallelism)
+                .ok()
+                .map(|(estimate, _)| Approximation {
+                    estimate,
+                    eps: eps_m,
+                    n: trunc.n,
+                    tail_mass: trunc.tail_mass,
+                })
+        });
+    QueryError::Cancelled(CancelInfo {
+        kind,
+        facts_processed,
+        partial,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::StrategyKind;
     use infpdb_core::schema::{RelId, Relation, Schema};
     use infpdb_logic::parse;
     use infpdb_math::series::{GeometricSeries, ZetaSeries};
@@ -461,24 +336,11 @@ mod tests {
     fn engines_agree_through_the_truncation() {
         let p = pdb(GeometricSeries::new(0.5, 0.5).unwrap());
         let q = parse("exists x. R(x)", p.schema()).unwrap();
-        let lifted = approx_prob_boolean(&p, &q, 0.05, Engine::Lifted).unwrap();
-        let lineage = approx_prob_boolean(&p, &q, 0.05, Engine::Lineage).unwrap();
+        let lifted =
+            approx_prob_boolean(&p, &q, 0.05, Engine::Force(StrategyKind::Lifted)).unwrap();
+        let lineage =
+            approx_prob_boolean(&p, &q, 0.05, Engine::Force(StrategyKind::Shannon)).unwrap();
         assert!((lifted.estimate - lineage.estimate).abs() < 1e-9);
-    }
-
-    #[test]
-    fn plan_reuse_across_workload() {
-        let p = pdb(GeometricSeries::new(0.5, 0.5).unwrap());
-        let plan = TruncationPlan::new(&p, 0.05).unwrap();
-        let truth = truth_exists(&p, 2000);
-        for qs in ["exists x. R(x)", "R(1)", "R(1) \\/ R(2)"] {
-            let q = parse(qs, p.schema()).unwrap();
-            let a = approx_with_plan(&plan, &q, Engine::Auto).unwrap();
-            assert_eq!(a.n, plan.n());
-            if qs == "exists x. R(x)" {
-                assert!((a.estimate - truth).abs() <= 0.05);
-            }
-        }
     }
 
     #[test]
@@ -493,40 +355,25 @@ mod tests {
     #[test]
     fn cancellable_matches_plain_path_bit_for_bit() {
         let p = pdb(GeometricSeries::new(0.5, 0.5).unwrap());
-        let q = parse("exists x. R(x)", p.schema()).unwrap();
-        let plain = approx_prob_boolean(&p, &q, 0.01, Engine::Auto).unwrap();
-        let token = CancelToken::new();
-        let via_token = approx_prob_boolean_cancellable(
-            &p,
-            &q,
-            0.01,
-            Engine::Auto,
-            &token,
-            PartialOnCancel::Evaluate,
-        )
-        .unwrap();
-        assert_eq!(plain, via_token);
-    }
-
-    #[test]
-    fn traced_variant_reports_engine_work() {
-        let p = pdb(GeometricSeries::new(0.5, 0.5).unwrap());
-        let q = parse("exists x, y. R(x) /\\ R(y) /\\ x != y", p.schema()).unwrap();
-        let token = CancelToken::new();
-        let (a, trace) = approx_prob_boolean_cancellable_traced(
-            &p,
-            &q,
-            0.05,
-            Engine::Lineage,
-            &token,
-            PartialOnCancel::Evaluate,
-        )
-        .unwrap();
-        let plain = approx_prob_boolean(&p, &q, 0.05, Engine::Lineage).unwrap();
-        assert_eq!(a, plain);
-        let arena = trace.arena.expect("lineage engine fills arena stats");
-        assert!(arena.nodes > 2);
-        assert!(trace.shannon.is_some());
+        let shannon = Engine::Force(StrategyKind::Shannon);
+        for (qs, eps, engine) in [
+            ("exists x. R(x)", 0.01, Engine::Auto),
+            ("exists x, y. R(x) /\\ R(y) /\\ x != y", 0.05, shannon),
+        ] {
+            let q = parse(qs, p.schema()).unwrap();
+            let plain = approx_prob_boolean(&p, &q, eps, engine).unwrap();
+            let token = CancelToken::new();
+            let policy = PartialOnCancel::Evaluate;
+            let (a, trace) =
+                approx_prob_boolean_cancellable(&p, &q, eps, engine, 1, &token, policy).unwrap();
+            assert_eq!(plain, a, "{qs}");
+            if engine == shannon {
+                let arena = trace.arena.expect("lineage engine fills arena stats");
+                assert!(arena.nodes > 2);
+                assert!(trace.shannon.is_some());
+                assert_eq!(trace.plan.map(|s| s.shannon), Some(1));
+            }
+        }
     }
 
     #[test]
@@ -544,6 +391,7 @@ mod tests {
             &q,
             0.01,
             Engine::Auto,
+            1,
             &token,
             PartialOnCancel::Evaluate,
         )
@@ -572,6 +420,7 @@ mod tests {
             &q,
             0.01,
             Engine::Auto,
+            1,
             &token,
             PartialOnCancel::Skip,
         )
@@ -608,15 +457,7 @@ mod tests {
                 eps_trunc: 0.01,
             };
             let stop = (CancelKind::Deadline, n, prefix.table.clone());
-            match cancelled(
-                &p,
-                &q,
-                Engine::Auto,
-                1,
-                PartialOnCancel::Evaluate,
-                Some(&plan),
-                stop,
-            ) {
+            match cancelled(&p, &q, 1, PartialOnCancel::Evaluate, Some(&plan), stop) {
                 QueryError::Cancelled(info) => info,
                 other => panic!("expected Cancelled, got {other:?}"),
             }

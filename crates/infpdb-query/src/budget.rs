@@ -16,7 +16,7 @@
 
 use crate::truncate::TruncationPlan;
 use crate::QueryError;
-use infpdb_finite::engine::{self, Engine};
+use infpdb_finite::engine;
 use infpdb_finite::TiTable;
 use infpdb_logic::ast::Formula;
 use infpdb_math::KahanSum;
@@ -63,12 +63,12 @@ pub fn n_of_eps_profile(
 }
 
 /// Additive-ε approximation of `P′(Q)` on a completed PDB (mixture of a
-/// finite original with an independent t.i. tail).
+/// finite original with an independent t.i. tail), each world's
+/// conditional table evaluated exactly by [`engine::prob_boolean`].
 pub fn approx_prob_completed(
     completed: &CompletedPdb,
     query: &Formula,
     eps: f64,
-    finite_engine: Engine,
 ) -> Result<crate::approx::Approximation, QueryError> {
     let tail_plan = TruncationPlan::new(completed.tail(), eps)?;
     let original = completed.original();
@@ -90,7 +90,7 @@ pub fn approx_prob_completed(
                 .add_fact(fact.clone(), p)
                 .map_err(|e| QueryError::Finite(e.to_string()))?;
         }
-        let cond = engine::prob_boolean(query, &table, finite_engine)?;
+        let cond = engine::prob_boolean(query, &table)?;
         acc.add(pw * cond);
     }
     Ok(crate::approx::Approximation {
@@ -110,12 +110,11 @@ pub fn approx_answers_completed(
     completed: &CompletedPdb,
     query: &Formula,
     eps: f64,
-    finite_engine: Engine,
 ) -> Result<Vec<(Vec<infpdb_core::value::Value>, f64)>, QueryError> {
     use infpdb_core::value::Value;
     let fv: Vec<String> = infpdb_logic::vars::free_vars(query).into_iter().collect();
     if fv.is_empty() {
-        let a = approx_prob_completed(completed, query, eps, finite_engine)?;
+        let a = approx_prob_completed(completed, query, eps)?;
         return Ok(if a.estimate > 0.0 {
             vec![(vec![], a.estimate)]
         } else {
@@ -140,7 +139,6 @@ pub fn approx_answers_completed(
         completed,
         query,
         eps,
-        finite_engine,
         &fv,
         &domain,
         0,
@@ -155,7 +153,6 @@ fn answers_rec(
     completed: &CompletedPdb,
     query: &Formula,
     eps: f64,
-    finite_engine: Engine,
     fv: &[String],
     domain: &[infpdb_core::value::Value],
     i: usize,
@@ -164,7 +161,7 @@ fn answers_rec(
 ) -> Result<(), QueryError> {
     if i == fv.len() {
         let sentence = infpdb_logic::vars::ground(query, assignment);
-        let a = approx_prob_completed(completed, &sentence, eps, finite_engine)?;
+        let a = approx_prob_completed(completed, &sentence, eps)?;
         if a.estimate > 0.0 {
             out.push((
                 assignment.iter().map(|(_, v)| v.clone()).collect(),
@@ -175,17 +172,7 @@ fn answers_rec(
     }
     for v in domain {
         assignment.push((fv[i].clone(), v.clone()));
-        answers_rec(
-            completed,
-            query,
-            eps,
-            finite_engine,
-            fv,
-            domain,
-            i + 1,
-            assignment,
-            out,
-        )?;
+        answers_rec(completed, query, eps, fv, domain, i + 1, assignment, out)?;
         assignment.pop();
     }
     Ok(())
@@ -262,19 +249,19 @@ mod tests {
         let completed = complete_pdb(original, tail).unwrap();
         // Q = ∃x R(x): true in every world (original part is nonempty)
         let q = parse("exists x. R(x)", &schema()).unwrap();
-        let a = approx_prob_completed(&completed, &q, 0.01, Engine::Auto).unwrap();
+        let a = approx_prob_completed(&completed, &q, 0.01).unwrap();
         assert!((a.estimate - 1.0).abs() <= 0.01);
         // Q = R(1): probability 0.6 — original correlation intact
         let q1 = parse("R(1)", &schema()).unwrap();
-        let a1 = approx_prob_completed(&completed, &q1, 0.01, Engine::Auto).unwrap();
+        let a1 = approx_prob_completed(&completed, &q1, 0.01).unwrap();
         assert!((a1.estimate - 0.6).abs() <= 0.01);
         // Q = R(100): the open-world tail fact
         let q2 = parse("R(100)", &schema()).unwrap();
-        let a2 = approx_prob_completed(&completed, &q2, 0.01, Engine::Auto).unwrap();
+        let a2 = approx_prob_completed(&completed, &q2, 0.01).unwrap();
         assert!((a2.estimate - 0.25).abs() <= 0.01);
         // Q = R(1) ∧ R(2): impossible in the original, still impossible
         let q3 = parse("R(1) /\\ R(2)", &schema()).unwrap();
-        let a3 = approx_prob_completed(&completed, &q3, 0.01, Engine::Auto).unwrap();
+        let a3 = approx_prob_completed(&completed, &q3, 0.01).unwrap();
         assert!(a3.estimate <= 0.01);
     }
 
@@ -291,7 +278,7 @@ mod tests {
         );
         let completed = complete_pdb(original, tail).unwrap();
         let q = parse("R(1) /\\ R(2)", &schema()).unwrap();
-        let a = approx_prob_completed(&completed, &q, 0.005, Engine::Auto).unwrap();
+        let a = approx_prob_completed(&completed, &q, 0.005).unwrap();
         // truth: 0.9 × 0.2
         assert!((a.estimate - 0.18).abs() <= 0.005);
     }
@@ -308,7 +295,7 @@ mod tests {
         );
         let completed = complete_pdb(original, tail).unwrap();
         let q = parse("R(x)", &schema()).unwrap();
-        let ans = approx_answers_completed(&completed, &q, 0.01, Engine::Auto).unwrap();
+        let ans = approx_answers_completed(&completed, &q, 0.01).unwrap();
         let find = |n: i64| {
             ans.iter()
                 .find(|(t, _)| t[0] == Value::int(n))
@@ -320,7 +307,7 @@ mod tests {
         assert_eq!(find(50), None);
         // boolean degenerate
         let b = parse("exists x. R(x)", &schema()).unwrap();
-        let bans = approx_answers_completed(&completed, &b, 0.01, Engine::Auto).unwrap();
+        let bans = approx_answers_completed(&completed, &b, 0.01).unwrap();
         assert_eq!(bans.len(), 1);
         assert!(bans[0].1 > 0.99);
     }

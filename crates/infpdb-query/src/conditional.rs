@@ -11,10 +11,8 @@
 //!   by linearity of expectation this is the sum of the per-tuple marginal
 //!   probabilities, each approximated within ε, over `adom(Ω_n)`.
 
-use crate::approx::approx_with_plan;
-use crate::truncate::TruncationPlan;
+use crate::truncate::{approx_with_plan, TruncationPlan};
 use crate::QueryError;
-use infpdb_finite::engine::Engine;
 use infpdb_logic::ast::Formula;
 use infpdb_math::ProbInterval;
 use infpdb_ti::construction::CountableTiPdb;
@@ -40,12 +38,11 @@ pub fn approx_conditional(
     query: &Formula,
     condition: &Formula,
     eps_inner: f64,
-    engine: Engine,
 ) -> Result<ConditionalEstimate, QueryError> {
     let plan = TruncationPlan::new(pdb, eps_inner)?;
     let joint_formula = query.clone().and(condition.clone());
-    let joint = approx_with_plan(&plan, &joint_formula, engine)?;
-    let cond = approx_with_plan(&plan, condition, engine)?;
+    let joint = approx_with_plan(&plan, &joint_formula)?;
+    let cond = approx_with_plan(&plan, condition)?;
     let joint_iv = joint.interval();
     let cond_iv = cond.interval();
     if cond_iv.lo() <= 0.0 {
@@ -85,10 +82,9 @@ pub fn approx_expected_answers(
     pdb: &CountableTiPdb,
     query: &Formula,
     eps: f64,
-    engine: Engine,
 ) -> Result<ExpectedAnswers, QueryError> {
     let plan = TruncationPlan::new(pdb, eps)?;
-    let answers = crate::marginal::approx_answers_with_plan(&plan, query, engine)?;
+    let answers = crate::marginal::approx_answers_with_plan(&plan, query)?;
     let estimate = infpdb_math::KahanSum::sum_iter(answers.iter().map(|a| a.prob));
     Ok(ExpectedAnswers {
         estimate,
@@ -121,7 +117,7 @@ mod tests {
         let p = pdb();
         let q = parse("R(1)", p.schema()).unwrap();
         let c = parse("R(2)", p.schema()).unwrap();
-        let e = approx_conditional(&p, &q, &c, 0.01, Engine::Auto).unwrap();
+        let e = approx_conditional(&p, &q, &c, 0.01).unwrap();
         // independence: P(R(1) | R(2)) = P(R(1)) = 0.5
         assert!(e.interval.contains(0.5), "0.5 ∉ {}", e.interval);
         assert!((e.estimate - 0.5).abs() < 0.1);
@@ -131,7 +127,7 @@ mod tests {
     fn conditional_on_itself_is_one() {
         let p = pdb();
         let q = parse("R(1)", p.schema()).unwrap();
-        let e = approx_conditional(&p, &q, &q, 0.01, Engine::Auto).unwrap();
+        let e = approx_conditional(&p, &q, &q, 0.01).unwrap();
         assert!(e.interval.contains(1.0));
         assert!(e.estimate > 0.9);
     }
@@ -141,7 +137,7 @@ mod tests {
         let p = pdb();
         let q = parse("!R(1)", p.schema()).unwrap();
         let c = parse("R(1)", p.schema()).unwrap();
-        let e = approx_conditional(&p, &q, &c, 0.01, Engine::Auto).unwrap();
+        let e = approx_conditional(&p, &q, &c, 0.01).unwrap();
         assert!(e.interval.contains(0.0));
         assert!(e.estimate < 0.1);
     }
@@ -152,7 +148,7 @@ mod tests {
         // P(R(1) | ∃x R(x)) = P(R(1)) / P(∃x R(x)) since R(1) ⊆ ∃x R(x)
         let q = parse("R(1)", p.schema()).unwrap();
         let c = parse("exists x. R(x)", p.schema()).unwrap();
-        let e = approx_conditional(&p, &q, &c, 0.005, Engine::Auto).unwrap();
+        let e = approx_conditional(&p, &q, &c, 0.005).unwrap();
         let mut none = 1.0;
         for i in 0..1000 {
             none *= 1.0 - p.supply().prob(i);
@@ -168,7 +164,7 @@ mod tests {
         // R(40) has probability 2^-40 ≈ 0: the certified denominator
         // interval straddles 0 at any reasonable ε
         let c = parse("R(40)", p.schema()).unwrap();
-        assert!(approx_conditional(&p, &q, &c, 0.01, Engine::Auto).is_err());
+        assert!(approx_conditional(&p, &q, &c, 0.01).is_err());
     }
 
     #[test]
@@ -176,7 +172,7 @@ mod tests {
         let p = pdb();
         // E[|{x : R(x)}|] = E(S_D) = 1 for this PDB
         let q = parse("R(x)", p.schema()).unwrap();
-        let e = approx_expected_answers(&p, &q, 0.001, Engine::Auto).unwrap();
+        let e = approx_expected_answers(&p, &q, 0.001).unwrap();
         assert!(
             (e.estimate - 1.0).abs() < 0.01,
             "estimate {} should be ≈ 1",
@@ -190,7 +186,7 @@ mod tests {
     fn expected_answers_of_empty_query() {
         let p = pdb();
         let q = parse("R(x) /\\ false", p.schema()).unwrap();
-        let e = approx_expected_answers(&p, &q, 0.01, Engine::Auto).unwrap();
+        let e = approx_expected_answers(&p, &q, 0.01).unwrap();
         assert_eq!(e.estimate, 0.0);
         assert_eq!(e.support, 0);
     }

@@ -42,7 +42,7 @@ pub mod truncate;
 pub use approx::{approx_prob_boolean, Approximation};
 pub use cancel::{CancelInfo, CancelKind, CancelToken};
 pub use persist::{OpenReport, StoreStatus};
-pub use planner::{PlanKnobs, Planner};
+pub use planner::{Engine, PlanKnobs, Planner, StrategyKind};
 pub use prepared::{PreparedPdb, PreparedQuery};
 
 /// Errors of the approximate-evaluation layer.
@@ -57,6 +57,16 @@ pub enum QueryError {
     /// Propagated numerics error (includes tolerance validation:
     /// Proposition 6.1 requires `ε ∈ (0, 1/2)`).
     Math(infpdb_math::MathError),
+    /// A forced strategy cannot evaluate one of the query's components:
+    /// no safe plan for lifted, no bounded monotone DNF for Karp–Luby, or
+    /// sampling disqualified at this ε.
+    Ineligible {
+        /// The forced strategy.
+        strategy: planner::StrategyKind,
+        /// The first component it cannot evaluate, in the compiled
+        /// query's component order.
+        component: usize,
+    },
     /// The evaluation was stopped by a [`cancel::CancelToken`] checkpoint
     /// (explicit cancellation or an expired deadline), possibly carrying
     /// a sound partial answer from the facts processed so far.
@@ -70,6 +80,14 @@ impl std::fmt::Display for QueryError {
             QueryError::Finite(e) => write!(f, "{e}"),
             QueryError::Logic(e) => write!(f, "{e}"),
             QueryError::Math(e) => write!(f, "{e}"),
+            QueryError::Ineligible {
+                strategy,
+                component,
+            } => write!(
+                f,
+                "component {component} is ineligible for the forced strategy {}",
+                strategy.name()
+            ),
             QueryError::Cancelled(info) => {
                 let what = match info.kind {
                     cancel::CancelKind::Explicit => "cancelled",

@@ -11,7 +11,7 @@
 use crate::truncate::TruncationPlan;
 use crate::QueryError;
 use infpdb_core::value::Value;
-use infpdb_finite::engine::{self, Engine};
+use infpdb_finite::engine;
 use infpdb_logic::ast::Formula;
 use infpdb_ti::construction::CountableTiPdb;
 
@@ -31,19 +31,18 @@ pub fn approx_answers(
     pdb: &CountableTiPdb,
     query: &Formula,
     eps: f64,
-    finite_engine: Engine,
 ) -> Result<Vec<ApproxAnswer>, QueryError> {
     let plan = TruncationPlan::new(pdb, eps)?;
-    approx_answers_with_plan(&plan, query, finite_engine)
+    approx_answers_with_plan(&plan, query)
 }
 
-/// [`approx_answers`] with a reusable plan.
+/// [`approx_answers`] with a reusable plan, each sentence evaluated
+/// exactly by [`engine::answer_marginals`].
 pub fn approx_answers_with_plan(
     plan: &TruncationPlan,
     query: &Formula,
-    finite_engine: Engine,
 ) -> Result<Vec<ApproxAnswer>, QueryError> {
-    let marginals = engine::answer_marginals(query, &plan.table, finite_engine)?;
+    let marginals = engine::answer_marginals(query, &plan.table)?;
     Ok(marginals
         .into_iter()
         .map(|(tuple, prob)| ApproxAnswer { tuple, prob })
@@ -59,9 +58,8 @@ pub fn top_k_answers(
     query: &Formula,
     eps: f64,
     k: usize,
-    finite_engine: Engine,
 ) -> Result<Vec<ApproxAnswer>, QueryError> {
-    let mut answers = approx_answers(pdb, query, eps, finite_engine)?;
+    let mut answers = approx_answers(pdb, query, eps)?;
     answers.sort_by(|a, b| {
         b.prob
             .partial_cmp(&a.prob)
@@ -94,7 +92,7 @@ mod tests {
     fn answers_recover_fact_marginals() {
         let p = pdb();
         let q = parse("R(x)", p.schema()).unwrap();
-        let ans = approx_answers(&p, &q, 0.01, Engine::Auto).unwrap();
+        let ans = approx_answers(&p, &q, 0.01).unwrap();
         // answers are R(1) … R(n) with marginal = fact probability, exact
         // here (each sentence R(a) has exact probability on the prefix)
         assert!(ans.len() >= 7);
@@ -115,7 +113,7 @@ mod tests {
         let p = pdb();
         let q = parse("R(x)", p.schema()).unwrap();
         let eps = 0.1;
-        let ans = approx_answers(&p, &q, eps, Engine::Auto).unwrap();
+        let ans = approx_answers(&p, &q, eps).unwrap();
         // every answered tuple is within the truncated active domain, and
         // omitted facts have probability ≤ tail mass ≤ ε
         let plan = TruncationPlan::new(&p, eps).unwrap();
@@ -130,7 +128,7 @@ mod tests {
     fn boolean_queries_degenerate_to_unit_answers() {
         let p = pdb();
         let q = parse("exists x. R(x)", p.schema()).unwrap();
-        let ans = approx_answers(&p, &q, 0.05, Engine::Auto).unwrap();
+        let ans = approx_answers(&p, &q, 0.05).unwrap();
         assert_eq!(ans.len(), 1);
         assert!(ans[0].tuple.is_empty());
         assert!(ans[0].prob > 0.6);
@@ -141,7 +139,7 @@ mod tests {
         let p = pdb();
         // pairs (x, y) with both facts present: independent product
         let q = parse("R(x) /\\ R(y)", p.schema()).unwrap();
-        let ans = approx_answers(&p, &q, 0.05, Engine::Auto).unwrap();
+        let ans = approx_answers(&p, &q, 0.05).unwrap();
         let find = |a: i64, b: i64| {
             ans.iter()
                 .find(|t| t.tuple == vec![Value::int(a), Value::int(b)])
@@ -156,7 +154,7 @@ mod tests {
     fn top_k_ranks_by_marginal() {
         let p = pdb();
         let q = parse("R(x)", p.schema()).unwrap();
-        let top = top_k_answers(&p, &q, 0.001, 3, Engine::Auto).unwrap();
+        let top = top_k_answers(&p, &q, 0.001, 3).unwrap();
         assert_eq!(top.len(), 3);
         // geometric marginals rank R(1) > R(2) > R(3)
         assert_eq!(top[0].tuple, vec![Value::int(1)]);
@@ -164,7 +162,7 @@ mod tests {
         assert_eq!(top[2].tuple, vec![Value::int(3)]);
         assert!(top[0].prob > top[1].prob && top[1].prob > top[2].prob);
         // k beyond the support is fine
-        let all = top_k_answers(&p, &q, 0.01, 10_000, Engine::Auto).unwrap();
+        let all = top_k_answers(&p, &q, 0.01, 10_000).unwrap();
         assert!(all.len() < 10_000);
     }
 
@@ -173,8 +171,8 @@ mod tests {
         let p = pdb();
         let plan = TruncationPlan::new(&p, 0.05).unwrap();
         let q = parse("R(x)", p.schema()).unwrap();
-        let a = approx_answers_with_plan(&plan, &q, Engine::Auto).unwrap();
-        let b = approx_answers(&p, &q, 0.05, Engine::Auto).unwrap();
+        let a = approx_answers_with_plan(&plan, &q).unwrap();
+        let b = approx_answers(&p, &q, 0.05).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -275,14 +275,15 @@ mod tests {
     use super::*;
     use crate::approx::PartialOnCancel;
     use crate::cancel::CancelToken;
-    use crate::planner::PlanKnobs;
+    use crate::planner::{Engine, PlanKnobs, StrategyKind};
     use crate::prepared::PreparedQuery;
     use infpdb_core::schema::{RelId, Relation, Schema};
-    use infpdb_finite::engine::Engine;
     use infpdb_logic::parse;
     use infpdb_math::series::GeometricSeries;
     use infpdb_ti::enumerator::FactSupply;
     use std::path::PathBuf;
+
+    const SHANNON: Engine = Engine::Force(StrategyKind::Shannon);
 
     fn schema() -> Schema {
         Schema::from_relations([Relation::new("R", 1)]).unwrap()
@@ -323,10 +324,9 @@ mod tests {
 
         let prepared = PreparedPdb::new(pdb.clone());
         prepared.warm(0.001).unwrap();
-        let baseline =
-            PreparedQuery::prepare(prepared.clone(), &q, Engine::Lineage, PlanKnobs::default())
-                .execute(0.001, &CancelToken::new(), PartialOnCancel::Evaluate, None)
-                .unwrap();
+        let baseline = PreparedQuery::prepare(prepared.clone(), &q, SHANNON, PlanKnobs::default())
+            .execute(0.001, &CancelToken::new(), PartialOnCancel::Evaluate, None)
+            .unwrap();
         prepared
             .persist(&store, Some(7), Some(Json::obj([("tail", Json::Int(1))])))
             .unwrap();
@@ -343,7 +343,7 @@ mod tests {
             "clean + matching fingerprints + same schema must take the fast path"
         );
         assert_eq!(reopened.materialized_len(), prepared.materialized_len());
-        let replay = PreparedQuery::prepare(reopened, &q, Engine::Lineage, PlanKnobs::default())
+        let replay = PreparedQuery::prepare(reopened, &q, SHANNON, PlanKnobs::default())
             .execute(0.001, &CancelToken::new(), PartialOnCancel::Evaluate, None)
             .unwrap();
         assert_eq!(
@@ -409,10 +409,10 @@ mod tests {
                 // a query at a tolerance looser than the floor is warm
                 let q = parse("exists x. R(x)", pdb.schema()).unwrap();
                 let fresh = PreparedPdb::new(pdb.clone());
-                let a = PreparedQuery::prepare(reopened, &q, Engine::Lineage, PlanKnobs::default())
+                let a = PreparedQuery::prepare(reopened, &q, SHANNON, PlanKnobs::default())
                     .execute(0.01, &CancelToken::new(), PartialOnCancel::Evaluate, None)
                     .unwrap();
-                let b = PreparedQuery::prepare(fresh, &q, Engine::Lineage, PlanKnobs::default())
+                let b = PreparedQuery::prepare(fresh, &q, SHANNON, PlanKnobs::default())
                     .execute(0.01, &CancelToken::new(), PartialOnCancel::Evaluate, None)
                     .unwrap();
                 assert_eq!(a.approx, b.approx, "recovered prefix answers match fresh");

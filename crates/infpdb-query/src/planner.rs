@@ -2,11 +2,12 @@
 //! relation-disjoint query component.
 //!
 //! Proposition 6.1 reduces infinite-PDB evaluation to a finite engine on
-//! the truncation `Ω_n` — but the *choice* of finite engine was a static
-//! two-way fallback. This module replaces it for `Engine::Auto`: per
-//! component of the compiled query (see
+//! the truncation `Ω_n`; this module chooses that evaluation. Under
+//! [`Engine::Auto`], per component of the compiled query (see
 //! [`infpdb_logic::compile::CompiledQuery::components`]) it prices the
-//! four strategies the finite layer offers and picks the cheapest:
+//! four strategies the finite layer offers and picks the cheapest; under
+//! [`Engine::Force`] every component runs the one strategy named, priced
+//! and seeded the same way:
 //!
 //! * **Lifted** — `C = atoms · (n+1)`, available when the component has a
 //!   hierarchical safe plan;
@@ -283,70 +284,37 @@ impl PlanProfile {
         }
     }
 
-    /// The PDB fingerprint the profile (and its seeds) are bound to.
-    pub fn pdb_fingerprint(&self) -> u64 {
-        self.pdb_fp
-    }
-
-    /// Chooses the cheapest strategy per component at tolerance `eps`,
-    /// with `n_eval` the evaluation-prefix length (see
-    /// [`eval_prefix_len`]). Pure: no measurement happens here.
-    pub fn choose(&self, eps: f64, n_eval: usize, knobs: &PlanKnobs) -> ChosenPlan {
-        debug_assert_eq!(
-            self.knobs_fp,
-            knobs.fingerprint(),
-            "knobs changed under profile"
-        );
-        let k = self.rows.len().max(1) as f64;
-        let scale = (n_eval as f64 + 1.0) / (self.profile_n as f64 + 1.0);
-        let eps_i = eps * knobs.sampling_fraction / k;
-        let components: Vec<ComponentPlan> = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                // Shannon first (the always-available exact fallback),
-                // then lifted, Karp–Luby, Monte-Carlo, each replacing the
-                // incumbent only when strictly cheaper — the order is part
-                // of the determinism contract (ties keep the earlier
-                // strategy).
-                let mut best = candidate(row, StrategyKind::Shannon, eps_i, scale, n_eval, knobs)
-                    .expect("Shannon is always available");
-                for kind in [
-                    StrategyKind::Lifted,
-                    StrategyKind::KarpLuby,
-                    StrategyKind::MonteCarlo,
-                ] {
-                    if let Some(c) = candidate(row, kind, eps_i, scale, n_eval, knobs) {
-                        if c.1 < best.1 {
-                            best = c;
-                        }
-                    }
-                }
-                let seed = component_seed(knobs.seed, self.pdb_fp, self.query_fp, eps, i);
-                ComponentPlan {
-                    strategy: best.0,
-                    cost: best.1,
-                    seed,
-                }
-            })
-            .collect();
-        self.assemble(components, eps, knobs)
-    }
-
-    /// Builds the plan that uses `kind` for **every** component, with the
-    /// same sample counts, costs, and seeds [`choose`](Self::choose)
-    /// would assign — the bench harness's forced-strategy baseline.
-    /// Returns `None` when any component is ineligible (no safe plan for
-    /// lifted, no bounded monotone DNF for Karp–Luby, sampling
-    /// disqualified at this ε).
-    pub fn force(
+    /// The plan at tolerance `eps`, with `n_eval` the evaluation-prefix
+    /// length (see [`eval_prefix_len`]). Under [`Engine::Auto`] each
+    /// component takes its cheapest strategy; under
+    /// [`Engine::Force`]`(kind)` every component takes `kind`, with the
+    /// cost and seed Auto would compare and assign. `None` when a forced
+    /// strategy cannot evaluate some component (no safe plan for lifted,
+    /// no bounded monotone DNF for Karp–Luby, sampling disqualified at
+    /// this ε); Auto always finds a plan. Pure: no measurement happens
+    /// here.
+    pub fn plan(
         &self,
-        kind: StrategyKind,
+        engine: Engine,
         eps: f64,
         n_eval: usize,
         knobs: &PlanKnobs,
     ) -> Option<ChosenPlan> {
+        let components = self
+            .component_plans(engine, eps, n_eval, knobs)
+            .collect::<Option<Vec<_>>>()?;
+        Some(self.assemble(components, eps, knobs))
+    }
+
+    /// Each component's plan under `engine`, `None` where a forced
+    /// strategy is ineligible.
+    fn component_plans<'a>(
+        &'a self,
+        engine: Engine,
+        eps: f64,
+        n_eval: usize,
+        knobs: &'a PlanKnobs,
+    ) -> impl Iterator<Item = Option<ComponentPlan>> + 'a {
         debug_assert_eq!(
             self.knobs_fp,
             knobs.fingerprint(),
@@ -355,21 +323,37 @@ impl PlanProfile {
         let k = self.rows.len().max(1) as f64;
         let scale = (n_eval as f64 + 1.0) / (self.profile_n as f64 + 1.0);
         let eps_i = eps * knobs.sampling_fraction / k;
-        let components: Option<Vec<ComponentPlan>> = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                candidate(row, kind, eps_i, scale, n_eval, knobs).map(|(strategy, cost)| {
-                    ComponentPlan {
-                        strategy,
-                        cost,
-                        seed: component_seed(knobs.seed, self.pdb_fp, self.query_fp, eps, i),
+        self.rows.iter().enumerate().map(move |(i, row)| {
+            let price = |kind| candidate(row, kind, eps_i, scale, n_eval, knobs);
+            let (strategy, cost) = match engine {
+                Engine::Force(kind) => price(kind)?,
+                Engine::Auto => {
+                    // Shannon first (the always-available exact
+                    // fallback), then lifted, Karp–Luby, Monte-Carlo,
+                    // each replacing the incumbent only when strictly
+                    // cheaper — the order is part of the determinism
+                    // contract (ties keep the earlier strategy).
+                    let mut best = price(StrategyKind::Shannon)?;
+                    for kind in [
+                        StrategyKind::Lifted,
+                        StrategyKind::KarpLuby,
+                        StrategyKind::MonteCarlo,
+                    ] {
+                        if let Some(c) = price(kind) {
+                            if c.1 < best.1 {
+                                best = c;
+                            }
+                        }
                     }
-                })
+                    best
+                }
+            };
+            Some(ComponentPlan {
+                strategy,
+                cost,
+                seed: component_seed(knobs.seed, self.pdb_fp, self.query_fp, eps, i),
             })
-            .collect();
-        Some(self.assemble(components?, eps, knobs))
+        })
     }
 
     fn assemble(&self, components: Vec<ComponentPlan>, eps: f64, knobs: &PlanKnobs) -> ChosenPlan {
@@ -388,9 +372,9 @@ impl PlanProfile {
     }
 }
 
-/// A strategy choice without its per-plan parameters — the axis the
-/// bench harness forces plans along (sample counts and clause caps are
-/// derived per plan by [`PlanProfile::force`]).
+/// A strategy choice without its per-plan parameters — what
+/// [`Engine::Force`] forces (sample counts and clause caps are derived
+/// per plan by [`PlanProfile::plan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
     /// Hierarchical safe-plan evaluation.
@@ -415,10 +399,37 @@ impl StrategyKind {
     }
 }
 
+/// How a Proposition 6.1 answer picks its finite evaluation: the
+/// cost-based planner, or one strategy forced on every component. Both
+/// run a [`ChosenPlan`] through [`infpdb_finite::plan::evaluate_plan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The cheapest strategy per component.
+    Auto,
+    /// The named strategy on every component; planning fails with
+    /// [`QueryError::Ineligible`] when a component cannot run it.
+    Force(StrategyKind),
+}
+
+impl Engine {
+    /// Stable `u8` discriminant — the single source of truth for cache
+    /// keys and wire encodings: `Auto` is 0; forced lifted, Shannon,
+    /// Monte-Carlo and Karp–Luby are 1–4.
+    pub fn tag(self) -> u8 {
+        match self {
+            Engine::Auto => 0,
+            Engine::Force(StrategyKind::Lifted) => 1,
+            Engine::Force(StrategyKind::Shannon) => 2,
+            Engine::Force(StrategyKind::MonteCarlo) => 3,
+            Engine::Force(StrategyKind::KarpLuby) => 4,
+        }
+    }
+}
+
 /// Prices one strategy for one profiled component: `Some((strategy,
-/// cost))` when eligible, `None` otherwise. Shared verbatim by
-/// [`PlanProfile::choose`] and [`PlanProfile::force`] so forced
-/// baselines carry exactly the costs the optimizer compared.
+/// cost))` when eligible, `None` otherwise. Automatic and forced plans
+/// share it, so forced plans carry exactly the costs the optimizer
+/// compared.
 fn candidate(
     row: &ProfileRow,
     kind: StrategyKind,
@@ -516,7 +527,9 @@ pub fn explain(
         ProfileOutcome::Ready(profile) => profile,
         ProfileOutcome::Cancelled { .. } => unreachable!("a fresh token never fires"),
     };
-    let plan = profile.choose(eps, n_eval, knobs);
+    let plan = profile
+        .plan(Engine::Auto, eps, n_eval, knobs)
+        .expect("Auto always finds a plan");
     Ok((compiled, plan, n_eval))
 }
 
@@ -532,9 +545,9 @@ pub struct PlanEvent {
     pub replanned: bool,
 }
 
-/// The per-ε plan memo plus the strategy vector of the last derivation
-/// (for re-plan detection on ε refinement).
-type PlanMemo = (HashMap<u64, Arc<ChosenPlan>>, Option<Vec<u8>>);
+/// The plan memo keyed by (engine tag, ε bits), plus the strategy vector
+/// of the last derivation (for re-plan detection on ε refinement).
+type PlanMemo = (HashMap<(u8, u64), Arc<ChosenPlan>>, Option<Vec<u8>>);
 
 /// A cached profile plus the per-ε plan memo — the artifact the serve
 /// layer stores in its plan cache and [`crate::PreparedQuery`] keeps
@@ -554,42 +567,60 @@ impl Planner {
         }
     }
 
-    /// The profile.
-    pub fn profile(&self) -> &PlanProfile {
-        &self.profile
-    }
-
-    /// The plan for tolerance `eps`, memoized per ε-bit-pattern.
+    /// The [`Engine::Auto`] plan for tolerance `eps`, memoized per
+    /// ε-bit-pattern.
     pub fn plan_at(
         &self,
         eps: f64,
         n_eval: usize,
         knobs: &PlanKnobs,
     ) -> (Arc<ChosenPlan>, PlanEvent) {
+        self.plan(Engine::Auto, eps, n_eval, knobs)
+            .expect("Auto always finds a plan")
+    }
+
+    /// The plan for `engine` at tolerance `eps`, memoized per engine and
+    /// ε-bit-pattern. A forced strategy some component cannot run is a
+    /// [`QueryError::Ineligible`] naming the first such component.
+    pub fn plan(
+        &self,
+        engine: Engine,
+        eps: f64,
+        n_eval: usize,
+        knobs: &PlanKnobs,
+    ) -> Result<(Arc<ChosenPlan>, PlanEvent), QueryError> {
+        let key = (engine.tag(), eps.to_bits());
         let mut memo = self
             .memo
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(plan) = memo.0.get(&eps.to_bits()) {
-            return (
-                Arc::clone(plan),
-                PlanEvent {
-                    cached: true,
-                    replanned: false,
-                },
-            );
+        if let Some(plan) = memo.0.get(&key) {
+            let event = PlanEvent {
+                cached: true,
+                replanned: false,
+            };
+            return Ok((Arc::clone(plan), event));
         }
-        let plan = Arc::new(self.profile.choose(eps, n_eval, knobs));
+        let plan = match (self.profile.plan(engine, eps, n_eval, knobs), engine) {
+            (Some(plan), _) => Arc::new(plan),
+            (None, Engine::Force(strategy)) => {
+                let mut plans = self.profile.component_plans(engine, eps, n_eval, knobs);
+                let component = plans.position(|c| c.is_none()).unwrap_or_default();
+                return Err(QueryError::Ineligible {
+                    strategy,
+                    component,
+                });
+            }
+            (None, Engine::Auto) => unreachable!("Auto always finds a plan"),
+        };
         let vector = plan.strategy_vector();
         let replanned = memo.1.as_ref().is_some_and(|last| *last != vector);
         memo.1 = Some(vector);
-        memo.0.insert(eps.to_bits(), Arc::clone(&plan));
-        (
-            plan,
-            PlanEvent {
-                cached: false,
-                replanned,
-            },
-        )
+        memo.0.insert(key, Arc::clone(&plan));
+        let event = PlanEvent {
+            cached: false,
+            replanned,
+        };
+        Ok((plan, event))
     }
 }

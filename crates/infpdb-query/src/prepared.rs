@@ -19,13 +19,13 @@
 //!   query-independent.
 //!
 //! Execution stays bit-for-bit identical to the one-shot
-//! [`approx_prob_boolean_cancellable_traced`](crate::approx::approx_prob_boolean_cancellable_traced)
+//! [`approx_prob_boolean_cancellable`](crate::approx::approx_prob_boolean_cancellable)
 //! path: snapshots contain
 //! exactly the facts, dense ids, and probability bits the one-shot
-//! truncation loop produces, the *original* (unnormalized) formula is
-//! evaluated, and the engine choice is passed through untouched. The
-//! lineage arena is still built per evaluation — sharing it would change
-//! the reported work counters; the shared artifact is the fact catalog.
+//! truncation loop produces, the profile is measured on the same prefix,
+//! so both paths plan and evaluate the same [`ChosenPlan`]. The lineage
+//! arena is still built per evaluation — sharing it would change the
+//! reported work counters; the shared artifact is the fact catalog.
 //!
 //! Cancellation semantics also mirror the one-shot path: catalog
 //! extension checkpoints the [`CancelToken`] every
@@ -37,9 +37,9 @@
 
 use crate::approx::{cancelled, Approximation, PartialOnCancel};
 use crate::cancel::{CancelKind, CancelToken, CHECK_EVERY};
-use crate::planner::{self, PlanEvent, PlanKnobs, PlanProfile, Planner, ProfileOutcome};
+use crate::planner::{self, Engine, PlanEvent, PlanKnobs, PlanProfile, Planner, ProfileOutcome};
 use crate::QueryError;
-use infpdb_finite::engine::{self, Engine, EvalTrace};
+use infpdb_finite::engine::EvalTrace;
 use infpdb_finite::plan::{evaluate_plan, ChosenPlan};
 use infpdb_finite::shannon::TaskExecutor;
 use infpdb_finite::TiTable;
@@ -226,11 +226,12 @@ impl PreparedPdb {
 pub struct Execution {
     /// The certified approximation.
     pub approx: Approximation,
-    /// The finite engine's work counters.
+    /// The finite evaluation's work counters.
     pub trace: EvalTrace,
-    /// The chosen plan and what the planner's memo did, whenever the
-    /// planner ran (`Engine::Auto`); `None` under an explicit engine.
-    pub planned: Option<(Arc<ChosenPlan>, PlanEvent)>,
+    /// The plan that was evaluated.
+    pub plan: Arc<ChosenPlan>,
+    /// What the planner's memo did.
+    pub event: PlanEvent,
 }
 
 /// A compiled query bound to a prepared PDB, an engine choice and the
@@ -245,34 +246,24 @@ pub struct PreparedQuery {
     engine: Engine,
     knobs: PlanKnobs,
     parallelism: usize,
-    // profiled on the first `Engine::Auto` execution and shared across
-    // clones; plans are memoized per ε inside the Planner
+    // profiled on the first execution and shared across clones; plans
+    // are memoized per ε inside the Planner
     planner: Arc<OnceLock<Planner>>,
 }
 
 impl PreparedQuery {
-    /// Binds a compiled query to a prepared PDB. `knobs` tune the
-    /// cost-based planner, which only `Engine::Auto` runs.
-    pub fn new(
-        pdb: PreparedPdb,
-        compiled: CompiledQuery,
-        engine: Engine,
-        knobs: PlanKnobs,
-    ) -> Self {
+    /// Compiles `query` against the PDB's schema and binds it. `engine`
+    /// and `knobs` decide the plan every execution runs.
+    pub fn prepare(pdb: PreparedPdb, query: &Formula, engine: Engine, knobs: PlanKnobs) -> Self {
+        let compiled = Arc::new(CompiledQuery::compile(pdb.pdb().schema(), query));
         PreparedQuery {
             pdb,
-            compiled: Arc::new(compiled),
+            compiled,
             engine,
             knobs,
             parallelism: 1,
             planner: Arc::new(OnceLock::new()),
         }
-    }
-
-    /// Compiles `query` against the PDB's schema and binds it.
-    pub fn prepare(pdb: PreparedPdb, query: &Formula, engine: Engine, knobs: PlanKnobs) -> Self {
-        let compiled = CompiledQuery::compile(pdb.pdb().schema(), query);
-        Self::new(pdb, compiled, engine, knobs)
     }
 
     /// Sets the intra-query thread budget used by
@@ -283,19 +274,18 @@ impl PreparedQuery {
         self
     }
 
-    /// Proposition 6.1 at tolerance `eps`: under `Engine::Auto`, profile
-    /// once, plan at `eps` and evaluate the plan's per-component
-    /// strategies on the prefix at its `ε_trunc`; under an explicit
-    /// engine, evaluate the query on the prefix at `eps`. Bit-for-bit
-    /// the one-shot
-    /// [`approx_prob_boolean_cancellable_traced_par`](crate::approx::approx_prob_boolean_cancellable_traced_par)
-    /// result — estimate, certificates and work counters — at every
-    /// thread count and under every executor.
+    /// Proposition 6.1 at tolerance `eps`: profile once, plan at `eps`
+    /// under the query's engine and evaluate the plan on the prefix at
+    /// its `ε_trunc`. Bit-for-bit the one-shot
+    /// [`approx_prob_boolean_cancellable`](crate::approx::approx_prob_boolean_cancellable)
+    /// result — estimate, certificates and work counters, or the same
+    /// [`QueryError::Ineligible`] for a forced strategy — at every thread
+    /// count and under every executor.
     ///
     /// `cancel` is checkpointed while the catalog grows and once more
-    /// before the finite engine starts. `exec` runs the finite
-    /// evaluation's parallel tasks (a fork-join executor when `None`);
-    /// one that skips tasks because `cancel` fired surfaces as
+    /// before the finite evaluation starts. `exec` runs the evaluation's
+    /// parallel tasks (a fork-join executor when `None`); one that skips
+    /// tasks because `cancel` fired surfaces as
     /// [`QueryError::Cancelled`] too. A cancelled execution carries a
     /// sound partial answer when `partial_policy` asks for one and no
     /// component of the chosen plan samples.
@@ -306,37 +296,33 @@ impl PreparedQuery {
         partial_policy: PartialOnCancel,
         exec: Option<&dyn TaskExecutor>,
     ) -> Result<Execution, QueryError> {
-        let mut planned = None;
+        let mut chosen = None;
         let stop = 'cancelled: {
-            let eps_trunc = if self.engine == Engine::Auto {
-                let planner = match self.planner.get() {
-                    Some(planner) => planner,
-                    None => match PlanProfile::build_prepared(
-                        &self.pdb,
-                        &self.compiled,
-                        &self.knobs,
-                        cancel,
-                    )? {
-                        // under a race the first initializer wins, so the
-                        // shared per-ε memo (and its re-plan history)
-                        // survives; the loser's profile is identical
-                        ProfileOutcome::Ready(profile) => {
-                            self.planner.get_or_init(|| Planner::new(profile))
-                        }
-                        ProfileOutcome::Cancelled {
-                            kind,
-                            facts_processed,
-                            partial_table,
-                        } => break 'cancelled (kind, facts_processed, partial_table),
-                    },
-                };
-                let n_eval = planner::eval_prefix_len(self.pdb.pdb(), eps)?;
-                let (plan, event) = planner.plan_at(eps, n_eval, &self.knobs);
-                planned.insert((plan, event)).0.eps_trunc
-            } else {
-                eps
+            let planner = match self.planner.get() {
+                Some(planner) => planner,
+                None => match PlanProfile::build_prepared(
+                    &self.pdb,
+                    &self.compiled,
+                    &self.knobs,
+                    cancel,
+                )? {
+                    // under a race the first initializer wins, so the
+                    // shared per-ε memo (and its re-plan history)
+                    // survives; the loser's profile is identical
+                    ProfileOutcome::Ready(profile) => {
+                        self.planner.get_or_init(|| Planner::new(profile))
+                    }
+                    ProfileOutcome::Cancelled {
+                        kind,
+                        facts_processed,
+                        partial_table,
+                    } => break 'cancelled (kind, facts_processed, partial_table),
+                },
             };
-            let (truncation, table) = match self.pdb.prefix_for(eps_trunc, cancel)? {
+            let n_eval = planner::eval_prefix_len(self.pdb.pdb(), eps)?;
+            let (plan, event) = planner.plan(self.engine, eps, n_eval, &self.knobs)?;
+            let plan = chosen.insert(plan);
+            let (truncation, table) = match self.pdb.prefix_for(plan.eps_trunc, cancel)? {
                 PreparedPrefix::Complete { truncation, table } => (truncation, table),
                 PreparedPrefix::Cancelled {
                     kind,
@@ -344,24 +330,12 @@ impl PreparedQuery {
                     partial_table,
                 } => break 'cancelled (kind, facts_processed, partial_table),
             };
-            // last checkpoint before the engine: don't start a run whose
-            // budget is already spent (mirrors the one-shot path)
+            // last checkpoint before the evaluation: don't start a run
+            // whose budget is already spent (mirrors the one-shot path)
             if let Err(kind) = cancel.check() {
                 break 'cancelled (kind, truncation.n, (*table).clone());
             }
-            let evaluated = match &planned {
-                Some((plan, _)) => {
-                    evaluate_plan(&self.compiled, plan, &table, self.parallelism, exec)?
-                }
-                None => engine::prob_boolean_traced_exec(
-                    self.compiled.original(),
-                    &table,
-                    self.engine,
-                    self.parallelism,
-                    exec,
-                )?,
-            };
-            match evaluated {
+            match evaluate_plan(&self.compiled, plan, &table, self.parallelism, exec)? {
                 Some((estimate, trace)) => {
                     return Ok(Execution {
                         approx: Approximation {
@@ -371,7 +345,8 @@ impl PreparedQuery {
                             tail_mass: truncation.tail_mass,
                         },
                         trace,
-                        planned,
+                        plan: Arc::clone(plan),
+                        event,
                     });
                 }
                 // the executor skipped tasks: the request was cancelled
@@ -385,10 +360,9 @@ impl PreparedQuery {
         Err(cancelled(
             self.pdb.pdb(),
             self.compiled.original(),
-            self.engine,
             self.parallelism,
             partial_policy,
-            planned.as_ref().map(|(plan, _)| &**plan),
+            chosen.as_deref(),
             stop,
         ))
     }
@@ -397,7 +371,8 @@ impl PreparedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::approx_prob_boolean_cancellable_traced;
+    use crate::approx::approx_prob_boolean_cancellable;
+    use crate::planner::StrategyKind;
     use infpdb_core::schema::{RelId, Relation, Schema};
     use infpdb_logic::parse;
     use infpdb_math::series::{GeometricSeries, ZetaSeries};
@@ -429,20 +404,22 @@ mod tests {
     fn execute_matches_one_shot_bit_for_bit() {
         let pdb = geometric();
         let prepared = PreparedPdb::new(pdb.clone());
+        let shannon = Engine::Force(StrategyKind::Shannon);
         for qs in ["exists x. R(x)", "R(1) /\\ !R(2)", "!(!R(1))"] {
             let q = parse(qs, pdb.schema()).unwrap();
-            let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Lineage, knobs());
+            let pq = PreparedQuery::prepare(prepared.clone(), &q, shannon, knobs());
             for eps in [0.1, 0.01, 0.001] {
                 let Execution {
                     approx: a,
                     trace: t,
                     ..
                 } = run(&pq, eps);
-                let (a0, t0) = approx_prob_boolean_cancellable_traced(
+                let (a0, t0) = approx_prob_boolean_cancellable(
                     &pdb,
                     &q,
                     eps,
-                    Engine::Lineage,
+                    shannon,
+                    1,
                     &CancelToken::new(),
                     PartialOnCancel::Evaluate,
                 )

@@ -85,9 +85,9 @@ pub fn sample_prob_boolean<R: RngCore>(
 mod tests {
     use super::*;
     use crate::approx::approx_prob_boolean;
+    use crate::planner::Engine;
     use infpdb_core::schema::{RelId, Relation, Schema};
     use infpdb_core::space::rand_core::SplitMix64;
-    use infpdb_finite::engine::Engine;
     use infpdb_logic::parse;
     use infpdb_math::series::GeometricSeries;
     use infpdb_ti::enumerator::FactSupply;

@@ -8,9 +8,11 @@
 //! The search itself lives in `infpdb_math::truncation`; this module binds
 //! it to a PDB and materializes the `Ω_n` prefix table.
 
+use crate::approx::Approximation;
 use crate::cancel::{CancelKind, CancelToken, CHECK_EVERY};
 use crate::QueryError;
 use infpdb_finite::TiTable;
+use infpdb_logic::ast::Formula;
 use infpdb_math::truncation::{self, Truncation};
 use infpdb_ti::construction::CountableTiPdb;
 
@@ -108,6 +110,22 @@ impl TruncationPlan {
     pub fn escape_probability(&self) -> f64 {
         self.truncation.escape_probability()
     }
+}
+
+/// Proposition 6.1 against an explicit [`TruncationPlan`], evaluated
+/// exactly by [`infpdb_finite::engine::prob_boolean`] — reuse across a
+/// query workload: the truncation depends only on ε and the PDB.
+pub fn approx_with_plan(
+    plan: &TruncationPlan,
+    query: &Formula,
+) -> Result<Approximation, QueryError> {
+    let estimate = infpdb_finite::engine::prob_boolean(query, &plan.table)?;
+    Ok(Approximation {
+        estimate,
+        eps: plan.eps,
+        n: plan.n(),
+        tail_mass: plan.truncation.tail_mass,
+    })
 }
 
 /// The soundness certificate of a *partial* prefix: if a cancelled loop
@@ -233,6 +251,22 @@ mod tests {
                 assert!(facts_processed < full.n());
             }
             other => panic!("expected cancellation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn plan_reuse_across_workload() {
+        let p = pdb(GeometricSeries::new(0.5, 0.5).unwrap());
+        let plan = TruncationPlan::new(&p, 0.05).unwrap();
+        // ∃x R(x) = 1 − ∏(1 − 2^{-i})
+        let truth = 1.0 - (0..2000).map(|i| 1.0 - p.supply().prob(i)).product::<f64>();
+        for qs in ["exists x. R(x)", "R(1)", "R(1) \\/ R(2)"] {
+            let q = infpdb_logic::parse(qs, p.schema()).unwrap();
+            let a = approx_with_plan(&plan, &q).unwrap();
+            assert_eq!(a.n, plan.n());
+            if qs == "exists x. R(x)" {
+                assert!((a.estimate - truth).abs() <= 0.05);
+            }
         }
     }
 

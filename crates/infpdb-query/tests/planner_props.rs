@@ -4,7 +4,7 @@
 //!
 //! * **Certified accuracy** — whatever strategy mix the optimizer picks
 //!   for `Engine::Auto`, the answer stays within the certified additive
-//!   tolerance of the exact `Engine::Lineage` evaluation (both are
+//!   tolerance of the exact forced-Shannon evaluation (both are
 //!   ε-approximations of the same true probability, so they may differ
 //!   by at most the sum of their certificates).
 //! * **Determinism** — the plan choice and the answer bits are a pure
@@ -22,11 +22,10 @@ use infpdb_core::fact::Fact;
 use infpdb_core::schema::{RelId, Relation, Schema};
 use infpdb_core::space::rand_core::{RngCore, SplitMix64};
 use infpdb_core::value::Value;
-use infpdb_finite::engine::Engine;
 use infpdb_logic::parse;
 use infpdb_math::series::GeometricSeries;
 use infpdb_query::approx::approx_prob_boolean_par;
-use infpdb_query::planner::{self, PlanKnobs};
+use infpdb_query::planner::{self, Engine, PlanKnobs, StrategyKind};
 use infpdb_ti::construction::CountableTiPdb;
 use infpdb_ti::enumerator::FactSupply;
 use proptest::prelude::*;
@@ -84,7 +83,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// `Engine::Auto` (the optimizer) answers within the certified
-    /// additive tolerance of the exact lineage engine. Both runs carry
+    /// additive tolerance of the exact forced-Shannon plan. Both runs carry
     /// an ε certificate against the true probability, so their gap is
     /// bounded by the certificate sum.
     #[test]
@@ -100,8 +99,10 @@ proptest! {
 
         let auto = approx_prob_boolean_par(&pdb, &query, eps, Engine::Auto, 1)
             .expect("auto evaluation succeeds");
-        let exact = approx_prob_boolean_par(&pdb, &query, eps, Engine::Lineage, 1)
-            .expect("lineage evaluation succeeds");
+        let exact = approx_prob_boolean_par(
+            &pdb, &query, eps, Engine::Force(StrategyKind::Shannon), 1,
+        )
+        .expect("forced Shannon evaluation succeeds");
         let gap = (auto.estimate - exact.estimate).abs();
         prop_assert!(
             gap <= 2.0 * eps + 1e-12,

@@ -2,29 +2,27 @@
 //! evaluation path.
 //!
 //! `PreparedQuery::execute` promises *bit-for-bit* equality with
-//! `approx_prob_boolean_cancellable_traced` — identical `f64` estimates
+//! `approx_prob_boolean_cancellable` — identical `f64` estimates
 //! (by bit pattern, not approximate agreement), identical Proposition 6.1
 //! certificates, and identical engine work counters (Shannon expansions,
-//! memo hits, arena interning statistics). These properties pin that
-//! contract across random PDBs, queries, tolerances, and engines, and
-//! across the reuse patterns the pipeline exists for: repeat execution,
-//! ε-refinement on a shared catalog, and many queries over one prepared
-//! PDB.
+//! memo hits, arena interning statistics) — or, for a forced strategy
+//! some component cannot run, the identical rejection. These properties
+//! pin that contract across random PDBs, queries, tolerances, and
+//! engines (the planner and every forced strategy), and across the reuse
+//! patterns the pipeline exists for: repeat execution, ε-refinement on a
+//! shared catalog, and many queries over one prepared PDB.
 
 use infpdb_core::fact::Fact;
 use infpdb_core::schema::{RelId, Relation, Schema};
 use infpdb_core::space::rand_core::{RngCore, SplitMix64};
 use infpdb_core::value::Value;
-use infpdb_finite::engine::Engine;
 use infpdb_finite::engine::EvalTrace;
 use infpdb_logic::parse;
 use infpdb_math::series::GeometricSeries;
-use infpdb_query::approx::{
-    approx_prob_boolean_cancellable_traced, Approximation, PartialOnCancel,
-};
+use infpdb_query::approx::{approx_prob_boolean_cancellable, Approximation, PartialOnCancel};
 use infpdb_query::cancel::CancelToken;
 use infpdb_query::prepared::{PreparedPdb, PreparedQuery};
-use infpdb_query::{PlanKnobs, QueryError};
+use infpdb_query::{Engine, PlanKnobs, QueryError, StrategyKind};
 use infpdb_ti::construction::CountableTiPdb;
 use infpdb_ti::enumerator::FactSupply;
 use proptest::prelude::*;
@@ -60,13 +58,11 @@ fn random_pdb(rng: &mut SplitMix64) -> CountableTiPdb {
     }
 }
 
+type Outcome = Result<(Approximation, EvalTrace), QueryError>;
+
 /// One prepared execution's answer and trace, evaluating a partial
 /// answer on cancellation.
-fn execute(
-    pq: &PreparedQuery,
-    eps: f64,
-    cancel: &CancelToken,
-) -> Result<(Approximation, EvalTrace), QueryError> {
+fn execute(pq: &PreparedQuery, eps: f64, cancel: &CancelToken) -> Outcome {
     pq.execute(eps, cancel, PartialOnCancel::Evaluate, None)
         .map(|e| (e.approx, e.trace))
 }
@@ -84,15 +80,48 @@ const QUERIES: [&str; 6] = [
 ];
 
 const EPS: [f64; 3] = [0.2, 0.05, 0.005];
-const ENGINES: [Engine; 2] = [Engine::Auto, Engine::Lineage];
+
+/// The planner and every forced strategy, each with how many of the
+/// loosest [`EPS`] it is checked at: forced sampling draws ~1/ε² worlds
+/// (Karp–Luby also scales with the clause count), so it stops early.
+const ENGINES: [(Engine, usize); 5] = [
+    (Engine::Auto, 3),
+    (Engine::Force(StrategyKind::Lifted), 3),
+    (Engine::Force(StrategyKind::Shannon), 3),
+    (Engine::Force(StrategyKind::MonteCarlo), 2),
+    (Engine::Force(StrategyKind::KarpLuby), 1),
+];
+
+/// The one-shot and prepared answers agree bit for bit — estimate,
+/// certificates and trace — or both paths reject a forced strategy with
+/// the same [`QueryError::Ineligible`]. Returns the shared answer.
+fn agree(
+    one_shot: Outcome,
+    prepared: Outcome,
+    query: &str,
+) -> Result<Option<(Approximation, EvalTrace)>, TestCaseError> {
+    match (one_shot, prepared) {
+        (Ok(a), Ok(b)) => {
+            let same = a.0.estimate.to_bits() == b.0.estimate.to_bits() && a == b;
+            prop_assert!(same, "{:?}: one-shot {:?} vs prepared {:?}", query, a, b);
+            Ok(Some(b))
+        }
+        (Err(e0), Err(e1)) => {
+            let same = matches!(e0, QueryError::Ineligible { .. }) && e0 == e1;
+            prop_assert!(same, "{:?}: {:?} vs {:?}", query, e0, e1);
+            Ok(None)
+        }
+        other => Err(TestCaseError::fail(format!("{query:?}: {other:?}"))),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// A fresh prepared pipeline returns exactly what the one-shot path
-    /// returns — estimate bits, certificates, and work counters — and a
-    /// repeat execution (served from the memoized snapshot, zero
-    /// grounding) returns it again.
+    /// returns — estimate bits, certificates, and work counters, or the
+    /// same rejection — and a repeat execution (served from the memoized
+    /// snapshot, zero grounding) returns it again.
     #[test]
     fn prepared_execute_is_bit_for_bit_one_shot(
         seed in 0u64..u64::MAX,
@@ -103,21 +132,19 @@ proptest! {
         let mut rng = SplitMix64::new(seed);
         let pdb = random_pdb(&mut rng);
         let query = parse(QUERIES[qi], pdb.schema()).expect("static query");
-        let eps = EPS[ei];
-        let engine = ENGINES[gi];
+        let (engine, tolerances) = ENGINES[gi];
+        let eps = EPS[ei % tolerances];
 
-        let (a0, t0) = approx_prob_boolean_cancellable_traced(
-            &pdb, &query, eps, engine, &CancelToken::new(), PartialOnCancel::Evaluate,
-        ).expect("one-shot path succeeds");
+        let one_shot = approx_prob_boolean_cancellable(
+            &pdb, &query, eps, engine, 1, &CancelToken::new(), PartialOnCancel::Evaluate,
+        );
 
         let prepared = PreparedPdb::new(pdb);
         let pq = PreparedQuery::prepare(prepared.clone(), &query, engine, PlanKnobs::default());
-        let (a1, t1) = execute(&pq, eps, &CancelToken::new()).expect("prepared path succeeds");
-
-        prop_assert!(a0.estimate.to_bits() == a1.estimate.to_bits(),
-            "estimates differ: {} vs {} for {:?}", a0.estimate, a1.estimate, QUERIES[qi]);
-        prop_assert_eq!(a0, a1);
-        prop_assert_eq!(t0, t1);
+        let first = execute(&pq, eps, &CancelToken::new());
+        let Some((a1, t1)) = agree(one_shot, first, QUERIES[qi])? else {
+            return Ok(());
+        };
 
         // repeat: the memoized snapshot answers, nothing re-grounds
         let grounded = prepared.materialized_len();
@@ -140,17 +167,16 @@ proptest! {
         let mut rng = SplitMix64::new(seed);
         let pdb = random_pdb(&mut rng);
         let query = parse(QUERIES[qi], pdb.schema()).expect("static query");
-        let engine = ENGINES[gi];
+        let (engine, tolerances) = ENGINES[gi];
 
         let prepared = PreparedPdb::new(pdb.clone());
         let pq = PreparedQuery::prepare(prepared.clone(), &query, engine, PlanKnobs::default());
-        for eps in [0.2, 0.005, 0.2] {
-            let (a1, t1) = execute(&pq, eps, &CancelToken::new()).expect("prepared path succeeds");
-            let (a0, t0) = approx_prob_boolean_cancellable_traced(
-                &pdb, &query, eps, engine, &CancelToken::new(), PartialOnCancel::Evaluate,
-            ).expect("one-shot path succeeds");
-            prop_assert_eq!(a0, a1);
-            prop_assert_eq!(t0, t1);
+        for eps in [EPS[0], EPS[tolerances - 1], EPS[0]] {
+            let got = execute(&pq, eps, &CancelToken::new());
+            let one_shot = approx_prob_boolean_cancellable(
+                &pdb, &query, eps, engine, 1, &CancelToken::new(), PartialOnCancel::Evaluate,
+            );
+            agree(one_shot, got, QUERIES[qi])?;
         }
     }
 
@@ -173,10 +199,11 @@ proptest! {
         let eps = EPS[ei];
 
         let prepared = PreparedPdb::new(pdb);
-        let seq = PreparedQuery::prepare(prepared.clone(), &query, Engine::Lineage, PlanKnobs::default());
+        let shannon = Engine::Force(StrategyKind::Shannon);
+        let seq = PreparedQuery::prepare(prepared.clone(), &query, shannon, PlanKnobs::default());
         let (a1, t1) = execute(&seq, eps, &CancelToken::new()).expect("sequential succeeds");
         for threads in [2usize, 4] {
-            let par = PreparedQuery::prepare(prepared.clone(), &query, Engine::Lineage, PlanKnobs::default())
+            let par = PreparedQuery::prepare(prepared.clone(), &query, shannon, PlanKnobs::default())
                 .with_parallelism(threads);
             let (ap, tp) = execute(&par, eps, &CancelToken::new()).expect("parallel succeeds");
             prop_assert!(a1.estimate.to_bits() == ap.estimate.to_bits(),
@@ -226,8 +253,8 @@ proptest! {
             let query = parse(qs, pdb.schema()).expect("static query");
             let pq = PreparedQuery::prepare(prepared.clone(), &query, Engine::Auto, PlanKnobs::default());
             let (a1, t1) = execute(&pq, eps, &CancelToken::new()).expect("prepared path succeeds");
-            let (a0, t0) = approx_prob_boolean_cancellable_traced(
-                &pdb, &query, eps, Engine::Auto, &CancelToken::new(), PartialOnCancel::Evaluate,
+            let (a0, t0) = approx_prob_boolean_cancellable(
+                &pdb, &query, eps, Engine::Auto, 1, &CancelToken::new(), PartialOnCancel::Evaluate,
             ).expect("one-shot path succeeds");
             prop_assert_eq!(a0, a1);
             prop_assert_eq!(t0, t1);

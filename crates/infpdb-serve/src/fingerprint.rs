@@ -19,20 +19,19 @@
 //!    degradation), by exact bit pattern.
 //! 4. **Engine** — different engines must not share entries: the service
 //!    promises byte-identical agreement with the corresponding
-//!    sequential evaluation, and e.g. `Lifted` and `Lineage` may differ
-//!    in the last ulp.
-//! 5. **Planner knobs** — [`PlanKnobs::fingerprint`]: under
-//!    `Engine::Auto` the answer bits depend on the plan (sampling
-//!    strategies, seeds, the ε budget split), and the plan on the knobs,
-//!    so a knob change must never alias a stale entry.
+//!    sequential evaluation, and e.g. a forced lifted and a forced
+//!    Shannon plan may differ in the last ulp.
+//! 5. **Planner knobs** — [`PlanKnobs::fingerprint`]: the answer bits
+//!    depend on the plan (sampling strategies, seeds, the ε budget
+//!    split), and the plan on the knobs, so a knob change must never
+//!    alias a stale entry.
 //!
 //! [`PlanKnobs::fingerprint`]: infpdb_query::PlanKnobs::fingerprint
 
 use infpdb_core::fingerprint::Fingerprinter;
 use infpdb_core::schema::Schema;
-use infpdb_finite::engine::Engine;
 use infpdb_logic::ast::Formula;
-use infpdb_query::PlanKnobs;
+use infpdb_query::{Engine, PlanKnobs};
 
 pub use infpdb_logic::compile::query_fingerprint;
 // the countable-PDB content fingerprint lives with the PDB construction
@@ -51,8 +50,8 @@ pub struct CacheKey {
     pub eps_bits: u64,
     /// Engine discriminant ([`Engine::tag`]).
     pub engine: u8,
-    /// Planner-knob fingerprint (the plan, and under `Engine::Auto` the
-    /// answer bits, are a function of it).
+    /// Planner-knob fingerprint (the plan, and with it the answer bits,
+    /// are a function of it).
     pub knobs: u64,
 }
 
@@ -93,6 +92,7 @@ mod tests {
     use infpdb_core::schema::{RelId, Relation, Schema};
     use infpdb_logic::parse;
     use infpdb_math::series::GeometricSeries;
+    use infpdb_query::StrategyKind::Shannon;
     use infpdb_ti::construction::CountableTiPdb;
     use infpdb_ti::enumerator::FactSupply;
 
@@ -146,7 +146,7 @@ mod tests {
         );
         assert_ne!(
             base.digest(),
-            CacheKey::new(7, &s, &q, 0.01, Engine::Lineage, &knobs).digest()
+            CacheKey::new(7, &s, &q, 0.01, Engine::Force(Shannon), &knobs).digest()
         );
         assert_ne!(
             base.digest(),

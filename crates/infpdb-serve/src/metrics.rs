@@ -152,10 +152,11 @@ pub struct Metrics {
     /// subproblem fell below the fork threshold (or fewer than two were
     /// heavy enough to split).
     pub parallel_fallback_seq: AtomicU64,
-    /// Query components routed to each strategy by the cost-based
-    /// planner, indexed by
+    /// Query components routed to each strategy by the plan each
+    /// evaluation ran, indexed by
     /// [`Strategy::tag`](infpdb_finite::plan::Strategy::tag)
-    /// (lifted, shannon, mc, kl). Only `Engine::Auto` evaluations count.
+    /// (lifted, shannon, mc, kl). Planned (`Engine::Auto`) and forced
+    /// (`Engine::Force`) plans both count.
     pub plan_choice: [AtomicU64; 4],
     /// ε-refinements whose fresh plan derivation picked a different
     /// strategy vector than the previous plan for the same query — the
@@ -574,7 +575,7 @@ impl Metrics {
         );
         writeln!(
             out,
-            "# HELP serve_plan_choice_total Query components routed to each strategy by the cost-based planner."
+            "# HELP serve_plan_choice_total Query components routed to each strategy by the plans that ran, planned or forced."
         )
         .ok();
         writeln!(out, "# TYPE serve_plan_choice_total counter").ok();

@@ -40,13 +40,13 @@ use crate::metrics::Metrics;
 use crate::pool::{OverflowPolicy, PoolConfig, SchedulerKind, StealingExecutor, ThreadPool};
 use crate::ServeError;
 use infpdb_core::fingerprint::Fingerprinter;
-use infpdb_finite::engine::{Engine, EvalTrace};
+use infpdb_finite::engine::EvalTrace;
 use infpdb_finite::shannon::TaskExecutor;
 use infpdb_logic::ast::Formula;
 use infpdb_query::approx::{Approximation, PartialOnCancel};
 use infpdb_query::budget::BudgetReport;
 use infpdb_query::cancel::{CancelKind, CancelToken};
-use infpdb_query::planner::PlanKnobs;
+use infpdb_query::planner::{Engine, PlanKnobs};
 use infpdb_query::prepared::{Execution, PreparedPdb, PreparedQuery};
 use infpdb_query::{QueryError, StoreStatus};
 use infpdb_store::{SnapshotInfo, Store, StoreError};
@@ -116,7 +116,8 @@ pub struct ServiceConfig {
     /// query) fingerprints, so every tolerance and repeat request of an
     /// α-equivalent query shares one compiled artifact.
     pub plan_cache_capacity: usize,
-    /// Finite engine used for every evaluation.
+    /// How every evaluation picks its plan: the cost-based planner, or
+    /// one forced strategy.
     pub engine: Engine,
     /// What to do with requests whose plan exceeds their budget.
     pub policy: DegradePolicy,
@@ -161,10 +162,10 @@ pub struct ServiceConfig {
     /// multi-shard layouts with small catalogs. Ignored without
     /// [`store_dir`](Self::store_dir).
     pub store_shard_capacity: Option<u64>,
-    /// Cost-model tuning for the `Engine::Auto` planner. Part of the
-    /// result-cache key: answers planned under different knobs never
-    /// alias, and a plan is a deterministic function of (PDB, query, ε,
-    /// knobs) — never of runtime load.
+    /// Cost-model tuning for the planner. Part of the result-cache key:
+    /// answers planned under different knobs never alias, and a plan is
+    /// a deterministic function of (PDB, query, ε, engine, knobs) — never
+    /// of runtime load.
     pub plan_knobs: PlanKnobs,
 }
 
@@ -249,12 +250,11 @@ impl QueryResponse {
         self.approx.interval()
     }
 
-    /// The planner strategy the evaluation ran under (`"lifted"`,
+    /// The strategy of the plan the evaluation ran (`"lifted"`,
     /// `"shannon"`, `"mc"`, `"kl"`, or `"mixed"` for multi-component
-    /// plans that disagree), when the cost-based planner drove it
-    /// (`Engine::Auto`); `None` under an explicit engine. For cached
-    /// answers this is the strategy of the evaluation that populated
-    /// the entry.
+    /// plans that disagree); `None` only when the trace carries no plan.
+    /// For cached answers this is the strategy of the evaluation that
+    /// populated the entry.
     pub fn strategy(&self) -> Option<&'static str> {
         self.trace.plan.map(|p| p.label())
     }
@@ -829,7 +829,8 @@ fn handle(
     let Execution {
         approx,
         trace,
-        planned,
+        plan,
+        event,
     } = query
         .execute(
             admitted.eps,
@@ -838,9 +839,7 @@ fn handle(
             exec.map(|e| e as &dyn TaskExecutor),
         )
         .map_err(serve_error)?;
-    if let Some((plan, event)) = planned {
-        inner.metrics.record_plan(&plan.summary(), event.replanned);
-    }
+    inner.metrics.record_plan(&plan.summary(), event.replanned);
     let elapsed = start.elapsed();
     inner.metrics.run.record(elapsed);
     inner.metrics.record_trace(&trace);
@@ -868,6 +867,7 @@ mod tests {
     use infpdb_logic::parse;
     use infpdb_math::series::{GeometricSeries, ZetaSeries};
     use infpdb_query::approx::approx_prob_boolean;
+    use infpdb_query::StrategyKind;
     use infpdb_ti::enumerator::FactSupply;
     use std::time::Duration;
 
@@ -938,7 +938,7 @@ mod tests {
             pdb(),
             ServiceConfig {
                 threads: 1,
-                engine: Engine::Lineage,
+                engine: Engine::Force(StrategyKind::Shannon),
                 arena_stats: true,
                 ..ServiceConfig::default()
             },
@@ -993,7 +993,7 @@ mod tests {
             p.clone(),
             ServiceConfig {
                 threads: 1,
-                engine: Engine::Lineage,
+                engine: Engine::Force(StrategyKind::Shannon),
                 ..ServiceConfig::default()
             },
         );
@@ -1001,7 +1001,7 @@ mod tests {
             p.clone(),
             ServiceConfig {
                 threads: 1,
-                engine: Engine::Lineage,
+                engine: Engine::Force(StrategyKind::Shannon),
                 parallelism: 4,
                 ..ServiceConfig::default()
             },
@@ -1040,7 +1040,7 @@ mod tests {
             p.clone(),
             ServiceConfig {
                 threads: 1,
-                engine: Engine::Lineage,
+                engine: Engine::Force(StrategyKind::Shannon),
                 parallelism: 4,
                 ..ServiceConfig::default()
             },
@@ -1049,7 +1049,7 @@ mod tests {
             p.clone(),
             ServiceConfig {
                 threads: 2,
-                engine: Engine::Lineage,
+                engine: Engine::Force(StrategyKind::Shannon),
                 parallelism: 4,
                 scheduler: SchedulerKind::Stealing,
                 ..ServiceConfig::default()
@@ -1354,7 +1354,7 @@ mod tests {
             pdb(),
             ServiceConfig {
                 threads: 1,
-                engine: Engine::Lineage,
+                engine: Engine::Force(StrategyKind::Shannon),
                 ..ServiceConfig::default()
             },
         );

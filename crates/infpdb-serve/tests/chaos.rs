@@ -17,10 +17,10 @@
 //! three fixed seeds); otherwise each test loops over a built-in trio.
 
 use infpdb_core::schema::{RelId, Relation, Schema};
-use infpdb_finite::engine::Engine;
 use infpdb_logic::parse;
 use infpdb_math::series::GeometricSeries;
 use infpdb_query::approx::approx_prob_boolean;
+use infpdb_query::Engine;
 use infpdb_serve::{
     BreakerConfig, FaultInjector, FaultKind, OverflowPolicy, QueryRequest, QueryService,
     RetryPolicy, ServeError, ServiceConfig, Trigger,

@@ -18,10 +18,10 @@
 
 use infpdb_core::schema::{RelId, Relation, Schema};
 use infpdb_core::space::rand_core::{RngCore, SplitMix64};
-use infpdb_finite::engine::Engine;
 use infpdb_logic::parse;
 use infpdb_math::series::GeometricSeries;
 use infpdb_query::approx::approx_prob_boolean;
+use infpdb_query::Engine;
 use infpdb_query::StoreStatus;
 use infpdb_serve::{QueryRequest, QueryService, ServiceConfig};
 use infpdb_store::segment::{FOOTER_LEN, HEADER_LEN};

@@ -11,8 +11,8 @@
 use infpdb_core::fact::Fact;
 use infpdb_core::schema::{Relation, Schema};
 use infpdb_core::value::Value;
-use infpdb_finite::engine::Engine;
 use infpdb_logic::parse;
+use infpdb_query::{Engine, StrategyKind};
 use infpdb_serve::pool::SchedulerKind;
 use infpdb_serve::service::{QueryRequest, QueryService, ServiceConfig};
 use infpdb_serve::ServeError;
@@ -60,7 +60,7 @@ fn service(threads: usize, scheduler: SchedulerKind) -> QueryService {
         blocks_pdb(),
         ServiceConfig {
             threads,
-            engine: Engine::Lineage,
+            engine: Engine::Force(StrategyKind::Shannon),
             parallelism: 4,
             scheduler,
             ..ServiceConfig::default()

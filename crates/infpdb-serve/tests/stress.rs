@@ -4,10 +4,10 @@
 //! evaluation through plain `infpdb-query`.
 
 use infpdb_core::schema::{RelId, Relation, Schema};
-use infpdb_finite::engine::Engine;
 use infpdb_logic::parse;
 use infpdb_math::series::{GeometricSeries, ZetaSeries};
 use infpdb_query::approx::approx_prob_boolean;
+use infpdb_query::Engine;
 use infpdb_serve::{QueryRequest, QueryService, ServeError, ServiceConfig};
 use infpdb_ti::construction::CountableTiPdb;
 use infpdb_ti::enumerator::FactSupply;

@@ -65,13 +65,8 @@ fn main() {
     let rep = RepresentedPdb::new(TuringMachine::accepts_even_parity());
     let pdb = rep.pdb().expect("weight 1 always converges");
     let q = infpdb::logic::parse("exists x. R(x)", pdb.schema()).expect("query");
-    let a = infpdb::query::approx::approx_prob_boolean(
-        &pdb,
-        &q,
-        0.01,
-        infpdb::finite::engine::Engine::Auto,
-    )
-    .expect("Prop 6.1");
+    let a = infpdb::query::approx::approx_prob_boolean(&pdb, &q, 0.01, infpdb::query::Engine::Auto)
+        .expect("Prop 6.1");
     println!(
         "\nProp 6.1 on the parity machine's PDB: P(∃x R(x)) = {:.4} ± {} (n = {})",
         a.estimate, a.eps, a.n

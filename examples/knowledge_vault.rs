@@ -12,11 +12,11 @@
 //!
 //! Run with `cargo run --example knowledge_vault`.
 
-use infpdb::finite::engine::Engine;
 use infpdb::finite::TiTable;
 use infpdb::openworld::independent_facts::complete_ti_table;
 use infpdb::openworld::LambdaCompletion;
 use infpdb::query::approx::approx_prob_boolean;
+use infpdb::query::Engine;
 use infpdb::ti::enumerator::FactSupply;
 use infpdb_core::fact::Fact;
 use infpdb_core::schema::{Relation, Schema};

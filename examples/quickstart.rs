@@ -6,12 +6,12 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use infpdb::finite::engine::Engine;
 use infpdb::finite::TiTable;
 use infpdb::logic::parse;
 use infpdb::math::series::GeometricSeries;
 use infpdb::openworld::independent_facts::complete_ti_table;
 use infpdb::query::approx::approx_prob_boolean;
+use infpdb::query::Engine;
 use infpdb::ti::enumerator::FactSupply;
 use infpdb_core::fact::Fact;
 use infpdb_core::schema::{Relation, Schema};

@@ -21,10 +21,13 @@
 //! # Subcommands
 //!
 //! * `info <table>` — schema, expected size, size distribution head.
-//! * `query <table> <query> [--engine E] [--threads N]` — Boolean query
-//!   probability; `--threads` forks independent lineage components
-//!   across scoped threads (the answer is bit-for-bit identical at any
-//!   thread count).
+//! * `query <table> <query> [--engine E] [--threads N] [--explain]` —
+//!   exact Boolean query probability: runs the plan `--explain` prints
+//!   (`--engine auto`), forces one strategy on every component
+//!   (`lifted`, or `lineage` for Shannon), or enumerates worlds
+//!   (`brute`, the reference). `--threads` forks independent lineage
+//!   components across scoped threads (the answer is bit-for-bit
+//!   identical at any thread count).
 //! * `marginals <table> <query>` — per-answer marginal probabilities.
 //! * `sample <table> [--count N] [--seed S]` — draw worlds.
 //! * `open <table> <query> --eps E [--tail-mass M] [--tail-start K]` —
@@ -78,13 +81,15 @@ use infpdb_core::fact::Fact;
 use infpdb_core::schema::{Relation, Schema};
 use infpdb_core::space::rand_core::SplitMix64;
 use infpdb_core::value::Value;
-use infpdb_finite::engine::Engine;
-use infpdb_finite::TiTable;
+use infpdb_finite::plan::{evaluate_plan, ChosenPlan};
+use infpdb_finite::{worlds, TiTable};
+use infpdb_logic::ast::Formula;
+use infpdb_logic::compile::CompiledQuery;
 use infpdb_logic::parse;
 use infpdb_math::series::GeometricSeries;
 use infpdb_openworld::independent_facts::complete_ti_table;
 use infpdb_query::approx::{approx_prob_boolean, Approximation};
-use infpdb_query::planner::{self, PlanKnobs, PlanProfile};
+use infpdb_query::planner::{self, Engine, PlanKnobs, PlanProfile, Planner, StrategyKind};
 use infpdb_query::prepared::PreparedPdb;
 use infpdb_serve::fingerprint::countable_pdb_fingerprint;
 use infpdb_serve::{
@@ -95,6 +100,7 @@ use infpdb_store::Store;
 use infpdb_ti::construction::CountableTiPdb;
 use infpdb_ti::enumerator::FactSupply;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// CLI errors, rendered to stderr by the binary.
@@ -261,12 +267,14 @@ pub fn parse_value(s: &str) -> Value {
     Value::str(s)
 }
 
-fn parse_engine(s: &str) -> Result<Engine, CliError> {
+/// `--engine`: the planner's choice or one forced strategy, or `None`
+/// for brute-force world enumeration (the reference, not a plan).
+fn parse_engine(s: &str) -> Result<Option<Engine>, CliError> {
     match s {
-        "auto" => Ok(Engine::Auto),
-        "lifted" => Ok(Engine::Lifted),
-        "lineage" => Ok(Engine::Lineage),
-        "brute" => Ok(Engine::Brute),
+        "auto" => Ok(Some(Engine::Auto)),
+        "lifted" => Ok(Some(Engine::Force(StrategyKind::Lifted))),
+        "lineage" => Ok(Some(Engine::Force(StrategyKind::Shannon))),
+        "brute" => Ok(None),
         other => Err(CliError::Usage(format!(
             "unknown engine {other:?} (auto|lifted|lineage|brute)"
         ))),
@@ -291,13 +299,33 @@ pub fn cmd_info(table_text: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The closed-world plan of `query` on `table` under `engine`: profiled
+/// on the table itself, at ε = 0, where the sampling strategies are
+/// disqualified, so every plan is exact.
+fn closed_world_plan(
+    table: &TiTable,
+    query: &Formula,
+    engine: Engine,
+) -> Result<(CompiledQuery, Arc<ChosenPlan>), CliError> {
+    let knobs = PlanKnobs::default();
+    let compiled = CompiledQuery::compile(table.schema(), query);
+    let profile =
+        PlanProfile::build(&compiled, table, table.fingerprint(), &knobs).map_err(lib_err)?;
+    let (plan, _) = Planner::new(profile)
+        .plan(engine, 0.0, table.len(), &knobs)
+        .map_err(lib_err)?;
+    Ok((compiled, plan))
+}
+
 /// `query` subcommand.
 ///
-/// Closed-world evaluation is exact, so the certified interval is the
-/// degenerate `[p, p]` — reported anyway so every evaluation path of the
-/// CLI answers in the same certified-enclosure vocabulary. `threads`
-/// (`--threads`) sets the intra-query thread budget of the lineage
-/// engine; the answer is bit-for-bit identical at every value.
+/// Runs the plan `--explain` prints (or the plan of a forced strategy;
+/// `brute` enumerates worlds instead). Closed-world evaluation is exact,
+/// so the certified interval is the degenerate `[p, p]` — reported
+/// anyway so every evaluation path of the CLI answers in the same
+/// certified-enclosure vocabulary. `threads` (`--threads`) sets the
+/// intra-query thread budget; the answer is bit-for-bit identical at
+/// every value.
 pub fn cmd_query(
     table_text: &str,
     query: &str,
@@ -306,9 +334,16 @@ pub fn cmd_query(
 ) -> Result<String, CliError> {
     let table = parse_table(table_text)?;
     let q = parse(query, table.schema()).map_err(lib_err)?;
-    let e = parse_engine(engine)?;
-    let (p, _) =
-        infpdb_finite::engine::prob_boolean_traced_par(&q, &table, e, threads).map_err(lib_err)?;
+    let p = match parse_engine(engine)? {
+        None => worlds::prob_boolean_brute(&q, &table).map_err(lib_err)?,
+        Some(engine) => {
+            let (compiled, plan) = closed_world_plan(&table, &q, engine)?;
+            evaluate_plan(&compiled, &plan, &table, threads, None)
+                .map_err(lib_err)?
+                .expect("the fork-join executor runs every task")
+                .0
+        }
+    };
     let a = Approximation {
         estimate: p,
         eps: 0.0,
@@ -401,11 +436,7 @@ pub fn render_plan(
 pub fn cmd_query_explain(table_text: &str, query: &str) -> Result<String, CliError> {
     let table = parse_table(table_text)?;
     let q = parse(query, table.schema()).map_err(lib_err)?;
-    let knobs = PlanKnobs::default();
-    let compiled = infpdb_logic::compile::CompiledQuery::compile(table.schema(), &q);
-    let profile =
-        PlanProfile::build(&compiled, &table, table.fingerprint(), &knobs).map_err(lib_err)?;
-    let plan = profile.choose(0.0, table.len(), &knobs);
+    let (compiled, plan) = closed_world_plan(&table, &q, Engine::Auto)?;
     Ok(render_plan(&compiled, &plan, table.len()))
 }
 
@@ -432,8 +463,7 @@ pub fn cmd_open_explain(
 pub fn cmd_marginals(table_text: &str, query: &str) -> Result<String, CliError> {
     let table = parse_table(table_text)?;
     let q = parse(query, table.schema()).map_err(lib_err)?;
-    let answers =
-        infpdb_finite::engine::answer_marginals(&q, &table, Engine::Auto).map_err(lib_err)?;
+    let answers = infpdb_finite::engine::answer_marginals(&q, &table).map_err(lib_err)?;
     let mut out = String::new();
     if answers.is_empty() {
         writeln!(out, "(no answers with positive probability)").ok();
@@ -1249,6 +1279,42 @@ Temp 20.3 @ 0.25
             assert!((p - truth).abs() < 1e-9, "{engine}: {p}");
         }
         assert!(cmd_query(TABLE, "exists x. BornIn('turing', x)", "warp", 1).is_err());
+    }
+
+    /// `query` runs exactly the plan `--explain` prints. On the example
+    /// KB this query's components take different strategies, so running
+    /// Shannon over the whole formula would round differently.
+    #[test]
+    fn query_runs_the_explained_plan() {
+        let kb = include_str!("../examples/kb.pdb");
+        let qs = "(exists x. Person(x)) /\\ \
+                  (exists x, y, z. BornIn(x, y) /\\ BornIn(x, z) /\\ y != z)";
+        let explained = cmd_query_explain(kb, qs).unwrap();
+        assert!(
+            explained.contains("component 0 [safe, monotone] -> lifted"),
+            "{explained}"
+        );
+        assert!(
+            explained.contains("component 1 [unsafe] -> shannon"),
+            "{explained}"
+        );
+        let table = parse_table(kb).unwrap();
+        let q = parse(qs, table.schema()).unwrap();
+        let (compiled, plan) = closed_world_plan(&table, &q, Engine::Auto).unwrap();
+        let (expected, _) = evaluate_plan(&compiled, &plan, &table, 1, None)
+            .unwrap()
+            .unwrap();
+        for threads in [1, 2] {
+            let out = cmd_query(kb, qs, "auto", threads).unwrap();
+            let first = out.lines().next().unwrap();
+            let p: f64 = first.rsplit("= ").next().unwrap().parse().unwrap();
+            assert_eq!(p.to_bits(), expected.to_bits(), "{out}");
+        }
+        let err = cmd_query(kb, qs, "lifted", 1).unwrap_err().to_string();
+        assert!(
+            err.contains("component 1 is ineligible for the forced strategy lifted"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -334,7 +334,7 @@ impl Shell {
                 f64::from_bits(p.cost_bits)
             )
             .ok(),
-            None => writeln!(out, "plan: (static engine)").ok(),
+            None => writeln!(out, "plan: (none)").ok(),
         };
         out.trim_end().to_string()
     }

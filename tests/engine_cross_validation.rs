@@ -3,8 +3,8 @@
 //! truth; lifted (where applicable), lineage+Shannon, and Monte Carlo must
 //! agree.
 
-use infpdb::finite::engine::{self, Engine};
 use infpdb::finite::TiTable;
+use infpdb::finite::{engine, lifted, worlds};
 use infpdb::logic::parse;
 use infpdb_core::fact::Fact;
 use infpdb_core::schema::{RelId, Relation, Schema};
@@ -64,8 +64,8 @@ fn lineage_engine_matches_brute_force_on_random_tables() {
         }
         for qs in SAFE_QUERIES.iter().chain(UNSAFE_OR_NON_CQ_QUERIES) {
             let q = parse(qs, t.schema()).unwrap();
-            let fast = engine::prob_boolean(&q, &t, Engine::Lineage).unwrap();
-            let slow = engine::prob_boolean(&q, &t, Engine::Brute).unwrap();
+            let fast = engine::prob_lineage(&q, &t).unwrap();
+            let slow = worlds::prob_boolean_brute(&q, &t).unwrap();
             assert!(
                 (fast - slow).abs() < 1e-9,
                 "trial {trial} {qs}: lineage {fast} vs brute {slow}"
@@ -84,8 +84,8 @@ fn lifted_engine_matches_brute_force_on_safe_queries() {
         }
         for qs in SAFE_QUERIES {
             let q = parse(qs, t.schema()).unwrap();
-            let fast = engine::prob_boolean(&q, &t, Engine::Lifted).unwrap();
-            let slow = engine::prob_boolean(&q, &t, Engine::Brute).unwrap();
+            let fast = lifted::prob_hierarchical(&q, &t).unwrap();
+            let slow = worlds::prob_boolean_brute(&q, &t).unwrap();
             assert!(
                 (fast - slow).abs() < 1e-9,
                 "trial {trial} {qs}: lifted {fast} vs brute {slow}"
@@ -104,8 +104,8 @@ fn auto_engine_always_matches_brute_force() {
         }
         for qs in SAFE_QUERIES.iter().chain(UNSAFE_OR_NON_CQ_QUERIES) {
             let q = parse(qs, t.schema()).unwrap();
-            let fast = engine::prob_boolean(&q, &t, Engine::Auto).unwrap();
-            let slow = engine::prob_boolean(&q, &t, Engine::Brute).unwrap();
+            let fast = engine::prob_boolean(&q, &t).unwrap();
+            let slow = worlds::prob_boolean_brute(&q, &t).unwrap();
             assert!(
                 (fast - slow).abs() < 1e-9,
                 "trial {trial} {qs}: auto {fast} vs brute {slow}"
@@ -119,7 +119,7 @@ fn monte_carlo_lands_within_hoeffding_bounds() {
     let mut rng = SplitMix64::new(45);
     let t = random_table(&mut rng, 3);
     let q = parse("exists x, y. R(x) /\\ S(x, y) /\\ T(y)", t.schema()).unwrap();
-    let truth = engine::prob_boolean(&q, &t, Engine::Lineage).unwrap();
+    let truth = engine::prob_lineage(&q, &t).unwrap();
     let est = infpdb::finite::monte_carlo::estimate_with_guarantee(&q, &t, 0.03, 0.001, &mut rng)
         .unwrap();
     assert!(
@@ -138,7 +138,7 @@ fn answer_marginals_cross_validate() {
             continue;
         }
         let q = parse("exists y. S(x, y)", t.schema()).unwrap();
-        let fast = engine::answer_marginals(&q, &t, Engine::Auto).unwrap();
+        let fast = engine::answer_marginals(&q, &t).unwrap();
         let worlds = t.worlds().unwrap();
         let slow = worlds.answer_marginals(&q).unwrap();
         assert_eq!(fast.len(), slow.len());

@@ -59,10 +59,7 @@ fn free_variable_queries_rejected_by_boolean_apis() {
     let s = schema();
     let t = TiTable::from_facts(s.clone(), [(rfact(1), 0.5)]).unwrap();
     let free = parse("R(x)", &s).unwrap();
-    assert!(
-        infpdb::finite::engine::prob_boolean(&free, &t, infpdb::finite::engine::Engine::Auto)
-            .is_err()
-    );
+    assert!(infpdb::finite::engine::prob_boolean(&free, &t).is_err());
     let pdb = CountableTiPdb::new(FactSupply::unary_over_naturals(
         s,
         RelId(0),
@@ -73,7 +70,7 @@ fn free_variable_queries_rejected_by_boolean_apis() {
         &pdb,
         &free,
         0.1,
-        infpdb::finite::engine::Engine::Auto
+        infpdb::query::Engine::Auto
     )
     .is_err());
 }
@@ -89,13 +86,8 @@ fn tolerances_outside_proposition_6_1_range_rejected() {
     let q = parse("exists x. R(x)", pdb.schema()).unwrap();
     for eps in [0.0, -0.1, 0.5, 0.9, 1.5, f64::NAN] {
         assert!(
-            infpdb::query::approx::approx_prob_boolean(
-                &pdb,
-                &q,
-                eps,
-                infpdb::finite::engine::Engine::Auto
-            )
-            .is_err(),
+            infpdb::query::approx::approx_prob_boolean(&pdb, &q, eps, infpdb::query::Engine::Auto)
+                .is_err(),
             "eps = {eps} must be rejected"
         );
     }

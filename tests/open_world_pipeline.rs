@@ -2,7 +2,6 @@
 //! approximate query evaluation, validated against independently computed
 //! ground truth.
 
-use infpdb::finite::engine::Engine;
 use infpdb::finite::TiTable;
 use infpdb::logic::parse;
 use infpdb::math::series::GeometricSeries;
@@ -10,6 +9,7 @@ use infpdb::openworld::closed_world::closed_world_completion;
 use infpdb::openworld::independent_facts::complete_ti_table;
 use infpdb::query::approx::approx_prob_boolean;
 use infpdb::query::marginal::approx_answers;
+use infpdb::query::Engine;
 use infpdb::ti::enumerator::FactSupply;
 use infpdb_core::fact::Fact;
 use infpdb_core::schema::{RelId, Relation, Schema};
@@ -62,7 +62,7 @@ fn completion_preserves_closed_world_queries() {
         "exists x, y. Likes(x, y)",
     ] {
         let q = parse(qs, &schema()).unwrap();
-        let closed_truth = infpdb::finite::engine::prob_boolean(&q, &table, Engine::Brute).unwrap();
+        let closed_truth = infpdb::finite::worlds::prob_boolean_brute(&q, &table).unwrap();
         let a = approx_prob_boolean(&open, &q, 0.005, Engine::Auto).unwrap();
         assert!(
             (a.estimate - closed_truth).abs() <= 0.005,
@@ -78,7 +78,7 @@ fn open_world_changes_the_right_queries() {
     let open = complete_ti_table(&table, people_tail()).unwrap();
     // "some person exists" is boosted by the tail
     let q = parse("exists x. Person(x)", &schema()).unwrap();
-    let closed_truth = infpdb::finite::engine::prob_boolean(&q, &table, Engine::Brute).unwrap();
+    let closed_truth = infpdb::finite::worlds::prob_boolean_brute(&q, &table).unwrap();
     let a = approx_prob_boolean(&open, &q, 0.001, Engine::Auto).unwrap();
     assert!(
         a.estimate > closed_truth + 0.001,
@@ -90,7 +90,7 @@ fn open_world_changes_the_right_queries() {
     let a10 = approx_prob_boolean(&open, &q10, 0.001, Engine::Auto).unwrap();
     assert!((a10.estimate - 0.2).abs() <= 0.001);
     assert_eq!(
-        infpdb::finite::engine::prob_boolean(&q10, &table, Engine::Brute).unwrap(),
+        infpdb::finite::worlds::prob_boolean_brute(&q10, &table).unwrap(),
         0.0
     );
 }
@@ -100,7 +100,7 @@ fn closed_world_completion_is_the_degenerate_case() {
     let table = base_table();
     let cw = closed_world_completion(&table).unwrap();
     let q = parse("exists x. Person(x)", &schema()).unwrap();
-    let closed_truth = infpdb::finite::engine::prob_boolean(&q, &table, Engine::Brute).unwrap();
+    let closed_truth = infpdb::finite::worlds::prob_boolean_brute(&q, &table).unwrap();
     let a = approx_prob_boolean(&cw, &q, 0.001, Engine::Auto).unwrap();
     assert!((a.estimate - closed_truth).abs() < 1e-12);
 }
@@ -110,7 +110,7 @@ fn approximate_answers_over_the_completion() {
     let table = base_table();
     let open = complete_ti_table(&table, people_tail()).unwrap();
     let q = parse("Person(x)", &schema()).unwrap();
-    let ans = approx_answers(&open, &q, 0.01, Engine::Auto).unwrap();
+    let ans = approx_answers(&open, &q, 0.01).unwrap();
     // original people plus enough tail people to cover the mass
     assert!(ans.len() >= 4);
     let find = |n: i64| {

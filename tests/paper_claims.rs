@@ -1,10 +1,10 @@
 //! One integration test per formal claim of the paper, numbered as in the
 //! text. EXPERIMENTS.md indexes these against the benchmark suite.
 
-use infpdb::finite::engine::Engine;
 use infpdb::finite::TiTable;
 use infpdb::logic::parse;
 use infpdb::math::series::{GeometricSeries, HarmonicSeries, ProbSeries, ZetaSeries};
+use infpdb::query::Engine;
 use infpdb::ti::construction::CountableTiPdb;
 use infpdb::ti::enumerator::FactSupply;
 use infpdb_core::fact::{Fact, FactId};

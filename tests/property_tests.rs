@@ -1,10 +1,11 @@
 //! Property-based tests (proptest) on the library's core invariants.
 
-use infpdb::finite::engine::{self, Engine};
 use infpdb::finite::TiTable;
+use infpdb::finite::{engine, worlds};
 use infpdb::logic::parse;
 use infpdb::math::series::{FiniteSeries, GeometricSeries, ProbSeries};
 use infpdb::math::{LogProb, ProbInterval};
+use infpdb::query::Engine;
 use infpdb_core::fact::{Fact, FactId};
 use infpdb_core::instance::Instance;
 use infpdb_core::schema::{RelId, Relation, Schema};
@@ -143,8 +144,8 @@ proptest! {
             "exists x. R(x) /\\ !S(x)",
         ] {
             let q = parse(query, t.schema()).unwrap();
-            let fast = engine::prob_boolean(&q, &t, Engine::Lineage).unwrap();
-            let slow = engine::prob_boolean(&q, &t, Engine::Brute).unwrap();
+            let fast = engine::prob_lineage(&q, &t).unwrap();
+            let slow = worlds::prob_boolean_brute(&q, &t).unwrap();
             prop_assert!((fast - slow).abs() < 1e-9, "{}: {} vs {}", query, fast, slow);
         }
     }
@@ -194,7 +195,7 @@ proptest! {
         }
         // queries over original facts agree with the closed world within ε
         let q = parse("exists x. R(x)", open.schema()).unwrap();
-        let closed = engine::prob_boolean(&q, &table, Engine::Brute).unwrap();
+        let closed = worlds::prob_boolean_brute(&q, &table).unwrap();
         let a = infpdb::query::approx::approx_prob_boolean(
             &open, &q, 0.01, Engine::Auto,
         ).unwrap();
