@@ -1,15 +1,42 @@
 //! Property-based tests for the relational substrate.
 
 use infpdb_core::event::Event;
-use infpdb_core::fact::FactId;
+use infpdb_core::fact::{Fact, FactId};
 use infpdb_core::instance::Instance;
+use infpdb_core::interner::FactInterner;
+use infpdb_core::schema::RelId;
 use infpdb_core::space::DiscreteSpace;
 use infpdb_core::universe::{BinaryStrings, Integers, Naturals, Universe};
 use infpdb_core::value::{Fixed, Value};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn prob() -> impl Strategy<Value = f64> {
     (0u32..=1000).prop_map(|i| i as f64 / 1000.0)
+}
+
+/// An `Int`, `Fixed` or `Str` argument from a small pool, so that
+/// random facts repeat often.
+fn small_value() -> impl Strategy<Value = Value> {
+    (0u8..3, -3i64..4, 0u8..3).prop_map(|(tag, n, e)| match tag {
+        0 => Value::int(n),
+        1 => Value::fixed(n, e),
+        _ => Value::str(format!("s{n}")),
+    })
+}
+
+/// One interner step: intern (tag 0) or look up (tag 1) a fact over
+/// relation 0–1 with arity 0–3.
+fn interner_op() -> impl Strategy<Value = (u8, Fact)> {
+    (
+        0u8..2,
+        0u32..2,
+        0usize..4,
+        prop::collection::vec(small_value(), 3..4),
+    )
+        .prop_map(|(tag, rel, arity, args)| {
+            (tag, Fact::new(RelId(rel), args[..arity].iter().cloned()))
+        })
 }
 
 proptest! {
@@ -134,6 +161,39 @@ proptest! {
         prop_assert_eq!(a.union(&a), b);
         // difference with itself is empty
         prop_assert!(a.difference(&a).is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any sequence of interns and lookups agrees with a `BTreeMap`
+    /// model: new facts get the next dense id, repeats get their first
+    /// id back, lookups find exactly the interned facts, and every id
+    /// resolves to its fact.
+    #[test]
+    fn interner_agrees_with_a_btreemap_model(ops in prop::collection::vec(interner_op(), 0..120)) {
+        let mut interner = FactInterner::new();
+        let mut model: BTreeMap<Fact, FactId> = BTreeMap::new();
+        for (tag, fact) in ops {
+            if tag == 0 {
+                let got = interner.try_intern(fact.clone());
+                match model.get(&fact) {
+                    Some(&id) => prop_assert_eq!(got, Err(id)),
+                    None => {
+                        let id = FactId(model.len() as u32);
+                        prop_assert_eq!(got, Ok(id));
+                        model.insert(fact, id);
+                    }
+                }
+            } else {
+                prop_assert_eq!(interner.get(&fact), model.get(&fact).copied());
+            }
+            prop_assert_eq!(interner.len(), model.len());
+        }
+        for (fact, &id) in &model {
+            prop_assert_eq!(interner.resolve(id), fact);
+        }
     }
 }
 

@@ -140,11 +140,6 @@ impl TiTable {
         infpdb_math::check_probability(p)
             .map_err(infpdb_core::CoreError::Math)
             .map_err(FiniteError::Core)?;
-        if self.fact_id(&fact).is_some() {
-            return Err(FiniteError::DuplicateFact(
-                fact.display(&self.schema).to_string(),
-            ));
-        }
         if self.len < self.interner.len() {
             // the view is shorter than its shared backing: growing it
             // must not leak the backing's tail, so materialize an owned
@@ -152,7 +147,16 @@ impl TiTable {
             self.interner = Arc::new(self.owned_interner());
             self.probs = Arc::new(self.probs[..self.len].to_vec());
         }
-        let id = Arc::make_mut(&mut self.interner).intern(fact);
+        let id = Arc::make_mut(&mut self.interner)
+            .try_intern(fact)
+            .map_err(|prev| {
+                FiniteError::DuplicateFact(
+                    self.interner
+                        .resolve(prev)
+                        .display(&self.schema)
+                        .to_string(),
+                )
+            })?;
         debug_assert_eq!(id.0 as usize, self.len);
         Arc::make_mut(&mut self.probs).push(p);
         self.len += 1;

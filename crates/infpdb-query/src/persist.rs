@@ -436,6 +436,33 @@ mod tests {
     }
 
     #[test]
+    fn damaged_declared_fact_count_is_reported_not_a_crash() {
+        let dir = tempdir("declared-count");
+        let store = Store::open_dir(&dir);
+        let prepared = PreparedPdb::new(geometric());
+        prepared.warm(0.01).unwrap();
+        prepared.persist(&store, Some(5), None).unwrap();
+        let manifest = store.read_manifest().unwrap().unwrap();
+        let committed = format!("\"facts\": {}", manifest.facts);
+        let text = manifest.encode();
+        assert!(text.contains(&committed), "{text}");
+        for declared in ["-1", "4000000000000"] {
+            let damaged = text.replace(&committed, &format!("\"facts\": {declared}"));
+            std::fs::write(dir.join(infpdb_store::store::MANIFEST_FILE), damaged).unwrap();
+            let (_, report) = PreparedPdb::open(geometric(), &store, Some(5));
+            assert!(
+                matches!(
+                    report.status,
+                    StoreStatus::Degraded { .. } | StoreStatus::Recovered { .. }
+                ),
+                "facts {declared}: {:?}",
+                report.status
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn supply_divergence_is_detected_fact_by_fact() {
         let dir = tempdir("diverge");
         let store = Store::open_dir(&dir);

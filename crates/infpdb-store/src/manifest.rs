@@ -104,6 +104,12 @@ fn require_i64(j: &Json, field: &str) -> Result<i64, StoreError> {
         .ok_or_else(|| StoreError::Corrupt(format!("manifest: {field} is not an integer")))
 }
 
+/// A count, id or size: an integer that is not negative and fits `T`.
+fn require_count<T: TryFrom<i64>>(j: &Json, field: &str) -> Result<T, StoreError> {
+    T::try_from(require_i64(j, field)?)
+        .map_err(|_| StoreError::Corrupt(format!("manifest: {field} is negative or too large")))
+}
+
 impl Manifest {
     /// Encodes the manifest to its on-disk JSON text.
     pub fn encode(&self) -> String {
@@ -168,9 +174,9 @@ impl Manifest {
                 "manifest: unknown format version {format} (this build reads {FORMAT_VERSION})"
             )));
         }
-        let epoch = require_i64(&j, "epoch")? as u64;
-        let facts = require_i64(&j, "facts")? as u64;
-        let shard_capacity = require_i64(&j, "shard_capacity")? as u64;
+        let epoch = require_count(&j, "epoch")?;
+        let facts = require_count(&j, "facts")?;
+        let shard_capacity = require_count(&j, "shard_capacity")?;
         if shard_capacity == 0 {
             return Err(StoreError::Corrupt(
                 "manifest: shard_capacity must be positive".into(),
@@ -194,7 +200,7 @@ impl Manifest {
                         StoreError::Corrupt("manifest: relation name is not a string".into())
                     })?
                     .to_string(),
-                arity: require_i64(r, "arity")? as usize,
+                arity: require_count(r, "arity")?,
             });
         }
         let mut segments = Vec::new();
@@ -203,15 +209,15 @@ impl Manifest {
             .ok_or_else(|| StoreError::Corrupt("manifest: segments is not an array".into()))?
         {
             segments.push(SegmentEntry {
-                rel: require_i64(s, "rel")? as u32,
-                shard: require_i64(s, "shard")? as u32,
+                rel: require_count(s, "rel")?,
+                shard: require_count(s, "shard")?,
                 file: require(s, "file")?
                     .as_str()
                     .ok_or_else(|| {
                         StoreError::Corrupt("manifest: segment file is not a string".into())
                     })?
                     .to_string(),
-                count: require_i64(s, "count")? as u64,
+                count: require_count(s, "count")?,
                 fingerprint: parse_hex_u64(require(s, "fp")?, "fp")?,
             });
         }
@@ -318,6 +324,14 @@ mod tests {
             r#"{"format": 2, "epoch": 0, "facts": 0, "table_fp": "0", "relations": [], "segments": []}"#,
             r#"{"format": 2, "epoch": 0, "facts": 0, "shard_capacity": 1, "table_fp": 12, "relations": [], "segments": []}"#,
             r#"{"format": 2, "epoch": 0, "facts": 0, "shard_capacity": 1, "table_fp": "zz", "relations": [], "segments": []}"#,
+            // negative counts must not wrap into huge ones
+            r#"{"format": 2, "epoch": 0, "facts": -1, "shard_capacity": 1, "table_fp": "0", "relations": [], "segments": []}"#,
+            r#"{"format": 2, "epoch": -3, "facts": 0, "shard_capacity": 1, "table_fp": "0", "relations": [], "segments": []}"#,
+            r#"{"format": 2, "epoch": 0, "facts": 0, "shard_capacity": -1, "table_fp": "0", "relations": [], "segments": []}"#,
+            r#"{"format": 2, "epoch": 0, "facts": 0, "shard_capacity": 1, "table_fp": "0", "relations": [{"name": "R", "arity": -1}], "segments": []}"#,
+            r#"{"format": 2, "epoch": 0, "facts": 0, "shard_capacity": 1, "table_fp": "0", "relations": [], "segments": [{"rel": -1, "shard": 0, "file": "f", "count": 0, "fp": "0"}]}"#,
+            r#"{"format": 2, "epoch": 0, "facts": 0, "shard_capacity": 1, "table_fp": "0", "relations": [], "segments": [{"rel": 0, "shard": 4294967296, "file": "f", "count": 0, "fp": "0"}]}"#,
+            r#"{"format": 2, "epoch": 0, "facts": 0, "shard_capacity": 1, "table_fp": "0", "relations": [], "segments": [{"rel": 0, "shard": 0, "file": "f", "count": -5, "fp": "0"}]}"#,
         ] {
             assert!(
                 matches!(Manifest::parse(text), Err(StoreError::Corrupt(_))),

@@ -129,36 +129,42 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_payload(id: FactId, fact: &Fact, prob: f64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(32);
-    put_u32(&mut p, id.0);
-    put_u64(&mut p, prob.to_bits());
-    put_u16(&mut p, fact.args().len() as u16);
+fn put_payload(out: &mut Vec<u8>, id: FactId, fact: &Fact, prob: f64) {
+    put_u32(out, id.0);
+    put_u64(out, prob.to_bits());
+    put_u16(out, fact.args().len() as u16);
     for arg in fact.args() {
         match arg {
             Value::Int(n) => {
-                p.push(TAG_INT);
-                put_u64(&mut p, *n as u64);
+                out.push(TAG_INT);
+                put_u64(out, *n as u64);
             }
             Value::Fixed(x) => {
-                p.push(TAG_FIXED);
-                put_u64(&mut p, x.mantissa() as u64);
-                p.push(x.exponent());
+                out.push(TAG_FIXED);
+                put_u64(out, x.mantissa() as u64);
+                out.push(x.exponent());
             }
             Value::Str(s) => {
-                p.push(TAG_STR);
-                put_u32(&mut p, s.len() as u32);
-                p.extend_from_slice(s.as_bytes());
+                out.push(TAG_STR);
+                put_u32(out, s.len() as u32);
+                out.extend_from_slice(s.as_bytes());
             }
         }
     }
-    p
 }
 
 /// Serializes one relation's records into a complete segment file image.
 /// `records` must be in ascending [`FactId`] order (the catalog's
-/// iteration order, filtered to `rel`).
-pub fn encode_segment(schema: &Schema, rel: RelId, records: &[(FactId, &Fact, f64)]) -> Vec<u8> {
+/// iteration order, filtered to `rel`). `fingerprint` goes into the
+/// footer and must be the [`combine_unordered`] of the records'
+/// [`fact_fingerprint`]s; the store combines it from the catalog's
+/// cached digests, so no fact is hashed here.
+pub fn encode_segment(
+    schema: &Schema,
+    rel: RelId,
+    records: &[(FactId, &Fact, f64)],
+    fingerprint: u64,
+) -> Vec<u8> {
     let arity = schema.get(rel).map(|r| r.arity()).unwrap_or(0) as u32;
     let mut out = Vec::with_capacity(HEADER_LEN + FOOTER_LEN + records.len() * 40);
     out.extend_from_slice(SEG_MAGIC);
@@ -166,18 +172,21 @@ pub fn encode_segment(schema: &Schema, rel: RelId, records: &[(FactId, &Fact, f6
     put_u32(&mut out, arity);
     let hdr_crc = crc32c(&out[8..16]);
     put_u32(&mut out, hdr_crc);
-    let mut digests = Vec::with_capacity(records.len());
     for &(id, fact, prob) in records {
-        let payload = encode_payload(id, fact, prob);
-        put_u32(&mut out, payload.len() as u32);
-        put_u32(&mut out, crc32c(&payload));
-        out.extend_from_slice(&payload);
-        digests.push(fact_fingerprint(schema, fact, prob));
+        // the payload goes straight into the image; its length and CRC
+        // are filled in ahead of it once it is written
+        let frame = out.len();
+        out.extend_from_slice(&[0; 8]);
+        put_payload(&mut out, id, fact, prob);
+        let payload = &out[frame + 8..];
+        let len = (payload.len() as u32).to_le_bytes();
+        let crc = crc32c(payload).to_le_bytes();
+        out[frame..frame + 4].copy_from_slice(&len);
+        out[frame + 4..frame + 8].copy_from_slice(&crc);
     }
-    let fp = combine_unordered(digests);
     out.extend_from_slice(FTR_MAGIC);
     put_u64(&mut out, records.len() as u64);
-    put_u64(&mut out, fp);
+    put_u64(&mut out, fingerprint);
     let ftr_start = out.len() - 16;
     let ftr_crc = crc32c(&out[ftr_start..]);
     put_u32(&mut out, ftr_crc);
@@ -236,7 +245,7 @@ fn decode_payload(payload: &[u8]) -> Option<SegmentRecord> {
                 }
                 let fixed = Fixed::new(mantissa, exp);
                 // reject non-canonical encodings: they cannot have been
-                // produced by encode_payload, so this is corruption
+                // produced by put_payload, so this is corruption
                 if fixed.mantissa() != mantissa || fixed.exponent() != exp {
                     return None;
                 }
@@ -376,12 +385,85 @@ mod tests {
             .collect()
     }
 
-    fn encode_sample() -> (Vec<u8>, Vec<(FactId, Fact, f64)>) {
-        let s = schema();
-        let owned = sample_records();
+    /// Encodes with the footer fingerprint computed from the facts.
+    fn encode(schema: &Schema, rel: RelId, records: &[(FactId, Fact, f64)]) -> Vec<u8> {
         let borrowed: Vec<(FactId, &Fact, f64)> =
-            owned.iter().map(|(i, f, p)| (*i, f, *p)).collect();
-        (encode_segment(&s, RelId(0), &borrowed), owned)
+            records.iter().map(|(i, f, p)| (*i, f, *p)).collect();
+        let fp = combine_unordered(
+            records
+                .iter()
+                .map(|(_, f, p)| fact_fingerprint(schema, f, *p)),
+        );
+        encode_segment(schema, rel, &borrowed, fp)
+    }
+
+    fn encode_sample() -> (Vec<u8>, Vec<(FactId, Fact, f64)>) {
+        let owned = sample_records();
+        (encode(&schema(), RelId(0), &owned), owned)
+    }
+
+    /// A three-record segment of a ternary relation with `Int`, `Fixed`
+    /// and `Str` arguments (ids 1, 4, 6), byte for byte. Stores on disk
+    /// hold segments in this format, so the encoder must keep writing
+    /// exactly these bytes.
+    const GOLDEN_SEGMENT: &str = "\
+        49504442534547310100000003000000944636a727000000a28a872301000000\
+        000000000000e03f030000010000000000000001190000000000000001020100\
+        0000612c0000000391302104000000000000000000c03f030000f9ffffffffff\
+        ffff012efbffffffffffff03020600000068c3a96c6c6f26000000aea87eee06\
+        000000555555555555d53f030000ffffffffffffff7f01000000000000000000\
+        020000000049504442465452310300000000000000ec1f89b2861d26e0015df5\
+        d7";
+
+    fn golden_records() -> (Schema, Vec<(FactId, Fact, f64)>) {
+        let schema =
+            Schema::from_relations([Relation::new("R", 1), Relation::new("S", 3)]).unwrap();
+        let s = RelId(1);
+        let records = vec![
+            (
+                FactId(1),
+                Fact::new(s, [Value::int(1), Value::fixed(25, 1), Value::str("a")]),
+                0.5,
+            ),
+            (
+                FactId(4),
+                Fact::new(
+                    s,
+                    [Value::int(-7), Value::fixed(-1234, 3), Value::str("héllo")],
+                ),
+                0.125,
+            ),
+            (
+                FactId(6),
+                Fact::new(
+                    s,
+                    [Value::int(i64::MAX), Value::fixed(0, 0), Value::str("")],
+                ),
+                1.0 / 3.0,
+            ),
+        ];
+        (schema, records)
+    }
+
+    #[test]
+    fn encoder_reproduces_the_golden_segment() {
+        let (schema, records) = golden_records();
+        let image = encode(&schema, RelId(1), &records);
+        let hex: String = image.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_SEGMENT);
+        let scan = scan_segment(&image);
+        assert!(scan.clean(), "{scan:?}");
+        assert_eq!(scan.header.unwrap().arity, 3);
+        assert_eq!(scan.records.len(), records.len());
+        for (rec, (id, fact, prob)) in scan.records.iter().zip(&records) {
+            assert_eq!(rec.id, id.0);
+            assert_eq!(rec.prob.to_bits(), prob.to_bits());
+            assert_eq!(&rec.to_fact(RelId(1)), fact);
+        }
+        assert_eq!(
+            records_fingerprint(&schema, RelId(1), &scan.records),
+            scan.footer.unwrap().fingerprint
+        );
     }
 
     #[test]
@@ -454,8 +536,7 @@ mod tests {
 
     #[test]
     fn empty_segment_round_trips() {
-        let s = schema();
-        let bytes = encode_segment(&s, RelId(0), &[]);
+        let bytes = encode(&schema(), RelId(0), &[]);
         let scan = scan_segment(&bytes);
         assert!(scan.clean());
         assert!(scan.records.is_empty());

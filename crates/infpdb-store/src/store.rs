@@ -24,11 +24,12 @@
 //!    next snapshot's GC).
 //!
 //! Shard fingerprints come from the catalog's cached per-fact digests
-//! ([`FactCatalog::fact_digests`]) combined order-insensitively, which
-//! is bit-identical to the segment footer [`encode_segment`] writes — so
-//! deciding which shards to skip costs O(#facts) u64 combines, never a
-//! re-hash of fact content, and an unchanged snapshot is detected in
-//! O(1) from the running catalog fingerprint without touching any shard.
+//! ([`FactCatalog::fact_digests`]) combined order-insensitively, and
+//! the same value is the footer [`encode_segment`] writes — so deciding
+//! which shards to skip, and writing the rest, costs O(#facts) u64
+//! combines, never a re-hash of fact content, and an unchanged snapshot
+//! is detected in O(1) from the running catalog fingerprint without
+//! touching any shard.
 //!
 //! Loading never panics on damage. Each committed shard is opened as a
 //! read-only [`FileView`](crate::io::FileView) (mmap when the platform
@@ -45,6 +46,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use infpdb_core::fact::{Fact, FactId};
 use infpdb_core::fingerprint::UnorderedCombiner;
 use infpdb_core::json::Json;
 use infpdb_core::schema::{RelId, Relation, Schema};
@@ -375,7 +377,7 @@ impl Store {
 
         // group the dense prefix by relation, preserving id order, and
         // carry each fact's cached digest for shard fingerprints
-        type Row<'a> = (infpdb_core::fact::FactId, &'a infpdb_core::fact::Fact, f64);
+        type Row<'a> = (FactId, &'a Fact, f64);
         let mut by_rel: Vec<(Vec<Row<'_>>, Vec<u64>)> =
             vec![(Vec::new(), Vec::new()); schema.len()];
         let digests = catalog.fact_digests();
@@ -394,9 +396,9 @@ impl Store {
             let rel = RelId(rel_idx as u32);
             for (k, chunk) in records.chunks(cap).enumerate() {
                 let shard = k as u32;
-                // shard fingerprint from cached digests — bit-identical
-                // to the footer encode_segment would write, but O(chunk)
-                // u64 combines instead of re-hashing fact content
+                // shard fingerprint from cached digests: O(chunk) u64
+                // combines instead of re-hashing fact content, and the
+                // footer encode_segment writes
                 let mut comb = UnorderedCombiner::new();
                 for &d in &rel_digests[k * cap..k * cap + chunk.len()] {
                     comb.add(d);
@@ -412,14 +414,7 @@ impl Store {
                         continue;
                     }
                 }
-                let image = encode_segment(schema, rel, chunk);
-                // footer layout: magic 8 | count 8 | fingerprint 8 | crc 4
-                let fp_off = image.len() - 12;
-                debug_assert_eq!(
-                    u64::from_le_bytes(image[fp_off..fp_off + 8].try_into().unwrap()),
-                    fingerprint,
-                    "cached digests diverged from segment footer"
-                );
+                let image = encode_segment(schema, rel, chunk, fingerprint);
                 let file = format!("rel{rel_idx}-s{shard}-{epoch}.seg");
                 let path = self.dir.join(&file);
                 io_err(self.io.write(&path, &image), "write", &path)?;
@@ -522,8 +517,8 @@ impl Store {
             ..RecoveryReport::default()
         };
 
-        // merge scanned records by dense id
-        let mut slots: Vec<Option<(SegmentRecord, RelId)>> = vec![None; manifest.facts as usize];
+        // every record that scanned intact, with its relation
+        let mut scanned: Vec<(SegmentRecord, RelId)> = Vec::new();
         for entry in &manifest.segments {
             let path = self.dir.join(&entry.file);
             let Ok(view) = self.io.view(&path) else {
@@ -549,26 +544,35 @@ impl Store {
                     continue;
                 }
             }
-            for rec in scan.records {
-                let idx = rec.id as usize;
-                if idx < slots.len() && slots[idx].is_none() {
-                    slots[idx] = Some((rec, RelId(entry.rel)));
-                } else {
-                    // an id out of the committed range, or a duplicate:
-                    // inconsistent with the manifest, so distrust it
-                    report.checksum_failures += 1;
-                }
-            }
+            let rel = RelId(entry.rel);
+            scanned.extend(scan.records.into_iter().map(|rec| (rec, rel)));
         }
 
-        // rebuild the longest contiguous prefix; stop early if a record
-        // that passed its checksum still fails catalog validation
+        // rebuild the longest contiguous id prefix from the records
+        // scanned, never sized by the count the manifest declares. The
+        // sort is stable, so of two records claiming one id the first
+        // scanned wins. An id out of the committed range, or a
+        // duplicate, is inconsistent with the manifest, so distrust it.
+        // The prefix stops at a gap, or at a record that passed its
+        // checksum but still fails catalog validation. Decoded arguments
+        // move into their facts.
+        scanned.sort_by_key(|(rec, _)| rec.id);
         let mut catalog = FactCatalog::new(schema);
-        for slot in &slots {
-            let Some((rec, rel)) = slot else { break };
-            if catalog.push(rec.to_fact(*rel), rec.prob).is_err() {
+        let mut last_id = None;
+        let mut growing = true;
+        for (rec, rel) in scanned {
+            if u64::from(rec.id) >= manifest.facts || last_id == Some(rec.id) {
                 report.checksum_failures += 1;
-                break;
+                continue;
+            }
+            last_id = Some(rec.id);
+            if growing && rec.id as usize == catalog.len() {
+                if catalog.push(Fact::new(rel, rec.args), rec.prob).is_err() {
+                    report.checksum_failures += 1;
+                    growing = false;
+                }
+            } else {
+                growing = false;
             }
         }
         report.facts_kept = catalog.len() as u64;
@@ -703,7 +707,6 @@ fn parse_epoch(path: &Path) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::io::{FaultyIo, IoFault, Trigger, SITE_FSYNC, SITE_RENAME, SITE_WRITE};
-    use infpdb_core::fact::{Fact, FactId};
     use infpdb_core::value::Value;
 
     fn schema() -> Schema {
@@ -1015,6 +1018,42 @@ mod tests {
         assert_eq!(info.epoch, 2);
         assert!(!info.unchanged, "a corrupt manifest never no-ops");
         assert!(store.load().unwrap().unwrap().report.clean());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Rewrites the committed manifest with `facts` replaced by `text`.
+    fn declare_facts(store: &Store, text: &str) {
+        const SENTINEL: u64 = 987_654_321;
+        let manifest = Manifest {
+            facts: SENTINEL,
+            ..store.read_manifest().unwrap().unwrap()
+        };
+        let encoded = manifest.encode().replace(&SENTINEL.to_string(), text);
+        std::fs::write(store.dir().join(MANIFEST_FILE), encoded).unwrap();
+    }
+
+    #[test]
+    fn negative_declared_fact_count_is_corrupt_not_a_panic() {
+        let dir = tempdir("negative-facts");
+        let store = Store::open_dir(&dir);
+        store.snapshot(&sample_catalog(6), None, None).unwrap();
+        declare_facts(&store, "-1");
+        assert!(matches!(store.load(), Err(StoreError::Corrupt(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn huge_declared_fact_count_loads_only_what_was_scanned() {
+        let dir = tempdir("huge-facts");
+        let store = Store::open_dir(&dir);
+        let catalog = sample_catalog(6);
+        store.snapshot(&catalog, None, None).unwrap();
+        declare_facts(&store, "4000000000000");
+        let rec = store.load().unwrap().unwrap();
+        assert_catalogs_identical(&rec.catalog, &catalog);
+        assert_eq!(rec.report.facts_expected, 4_000_000_000_000);
+        assert_eq!(rec.report.facts_dropped, 4_000_000_000_000 - 6);
+        assert!(!rec.report.clean(), "{:?}", rec.report);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -79,19 +79,18 @@ impl FactCatalog {
 
     /// Appends the next enumerated fact. The id returned equals the
     /// fact's enumeration index; duplicates are rejected (enumerations
-    /// are injective) and probabilities validated.
+    /// are injective) and probabilities validated. The fact is moved
+    /// into the interner with one hash and one probe, never cloned.
     pub fn push(&mut self, fact: Fact, p: f64) -> Result<FactId, TiError> {
         infpdb_math::check_probability(p).map_err(TiError::Math)?;
-        if let Some(prev) = self.interner.get(&fact) {
-            return Err(TiError::DuplicateEnumeration {
-                first: prev.0 as usize,
+        let id = Arc::make_mut(&mut self.interner)
+            .try_intern(fact)
+            .map_err(|first| TiError::DuplicateEnumeration {
+                first: first.0 as usize,
                 second: self.len(),
-            });
-        }
-        // digest before interning: the fact is moved into the interner
-        let digest = fact_fingerprint(&self.schema, &fact, p);
-        let id = Arc::make_mut(&mut self.interner).intern(fact);
+            })?;
         debug_assert_eq!(id.0 as usize, self.probs.len());
+        let digest = fact_fingerprint(&self.schema, self.interner.resolve(id), p);
         Arc::make_mut(&mut self.probs).push(p);
         self.digests.push(digest);
         self.combiner.add(digest);
@@ -228,6 +227,30 @@ mod tests {
             "failed pushes must not perturb the digest cache"
         );
         assert_eq!(c.fingerprint(), c.table_prefix(1).fingerprint());
+    }
+
+    #[test]
+    fn push_stays_exact_when_every_fact_hashes_alike() {
+        let mut colliding = FactCatalog {
+            interner: Arc::new(FactInterner::with_colliding_hashes()),
+            ..FactCatalog::new(schema())
+        };
+        let mut plain = FactCatalog::new(schema());
+        for i in 0..30 {
+            let p = 1.0 / (i as f64 + 2.0);
+            assert_eq!(colliding.push(rfact(i), p).unwrap(), FactId(i as u32));
+            plain.push(rfact(i), p).unwrap();
+        }
+        for i in 0..30 {
+            assert!(matches!(
+                colliding.push(rfact(i), 0.5),
+                Err(TiError::DuplicateEnumeration { first, second: 30 }) if first == i as usize
+            ));
+            assert_eq!(colliding.fact(FactId(i as u32)), &rfact(i));
+        }
+        assert_eq!(colliding.len(), 30);
+        assert_eq!(colliding.fingerprint(), plain.fingerprint());
+        assert_eq!(colliding.fact_digests(), plain.fact_digests());
     }
 
     #[test]
