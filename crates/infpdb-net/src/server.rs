@@ -32,7 +32,7 @@ use infpdb_logic::parse;
 use infpdb_query::StoreStatus;
 use infpdb_serve::service::{QueryRequest, QueryService};
 use infpdb_serve::CostBudget;
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -252,26 +252,45 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
     }
 }
 
+/// The connection's read half as the request parser sees it: a read
+/// timeout is retried until the server shuts down, so a client that
+/// pauses mid-request does not lose the part the parser already read.
+/// Shutdown still ends an idle or paused connection within one
+/// [`READ_TIMEOUT`].
+struct PatientReader<'a> {
+    stream: TcpStream,
+    shutdown: &'a AtomicBool,
+}
+
+impl Read for PatientReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                        && !self.shutdown.load(Ordering::Acquire) => {}
+                other => return other,
+            }
+        }
+    }
+}
+
 fn handle_connection(stream: TcpStream, peer: SocketAddr, state: &ServerState) {
     stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
     stream.set_nodelay(true).ok();
     let mut reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
+        Ok(stream) => BufReader::new(PatientReader {
+            stream,
+            shutdown: &state.shutdown,
+        }),
         Err(_) => return,
     };
     let mut stream = stream;
     loop {
         let request = match http::read_request(&mut reader, state.config.max_body) {
             Ok(r) => r,
-            Err(ParseError::ConnectionClosed) => return,
-            Err(ParseError::Io(_)) => {
-                // read timeout on an idle keep-alive connection: close
-                // if shutting down, otherwise keep waiting
-                if state.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
+            // a closed peer, a broken socket, or a timeout after shutdown
+            Err(ParseError::ConnectionClosed | ParseError::Io(_)) => return,
             Err(ParseError::TooLarge(m)) => {
                 state
                     .net_metrics

@@ -486,6 +486,56 @@ fn keep_alive_reuses_one_connection() {
     server.shutdown();
 }
 
+/// Sends one `/query` in two writes, split `split` bytes into the raw
+/// request, with an 800 ms pause between them (longer than the server's
+/// 500 ms read timeout), and checks the answer against a direct
+/// `evaluate`.
+fn query_with_a_pause(split: impl Fn(&str) -> usize) {
+    use std::io::{BufReader, Write};
+    let (server, base) = start(ServerConfig::default(), 1);
+    let q = "exists x. R(x)";
+    let body = query_body(q, 1e-3);
+    let raw = format!(
+        "POST /query HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        base.authority,
+        body.len()
+    );
+    let at = split(&raw);
+    let mut stream = std::net::TcpStream::connect(&base.authority).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    stream.write_all(&raw.as_bytes()[..at]).unwrap();
+    std::thread::sleep(Duration::from_millis(800));
+    stream.write_all(&raw.as_bytes()[at..]).unwrap();
+    let resp = client::read_response(&mut BufReader::new(&stream)).unwrap();
+    assert_eq!(resp.status, 200, "{:?}", resp.body_utf8());
+    let doc = Json::parse(resp.body_utf8().unwrap()).unwrap();
+    let direct = server
+        .service()
+        .evaluate(QueryRequest::new(
+            parse(q, server.service().pdb().schema()).unwrap(),
+            1e-3,
+        ))
+        .unwrap();
+    let wire_estimate = doc.get("estimate").and_then(Json::as_f64).unwrap();
+    assert_eq!(wire_estimate.to_bits(), direct.approx.estimate.to_bits());
+    server.shutdown();
+}
+
+/// A client that pauses past the server's read timeout inside the
+/// request head (after its `Host` header) still gets its answer.
+#[test]
+fn a_pause_inside_the_request_head_keeps_the_request() {
+    query_with_a_pause(|raw| raw.find("Content-Type").unwrap());
+}
+
+/// A client that pauses past the server's read timeout ten bytes
+/// before the end of its body still gets its answer.
+#[test]
+fn a_pause_inside_the_request_body_keeps_the_request() {
+    query_with_a_pause(|raw| raw.len() - 10);
+}
+
 /// `/healthz` gains a `store` field exactly when durability is
 /// configured: absent without `store_dir`, `fresh` on an empty
 /// directory, `ok` with the fact count after snapshot and reopen.

@@ -46,10 +46,10 @@
 //! |---|---|---|
 //! | [`Rejected`](ServeError::Rejected) | admission | the plan needs a longer truncation than the budget affords and the policy left no feasible ε |
 //! | [`Query`](ServeError::Query) | engine | the evaluation itself failed (bad tolerance, free variables, divergence, …) — deterministic, not retried |
-//! | [`Overloaded`](ServeError::Overloaded) | submission | the bounded queue was full and the overflow policy shed this request (or, under `ShedOldest`, an older queued one) |
+//! | [`Overloaded`](ServeError::Overloaded) | submission | the bounded queue was full and the overflow policy shed this request (or, under `ShedOldest`, an older queued one); only queued requests can be shed, and [`QueryService::evaluate`] queues only misses and transient probe failures, never a cache hit |
 //! | [`Cancelled`](ServeError::Cancelled) | truncation loop | [`Ticket::cancel`](service::Ticket::cancel) fired a checkpoint mid-evaluation |
 //! | [`DeadlineExceeded`](ServeError::DeadlineExceeded) | truncation loop / ticket wait | the request's deadline passed — at a checkpoint mid-loop, or while the ticket was still waiting |
-//! | [`EnginePanic`](ServeError::EnginePanic) | worker | the evaluation panicked; the panic was caught, the worker survives, and the payload is preserved |
+//! | [`EnginePanic`](ServeError::EnginePanic) | worker, or the inline probe of [`QueryService::evaluate`] | the evaluation panicked; the panic was caught and counted, the thread survives, and the payload is preserved; a probe's panic is retried on the pool like any transient failure |
 //! | [`Transient`](ServeError::Transient) | anywhere (injected) | a spurious, retryable failure — retried with bounded exponential backoff before surfacing |
 //! | [`CircuitOpen`](ServeError::CircuitOpen) | cache-miss gate | the circuit breaker is open after too many consecutive failures; the request fails fast without evaluating (cache hits still serve) |
 //! | [`Shutdown`](ServeError::Shutdown) | pool | the service shut down before this request ran |

@@ -207,7 +207,10 @@ pub struct Metrics {
     /// work-stealing pool at spawn time (absent under the fixed
     /// scheduler, so fixed-pool dumps carry no per-worker lines).
     pub worker_tasks: std::sync::OnceLock<Vec<AtomicU64>>,
-    /// Time from submission to the start of evaluation.
+    /// Time from entering the pool's queue to the start of evaluation,
+    /// for queued requests only. A cache hit or a refusal that
+    /// [`QueryService::evaluate`](crate::QueryService::evaluate) answers
+    /// on the calling thread never queues and records nothing here.
     pub wait: LatencyHistogram,
     /// Evaluation time (admission + engine), excluding queue wait.
     pub run: LatencyHistogram,
@@ -619,7 +622,7 @@ impl Metrics {
         }
         self.wait.prometheus_into(
             "serve_wait_micros",
-            "Time from submission to the start of evaluation, in microseconds.",
+            "Time from entering the queue to the start of evaluation, for queued requests only, in microseconds.",
             &mut out,
         );
         self.run.prometheus_into(

@@ -1,19 +1,22 @@
-//! The query service: pool → admission → cache → engine.
+//! The query service: admission → cache → pool → engine.
 //!
 //! [`QueryService`] owns a [`ThreadPool`], a [`ShardedLruCache`] of
 //! finished answers, and a [`Metrics`] registry, and evaluates
 //! [`QueryRequest`]s against one countable t.i. PDB. Every request flows
-//! through the same stages on a worker thread:
+//! through the same stages, split in two halves. The *probe* needs no
+//! engine:
 //!
 //! 1. **Admission** ([`crate::admission`]) — plan `n(ε)` and apply the
 //!    request's budget, possibly widening ε or rejecting;
 //! 2. **Cache** — look up the (PDB, normalized query, *effective* ε,
 //!    engine) fingerprint. Keying by the effective ε means a degraded
 //!    answer is cached under the tolerance it actually satisfies and can
-//!    never be returned for a stricter request;
-//! 3. **Breaker** ([`crate::breaker`]) — on a miss, consult the
-//!    service's circuit breaker; open means fail fast (cache hits keep
-//!    serving while open);
+//!    never be returned for a stricter request.
+//!
+//! A miss goes on to the *compute* half:
+//!
+//! 3. **Breaker** ([`crate::breaker`]) — consult the service's circuit
+//!    breaker; open means fail fast (cache hits keep serving while open);
 //! 4. **Plan cache** — probe the [`PreparedQuery`] cache, keyed by the
 //!    (PDB, normalized query) fingerprints and shared across tolerances;
 //!    a miss compiles the query against the service's shared
@@ -24,14 +27,21 @@
 //!    into any remaining truncation work; record throughput, insert the
 //!    answer.
 //!
-//! The whole pipeline runs under panic containment and a bounded-backoff
-//! retry loop for transient failures; see the crate-level *Failure
+//! [`QueryService::evaluate`] probes on the calling thread and queues
+//! only misses (and transient probe failures), so a cache hit never
+//! waits for a worker. [`QueryService::submit`] and
+//! [`QueryService::submit_batch`] run both halves on a worker: their
+//! callers pipeline requests, and a probe at submission time would miss
+//! on a duplicate whose first copy is still queued.
+//!
+//! Both halves run under panic containment, and a bounded-backoff retry
+//! loop on the pool owns every retry; see the crate-level *Failure
 //! model*. Results come back through a [`Ticket`]: deadline-aware, never
 //! blocking past the request's deadline plus [`TICKET_GRACE`], and
 //! resolving to [`ServeError::Shutdown`] if the service shuts down
 //! before the request runs.
 
-use crate::admission::{self, CostBudget, DegradePolicy, ThroughputEstimate};
+use crate::admission::{self, Admitted, CostBudget, DegradePolicy, ThroughputEstimate};
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
 use crate::cache::ShardedLruCache;
 use crate::faults::FaultInjector;
@@ -345,6 +355,24 @@ impl Inner {
         }
     }
 
+    /// Counts a request's final outcome, then passes it through.
+    fn tally(
+        &self,
+        result: Result<QueryResponse, ServeError>,
+    ) -> Result<QueryResponse, ServeError> {
+        let m = &self.metrics;
+        match &result {
+            Ok(_) => m.completed.fetch_add(1, Ordering::Relaxed),
+            Err(ServeError::Rejected { .. }) => m.rejected.fetch_add(1, Ordering::Relaxed),
+            Err(ServeError::Cancelled { .. }) => m.cancelled.fetch_add(1, Ordering::Relaxed),
+            Err(ServeError::DeadlineExceeded { .. }) => {
+                m.deadline_exceeded.fetch_add(1, Ordering::Relaxed)
+            }
+            Err(_) => m.errors.fetch_add(1, Ordering::Relaxed),
+        };
+        result
+    }
+
     /// The plan-cache entry for the normalized query `qfp`, prepared
     /// from `query` on a miss. Keyed by the (PDB, normalized query)
     /// fingerprints, so every tolerance and α-equivalent alias runs the
@@ -475,7 +503,7 @@ impl QueryService {
             return Self::drained_ticket();
         }
         self.inner.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        let (job, on_shed, ticket) = self.make_job(request);
+        let (job, on_shed, ticket) = self.make_job(request, Instant::now(), None);
         self.pool.submit_with_shed(job, Some(on_shed));
         ticket
     }
@@ -495,7 +523,7 @@ impl QueryService {
         let mut jobs = Vec::with_capacity(requests.len());
         let mut tickets = Vec::with_capacity(requests.len());
         for request in requests {
-            let (job, on_shed, ticket) = self.make_job(request);
+            let (job, on_shed, ticket) = self.make_job(request, Instant::now(), None);
             jobs.push((job, Some(on_shed)));
             tickets.push(ticket);
         }
@@ -503,9 +531,31 @@ impl QueryService {
         tickets
     }
 
-    /// Submits and waits — the synchronous convenience path.
+    /// Evaluates one request and waits for its answer. The probe
+    /// (admission, query fingerprint, result-cache lookup) runs on the
+    /// calling thread, so a cache hit or a deterministic refusal returns
+    /// without touching the pool: a hit is never blocked or shed by a
+    /// full queue. Only a miss or a transient probe failure is queued,
+    /// carrying what the probe found, and the pool's retry loop takes it
+    /// from there. The deadline clock starts here, before the probe.
+    /// While [draining](Self::begin_drain), returns
+    /// [`ServeError::Shutdown`].
     pub fn evaluate(&self, request: QueryRequest) -> Result<QueryResponse, ServeError> {
-        self.submit(request).wait()
+        let inner = &self.inner;
+        if inner.draining.load(Ordering::Acquire) {
+            return Err(ServeError::Shutdown);
+        }
+        inner.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+        let submitted = Instant::now();
+        let first = match contained(inner, || probe(inner, &request)) {
+            Ok(Probe::Hit(resp)) => return inner.tally(Ok(resp)),
+            Ok(Probe::Miss(miss)) => Ok(miss),
+            Err(e) if e.is_transient() => Err(e),
+            Err(e) => return inner.tally(Err(e)),
+        };
+        let (job, on_shed, ticket) = self.make_job(request, submitted, Some(first));
+        self.pool.submit_with_shed(job, Some(on_shed));
+        ticket.wait()
     }
 
     /// A pre-resolved ticket for requests refused during a drain.
@@ -518,17 +568,21 @@ impl QueryService {
         }
     }
 
+    /// One request's job, shed handler and ticket. The deadline counts
+    /// from `submitted`, the queue wait from now; `first` is the outcome
+    /// of a probe the caller already made on its own thread.
     #[allow(clippy::type_complexity)]
     fn make_job(
         &self,
         request: QueryRequest,
+        submitted: Instant,
+        first: Option<Result<Miss, ServeError>>,
     ) -> (
         Box<dyn FnOnce() + Send + 'static>,
         Box<dyn FnOnce() + Send + 'static>,
         Ticket,
     ) {
         let inner = Arc::clone(&self.inner);
-        let submitted = Instant::now();
         let cancel = match request.budget.deadline {
             Some(d) => CancelToken::with_deadline_at(submitted + d),
             None => CancelToken::new(),
@@ -538,29 +592,16 @@ impl QueryService {
         let shed_tx = tx.clone();
         let queue_cap = self.pool.queue_cap();
         let steal = self.pool.steal_handle();
+        let queued = Instant::now();
         let job = Box::new(move || {
-            inner.metrics.wait.record(submitted.elapsed());
+            inner.metrics.wait.record(queued.elapsed());
             // under the stealing scheduler, component subtasks run on the
             // pool's own workers (carrying this ticket's cancel token)
             // instead of freshly forked scoped threads
             let executor = steal.map(|h| StealingExecutor::new(h, token.clone()));
-            let result = run_resilient(&inner, &request, &token, executor.as_ref());
-            match &result {
-                Ok(_) => inner.metrics.completed.fetch_add(1, Ordering::Relaxed),
-                Err(ServeError::Rejected { .. }) => {
-                    inner.metrics.rejected.fetch_add(1, Ordering::Relaxed)
-                }
-                Err(ServeError::Cancelled { .. }) => {
-                    inner.metrics.cancelled.fetch_add(1, Ordering::Relaxed)
-                }
-                Err(ServeError::DeadlineExceeded { .. }) => inner
-                    .metrics
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed),
-                Err(_) => inner.metrics.errors.fetch_add(1, Ordering::Relaxed),
-            };
+            let result = run_resilient(&inner, &request, &token, executor.as_ref(), first);
             // a dropped ticket is fine — fire-and-forget submission
-            tx.send(result).ok();
+            tx.send(inner.tally(result)).ok();
         });
         let on_shed = Box::new(move || {
             shed_tx.send(Err(ServeError::Overloaded { queue_cap })).ok();
@@ -659,9 +700,12 @@ impl QueryService {
         self.pool.queue_cap()
     }
 
-    /// Immediate shutdown: queued requests are dropped (their tickets
-    /// resolve to [`ServeError::Shutdown`]); in-flight evaluations finish.
+    /// Immediate shutdown: new requests are refused as in a
+    /// [drain](Self::begin_drain), queued requests are dropped (their
+    /// tickets resolve to [`ServeError::Shutdown`]); in-flight
+    /// evaluations finish.
     pub fn shutdown_now(&mut self) {
+        self.begin_drain();
         self.pool.shutdown_now();
     }
 
@@ -695,26 +739,40 @@ impl QueryService {
     }
 }
 
-/// Panic containment + retry around [`handle`]: catches panics into
-/// [`ServeError::EnginePanic`], retries transient failures with bounded
-/// exponential backoff, and keeps the service's breaker informed.
+/// Runs `f` under panic containment: a panic becomes
+/// [`ServeError::EnginePanic`] and is counted in `panics`, on a worker or
+/// on a caller's thread alike.
+fn contained<T>(inner: &Inner, f: impl FnOnce() -> Result<T, ServeError>) -> Result<T, ServeError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        inner.metrics.panics.fetch_add(1, Ordering::Relaxed);
+        Err(ServeError::EnginePanic {
+            payload: panic_payload(payload),
+        })
+    })
+}
+
+/// The retry loop around [`probe`] and [`compute`]: contains panics,
+/// retries transient failures with bounded exponential backoff, and
+/// keeps the service's breaker informed. `first` is the first attempt's
+/// probe when the caller already made it: a miss goes straight to
+/// [`compute`], a transient failure counts as the failed first attempt.
 fn run_resilient(
     inner: &Inner,
     request: &QueryRequest,
     cancel: &CancelToken,
     exec: Option<&StealingExecutor>,
+    mut first: Option<Result<Miss, ServeError>>,
 ) -> Result<QueryResponse, ServeError> {
     let max_attempts = inner.retry.max_attempts.max(1);
     let mut attempt = 0u32;
     loop {
-        let result = match catch_unwind(AssertUnwindSafe(|| handle(inner, request, cancel, exec))) {
-            Ok(r) => r,
-            Err(payload) => {
-                inner.metrics.panics.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::EnginePanic {
-                    payload: panic_payload(payload),
-                })
-            }
+        let result = match first.take() {
+            Some(Ok(miss)) => contained(inner, || compute(inner, request, miss, cancel, exec)),
+            Some(Err(e)) => Err(e),
+            None => contained(inner, || match probe(inner, request)? {
+                Probe::Hit(resp) => Ok(resp),
+                Probe::Miss(miss) => compute(inner, request, miss, cancel, exec),
+            }),
         };
         match &result {
             Ok(resp) => {
@@ -771,12 +829,25 @@ fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn handle(
-    inner: &Inner,
-    request: &QueryRequest,
-    cancel: &CancelToken,
-    exec: Option<&StealingExecutor>,
-) -> Result<QueryResponse, ServeError> {
+/// An admitted request that missed the result cache: what [`compute`]
+/// needs to evaluate it without admitting or hashing it again.
+struct Miss {
+    admitted: Admitted,
+    /// The normalized-query fingerprint, also the plan-cache key's.
+    qfp: u64,
+    /// The result-cache key at the admitted ε.
+    key: u64,
+}
+
+/// What [`probe`] found for one request.
+enum Probe {
+    Hit(QueryResponse),
+    Miss(Miss),
+}
+
+/// The half of a request that needs no engine: the `admission` fault
+/// site, admission, the query fingerprint and the result-cache lookup.
+fn probe(inner: &Inner, request: &QueryRequest) -> Result<Probe, ServeError> {
     inner.fault("admission")?;
     let pdb = inner.prepared.pdb();
     let cap = request.budget.effective_max_n(inner.throughput.get());
@@ -799,18 +870,32 @@ fn handle(
     .digest();
     if let Some((approx, report, trace)) = inner.cache.get(key) {
         inner.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok(QueryResponse {
+        return Ok(Probe::Hit(QueryResponse {
             approx,
             report,
             requested_eps: request.eps,
             degraded: admitted.degraded,
             cached: true,
             trace,
-        });
+        }));
     }
     inner.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+    Ok(Probe::Miss(Miss { admitted, qfp, key }))
+}
+
+/// The half of a request that runs the engine on a cache miss: the
+/// breaker gate, the `engine` fault site, the plan cache, the
+/// evaluation and the cache insert.
+fn compute(
+    inner: &Inner,
+    request: &QueryRequest,
+    miss: Miss,
+    cancel: &CancelToken,
+    exec: Option<&StealingExecutor>,
+) -> Result<QueryResponse, ServeError> {
+    let Miss { admitted, qfp, key } = miss;
     // breaker gate at the cache-miss point: open ⇒ fail fast, but cache
-    // hits above keep serving
+    // hits keep serving
     match inner.breaker.admit() {
         Admission::Proceed => {}
         Admission::FastFail(consecutive_failures) => {
@@ -1278,6 +1363,12 @@ mod tests {
             Err(ServeError::Shutdown) => {}
             other => panic!("expected shutdown, got {other:?}"),
         }
+        // so does an evaluation, even of a key that may be cached
+        let q = parse("exists x. R(x)", p.schema()).unwrap();
+        assert!(matches!(
+            svc.evaluate(QueryRequest::new(q, 0.000_001)),
+            Err(ServeError::Shutdown)
+        ));
     }
 
     #[test]
@@ -1591,6 +1682,129 @@ mod tests {
         assert_eq!(svc.metrics().shed.load(Ordering::Relaxed), 1);
         blocker.wait().unwrap();
         queued.wait().unwrap();
+    }
+
+    #[test]
+    fn a_cache_hit_never_waits_for_the_pool() {
+        // every evaluation takes at least 300 ms, so the queued miss
+        // below cannot finish until 600 ms after it is queued
+        let faults = Arc::new(FaultInjector::new(15));
+        faults.inject(
+            "engine",
+            FaultKind::Latency(Duration::from_millis(300)),
+            Trigger::Always,
+        );
+        let svc = QueryService::with_faults(
+            pdb(),
+            ServiceConfig {
+                threads: 1,
+                queue_cap: Some(1),
+                overflow: OverflowPolicy::RejectNewest,
+                ..ServiceConfig::default()
+            },
+            faults,
+        );
+        let p = pdb();
+        let k = parse("R(1)", p.schema()).unwrap();
+        let first = svc.evaluate(QueryRequest::new(k.clone(), 0.05)).unwrap();
+        // two slow misses: one on the single worker, one in the single
+        // queue slot
+        let slow = parse("exists x. R(x)", p.schema()).unwrap();
+        let running = svc.submit(QueryRequest::new(slow.clone(), 0.01));
+        let deadline = Instant::now() + TICKET_GRACE;
+        while svc.queue_depth() > 0 {
+            assert!(Instant::now() < deadline, "the first miss never started");
+            std::thread::yield_now();
+        }
+        let queued = svc.submit(QueryRequest::new(slow, 0.02));
+        let hit = svc.evaluate(QueryRequest::new(k, 0.05)).unwrap();
+        assert!(hit.cached);
+        assert_eq!(
+            hit.approx.estimate.to_bits(),
+            first.approx.estimate.to_bits()
+        );
+        assert!(
+            queued.try_wait().is_none(),
+            "the hit must not wait behind the queued miss"
+        );
+        assert_eq!(svc.metrics().shed.load(Ordering::Relaxed), 0);
+        running.wait().unwrap();
+        queued.wait().unwrap();
+    }
+
+    #[test]
+    fn evaluate_answers_hits_and_refusals_without_the_pool() {
+        let svc = service(1);
+        let p = pdb();
+        let q = parse("R(1)", p.schema()).unwrap();
+        let m = svc.metrics();
+        assert!(
+            !svc.evaluate(QueryRequest::new(q.clone(), 0.05))
+                .unwrap()
+                .cached
+        );
+        assert_eq!(m.wait.count(), 1, "the miss went through the queue");
+        assert!(
+            svc.evaluate(QueryRequest::new(q.clone(), 0.05))
+                .unwrap()
+                .cached
+        );
+        // an invalid ε fails admission the same way on any thread
+        svc.evaluate(QueryRequest::new(q, 0.5)).unwrap_err();
+        assert_eq!(m.wait.count(), 1, "the hit and the refusal stayed inline");
+        assert_eq!(m.submitted.load(Ordering::Relaxed), 3);
+        assert_eq!(m.completed.load(Ordering::Relaxed), 2);
+        assert_eq!(m.errors.load(Ordering::Relaxed), 1);
+        assert_eq!(m.cache_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(m.cache_misses.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_panic_in_the_inline_probe_is_contained_and_retried_on_the_pool() {
+        let faults = Arc::new(FaultInjector::new(16));
+        faults.inject("admission", FaultKind::Panic, Trigger::Times(1));
+        let svc = QueryService::with_faults(
+            pdb(),
+            ServiceConfig {
+                threads: 1,
+                retry: RetryPolicy {
+                    max_attempts: 2,
+                    base: Duration::ZERO,
+                    cap: Duration::ZERO,
+                },
+                ..ServiceConfig::default()
+            },
+            Arc::clone(&faults),
+        );
+        let p = pdb();
+        let q = parse("R(1)", p.schema()).unwrap();
+        let resp = svc.evaluate(QueryRequest::new(q, 0.05)).unwrap();
+        assert!(!resp.cached);
+        let m = svc.metrics();
+        assert_eq!(m.panics.load(Ordering::Relaxed), 1);
+        assert_eq!(m.retries.load(Ordering::Relaxed), 1);
+        assert_eq!(m.completed.load(Ordering::Relaxed), 1);
+        assert_eq!(m.wait.count(), 1);
+        // one admission pass per attempt: the inline one, then the retry
+        assert_eq!(faults.calls("admission"), 2);
+    }
+
+    #[test]
+    fn a_batch_reuses_its_own_earlier_answers() {
+        let svc = service(1);
+        let p = pdb();
+        let a = parse("exists x. R(x)", p.schema()).unwrap();
+        let tickets = svc.submit_batch(vec![
+            QueryRequest::new(a.clone(), 0.01),
+            QueryRequest::new(a, 0.01),
+        ]);
+        let answers: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        assert!(!answers[0].cached);
+        assert!(
+            answers[1].cached,
+            "the duplicate probed after the first ran"
+        );
+        assert_eq!(answers[0].approx, answers[1].approx);
     }
 
     /// An 8 × 8 bipartite grid over `{R/1, S/2, T/1}`: the negated join

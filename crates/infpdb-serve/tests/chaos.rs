@@ -68,6 +68,42 @@ fn workload(pdb: &CountableTiPdb) -> Vec<(infpdb_logic::ast::Formula, f64)> {
     combos
 }
 
+/// Each combination's estimate bits from a sequential evaluation
+/// through plain `infpdb-query`.
+fn sequential_bits(pdb: &CountableTiPdb, combos: &[(infpdb_logic::ast::Formula, f64)]) -> Vec<u64> {
+    combos
+        .iter()
+        .map(|(q, eps)| {
+            approx_prob_boolean(pdb, q, *eps, Engine::Auto)
+                .unwrap()
+                .estimate
+                .to_bits()
+        })
+        .collect()
+}
+
+const ADMISSION_ERRORS: u64 = 2;
+const ENGINE_PANICS: u64 = 3;
+const INSERT_LATENCIES: u64 = 2;
+
+/// Budgeted faults at all three sites: transient errors at `admission`,
+/// panics at `engine`, latency at `cache_insert`.
+fn three_site_faults(seed: u64) -> Arc<FaultInjector> {
+    let faults = Arc::new(FaultInjector::new(seed));
+    faults.inject(
+        "admission",
+        FaultKind::Error,
+        Trigger::Times(ADMISSION_ERRORS),
+    );
+    faults.inject("engine", FaultKind::Panic, Trigger::Times(ENGINE_PANICS));
+    faults.inject(
+        "cache_insert",
+        FaultKind::Latency(Duration::from_millis(1)),
+        Trigger::Times(INSERT_LATENCIES),
+    );
+    faults
+}
+
 /// Outcome tally for a batch of resolved tickets.
 #[derive(Default, Debug)]
 struct Tally {
@@ -98,31 +134,8 @@ fn faults_at_three_sites_every_ticket_resolves_and_successes_match_sequential() 
     for seed in seeds() {
         let pdb = geometric_pdb();
         let combos = workload(&pdb);
-        let expected: Vec<u64> = combos
-            .iter()
-            .map(|(q, eps)| {
-                approx_prob_boolean(&pdb, q, *eps, Engine::Auto)
-                    .unwrap()
-                    .estimate
-                    .to_bits()
-            })
-            .collect();
-
-        const ADMISSION_ERRORS: u64 = 2;
-        const ENGINE_PANICS: u64 = 3;
-        const INSERT_LATENCIES: u64 = 2;
-        let faults = Arc::new(FaultInjector::new(seed));
-        faults.inject(
-            "admission",
-            FaultKind::Error,
-            Trigger::Times(ADMISSION_ERRORS),
-        );
-        faults.inject("engine", FaultKind::Panic, Trigger::Times(ENGINE_PANICS));
-        faults.inject(
-            "cache_insert",
-            FaultKind::Latency(Duration::from_millis(1)),
-            Trigger::Times(INSERT_LATENCIES),
-        );
+        let expected = sequential_bits(&pdb, &combos);
+        let faults = three_site_faults(seed);
 
         let svc = QueryService::with_faults(
             pdb.clone(),
@@ -185,6 +198,89 @@ fn faults_at_three_sites_every_ticket_resolves_and_successes_match_sequential() 
         assert_eq!(m.completed.load(Ordering::Relaxed), tally.ok);
         assert_eq!(m.shed.load(Ordering::Relaxed), 0);
         assert_eq!(m.cancelled.load(Ordering::Relaxed), 0);
+
+        assert_pool_healthy(&svc, &faults, &pdb);
+    }
+}
+
+/// The same fault matrix through `evaluate`, which probes on the
+/// caller's thread, under the default retry policy: each attempt passes
+/// `admission` once, every fired fault is either one retry or one failed
+/// answer, and exactly the requests whose first probe did not hit reach
+/// the pool's queue.
+#[test]
+fn faults_through_evaluate_are_counted_once_per_attempt() {
+    for seed in seeds() {
+        let pdb = geometric_pdb();
+        let combos = workload(&pdb);
+        let expected = sequential_bits(&pdb, &combos);
+        let faults = three_site_faults(seed);
+
+        let svc = QueryService::with_faults(
+            pdb.clone(),
+            ServiceConfig {
+                threads: 2,
+                retry: RetryPolicy::default(),
+                // no breaker: a fast-fail would hide a fault behind it
+                breaker: BreakerConfig::disabled(),
+                ..ServiceConfig::default()
+            },
+            Arc::clone(&faults),
+        );
+
+        const ROUNDS: usize = 4;
+        let mut tally = Tally::default();
+        let mut answered = vec![false; combos.len()];
+        let mut pooled = 0u64;
+        for round in 0..ROUNDS {
+            for i in 0..combos.len() {
+                let c = (i + (seed as usize) * 7 + round) % combos.len();
+                let (q, eps) = &combos[c];
+                let fired_before = faults.fired("admission");
+                let result = svc.evaluate(QueryRequest::new(q.clone(), *eps));
+                // the first probe hits only on an answered key whose
+                // admission check did not fire; anything else is queued
+                if !answered[c] || faults.fired("admission") > fired_before {
+                    pooled += 1;
+                }
+                match result {
+                    Ok(resp) => {
+                        tally.ok += 1;
+                        answered[c] = true;
+                        assert_eq!(
+                            resp.approx.estimate.to_bits(),
+                            expected[c],
+                            "seed {seed}: answer through evaluate diverged from sequential"
+                        );
+                    }
+                    Err(ServeError::Transient { site }) => {
+                        tally.transient += 1;
+                        assert_eq!(site, "admission");
+                    }
+                    Err(ServeError::EnginePanic { payload }) => {
+                        tally.panic += 1;
+                        assert!(payload.contains("injected fault"), "{payload}");
+                    }
+                    Err(e) => panic!("seed {seed}: unexpected outcome {e}"),
+                }
+            }
+        }
+        let total = (ROUNDS * combos.len()) as u64;
+        assert_eq!(tally.ok + tally.transient + tally.panic, total);
+
+        assert_eq!(faults.fired("admission"), ADMISSION_ERRORS);
+        assert_eq!(faults.fired("engine"), ENGINE_PANICS);
+        assert_eq!(faults.fired("cache_insert"), INSERT_LATENCIES);
+        let failed = tally.transient + tally.panic;
+        let retries = ADMISSION_ERRORS + ENGINE_PANICS - failed;
+        let m = svc.metrics();
+        assert_eq!(faults.calls("admission"), total + retries, "seed {seed}");
+        assert_eq!(m.retries.load(Ordering::Relaxed), retries, "seed {seed}");
+        assert_eq!(m.errors.load(Ordering::Relaxed), failed);
+        assert_eq!(m.panics.load(Ordering::Relaxed), ENGINE_PANICS);
+        assert_eq!(m.completed.load(Ordering::Relaxed), tally.ok);
+        assert_eq!(m.wait.count(), pooled, "seed {seed}");
+        assert_eq!(m.shed.load(Ordering::Relaxed), 0);
 
         assert_pool_healthy(&svc, &faults, &pdb);
     }
@@ -331,15 +427,7 @@ fn probabilistic_engine_faults_with_retries_never_corrupt_answers() {
     for seed in seeds() {
         let pdb = geometric_pdb();
         let combos = workload(&pdb);
-        let expected: Vec<u64> = combos
-            .iter()
-            .map(|(q, eps)| {
-                approx_prob_boolean(&pdb, q, *eps, Engine::Auto)
-                    .unwrap()
-                    .estimate
-                    .to_bits()
-            })
-            .collect();
+        let expected = sequential_bits(&pdb, &combos);
 
         let faults = Arc::new(FaultInjector::new(seed));
         faults.inject("engine", FaultKind::Error, Trigger::Probability(0.3));
