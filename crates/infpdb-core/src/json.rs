@@ -17,8 +17,18 @@
 //!   estimates" check rests on this.
 //! * **Object key order is preserved.** Objects are association vectors,
 //!   not hash maps, so encoded artifacts are deterministic and diffable.
+//!
+//! The parser also decodes untrusted HTTP bodies, so its cost is bounded
+//! by its input: one linear pass (a string's plain runs are copied whole,
+//! never re-validated byte by byte) and at most [`MAX_NESTING`] levels of
+//! arrays and objects, so a hostile body cannot exhaust the stack.
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// Manifests, bench artifacts and wire bodies nest at most four levels;
+/// the parser recurses once per level, so the cap bounds its stack.
+pub const MAX_NESTING: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,9 +137,27 @@ impl Json {
 
     /// Compact encoding (no whitespace).
     pub fn encode(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.size_hint());
         self.write(&mut out, None, 0);
         out
+    }
+
+    /// About the compact encoding's length: exact for strings without
+    /// escapes, the widest rendering for numbers.
+    fn size_hint(&self) -> usize {
+        match self {
+            Json::Null | Json::Bool(_) => 5,
+            Json::Int(_) => 20,
+            Json::Float(_) => 24,
+            Json::Str(s) => s.len() + 2,
+            Json::Array(items) => 1 + items.iter().map(|v| v.size_hint() + 1).sum::<usize>(),
+            Json::Object(pairs) => {
+                1 + pairs
+                    .iter()
+                    .map(|(k, v)| k.len() + 4 + v.size_hint())
+                    .sum::<usize>()
+            }
+        }
     }
 
     /// Pretty encoding with two-space indentation, for diffable
@@ -198,8 +226,10 @@ impl Json {
     /// garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -246,29 +276,48 @@ fn write_seq(
     out.push(close);
 }
 
+/// Whether a byte stands for itself inside a JSON string literal:
+/// everything but the quote, the backslash and the control bytes.
+fn is_plain(b: u8) -> bool {
+    b != b'"' && b != b'\\' && b >= 0x20
+}
+
+/// Writes `s` as a JSON string literal, copying each run of plain
+/// characters in one piece.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).ok();
+    // start of the run not yet copied; every escaped byte is ASCII, so
+    // each run boundary is a char boundary
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if is_plain(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                write!(out, "\\u{b:04x}").ok();
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -317,8 +366,21 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(format!(
+                        "arrays and objects nested deeper than {MAX_NESTING} levels"
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected {:?}", other as char))),
             None => Err(self.err("unexpected end of input")),
@@ -380,6 +442,14 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // copy the run up to the next quote, backslash or control
+            // byte in one piece: the input is a `&str` and the run ends
+            // at an ASCII byte, so it is valid UTF-8 as it stands
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if is_plain(b)) {
+                self.pos += 1;
+            }
+            out.push_str(&self.input[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -424,16 +494,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid)
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -443,9 +504,12 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // exactly four hex digits: `from_str_radix` alone would also
+        // take a sign
+        if !self.bytes[self.pos..end].iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid \\u escape"));
+        }
+        let v = u32::from_str_radix(&self.input[self.pos..end], 16).expect("four hex digits");
         self.pos = end;
         Ok(v)
     }
@@ -603,6 +667,52 @@ mod tests {
         // a lone zero is still a fine number
         assert!(Json::parse("0").is_ok());
         assert!(Json::parse("0.25").is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        // a spawned thread has the default 2 MiB stack, as a connection
+        // thread of `serve` does
+        std::thread::spawn(move || {
+            for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+                let err = Json::parse(&nested(open, close, 100_000)).unwrap_err();
+                assert!(err.message.contains("nested deeper"), "{err}");
+                assert_eq!(err.offset, MAX_NESTING * open.len());
+                assert!(Json::parse(&nested(open, close, MAX_NESTING)).is_ok());
+                assert!(Json::parse(&nested(open, close, MAX_NESTING + 1)).is_err());
+                // siblings close their levels again
+                let wide = format!("[{}]", vec![nested(open, close, 3); 1000].join(","));
+                assert!(Json::parse(&wide).is_ok());
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        // plain runs of 1-, 2-, 3- and 4-byte characters between escapes
+        let unit = "plain ascii \"é€\u{1F600}\\\n";
+        let text = unit.repeat((1 << 20) / unit.len() + 1);
+        let doc = Json::obj([("s", Json::str(text.clone()))]).encode();
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.get("s").and_then(Json::as_str), Some(text.as_str()));
+        // a scan that re-reads the rest of the input per character took
+        // 23 s on a 1 MiB string in a release build
+        assert!(elapsed < std::time::Duration::from_secs(2), "{elapsed:?}");
+    }
+
+    #[test]
+    fn a_unicode_escape_takes_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u00e9""#).unwrap().as_str(), Some("é"));
+        for bad in [r#""\u+0e9""#, r#""\u-001""#, r#""\u 0e9""#, r#""\u00é""#] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

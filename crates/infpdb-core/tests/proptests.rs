@@ -4,6 +4,7 @@ use infpdb_core::event::Event;
 use infpdb_core::fact::{Fact, FactId};
 use infpdb_core::instance::Instance;
 use infpdb_core::interner::FactInterner;
+use infpdb_core::json::Json;
 use infpdb_core::schema::RelId;
 use infpdb_core::space::DiscreteSpace;
 use infpdb_core::universe::{BinaryStrings, Integers, Naturals, Universe};
@@ -194,6 +195,65 @@ proptest! {
         for (fact, &id) in &model {
             prop_assert_eq!(interner.resolve(id), fact);
         }
+    }
+}
+
+/// One character from each class the JSON string codec treats apart:
+/// printable ASCII, the seven characters with a short escape, the
+/// control characters (`\u00XX` unless short-escaped), and 2-, 3- and
+/// 4-byte UTF-8 scalars.
+fn json_char() -> impl Strategy<Value = char> {
+    (0u8..6, 0u32..0x11_0000).prop_map(|(class, n)| {
+        let within = |lo: u32, hi: u32| char::from_u32(lo + n % (hi - lo + 1));
+        let c = match class {
+            0 => within(0x20, 0x7e),
+            1 => Some(['"', '\\', '\n', '\r', '\t', '\u{08}', '\u{0c}'][n as usize % 7]),
+            2 => within(0x00, 0x1f),
+            3 => within(0x80, 0x7ff),
+            // surrogates are no chars: `from_u32` refuses them
+            4 => within(0x800, 0xffff),
+            _ => within(0x1_0000, 0x10_ffff),
+        };
+        c.unwrap_or('\u{fffd}')
+    })
+}
+
+/// The escaper the encoder must agree with, one char at a time.
+fn reference_escape(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0c}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any string encodes exactly as the char-by-char reference escaper
+    /// writes it and decodes back to itself, as a value and as a key.
+    #[test]
+    fn json_strings_round_trip_and_escape_like_the_reference(
+        chars in prop::collection::vec(json_char(), 0..48),
+    ) {
+        let s: String = chars.into_iter().collect();
+        let encoded = Json::str(s.clone()).encode();
+        prop_assert_eq!(&encoded, &reference_escape(&s));
+        let decoded = Json::parse(&encoded).unwrap();
+        prop_assert_eq!(decoded.as_str(), Some(s.as_str()));
+        let doc = Json::obj([(s.clone(), Json::Array(vec![Json::str(s.clone()), Json::Null]))]);
+        prop_assert_eq!(Json::parse(&doc.encode()).unwrap(), doc);
     }
 }
 

@@ -21,11 +21,21 @@
 //! strings, integers and decimals are constants (elements of the universe,
 //! per the paper's convention of not distinguishing elements from constant
 //! symbols).
+//!
+//! Query text arrives over the network, and the parser and every pass
+//! over the formula it builds recurse once per nesting level, so the
+//! nesting is capped at [`MAX_NESTING`]: deeper input is a
+//! [`LogicError::Parse`], not a stack overflow.
 
 use crate::ast::{Formula, Term};
 use crate::LogicError;
 use infpdb_core::schema::Schema;
 use infpdb_core::value::Value;
+
+/// The deepest syntactic nesting [`parse`] accepts. Each open
+/// parenthesis, each `!`/`not`, each variable a quantifier binds and
+/// each `->` adds one level for what it encloses.
+pub const MAX_NESTING: usize = 256;
 
 /// Parses `input` into a [`Formula`], resolving relation names against
 /// `schema`.
@@ -45,6 +55,7 @@ pub fn parse(input: &str, schema: &Schema) -> Result<Formula, LogicError> {
         bytes: input.as_bytes(),
         pos: 0,
         schema,
+        depth: 0,
     };
     p.skip_ws();
     let f = p.formula()?;
@@ -60,6 +71,8 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     schema: &'a Schema,
+    /// Nesting levels open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -68,6 +81,22 @@ impl<'a> Parser<'a> {
             offset: self.pos,
             message: message.into(),
         }
+    }
+
+    /// Parses with `levels` more nesting levels open, refusing to go
+    /// past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        levels: usize,
+        inner: impl FnOnce(&mut Self) -> Result<T, LogicError>,
+    ) -> Result<T, LogicError> {
+        if levels > MAX_NESTING - self.depth {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += levels;
+        let result = inner(self);
+        self.depth -= levels;
+        result
     }
 
     fn skip_ws(&mut self) {
@@ -140,7 +169,7 @@ impl<'a> Parser<'a> {
                     self.pos = save;
                     return Err(self.err("expected '.' after quantified variables"));
                 }
-                let body = self.formula()?;
+                let body = self.nested(vars.len(), Self::formula)?;
                 return Ok(vars.into_iter().rev().fold(body, |acc, v| {
                     if is_exists {
                         Formula::Exists(v, Box::new(acc))
@@ -156,7 +185,7 @@ impl<'a> Parser<'a> {
     fn implication(&mut self) -> Result<Formula, LogicError> {
         let lhs = self.disjunction()?;
         if self.eat("->") {
-            let rhs = self.formula()?;
+            let rhs = self.nested(1, Self::formula)?;
             return Ok(lhs.not().or(rhs));
         }
         Ok(lhs)
@@ -188,11 +217,8 @@ impl<'a> Parser<'a> {
 
     fn negation(&mut self) -> Result<Formula, LogicError> {
         // careful not to eat the '!' of a '!=' inequality atom
-        if !self.input[self.pos..].starts_with("!=") && self.eat("!") {
-            return Ok(self.negation()?.not());
-        }
-        if self.eat_kw("not") {
-            return Ok(self.negation()?.not());
+        if (!self.input[self.pos..].starts_with("!=") && self.eat("!")) || self.eat_kw("not") {
+            return Ok(self.nested(1, Self::negation)?.not());
         }
         // A quantifier may appear as an operand (`A /\ exists x. B`); its
         // body extends maximally to the right within the current parens.
@@ -221,7 +247,7 @@ impl<'a> Parser<'a> {
 
     fn primary(&mut self) -> Result<Formula, LogicError> {
         if self.eat("(") {
-            let f = self.formula()?;
+            let f = self.nested(1, Self::formula)?;
             if !self.eat(")") {
                 return Err(self.err("expected ')'"));
             }
@@ -517,6 +543,63 @@ mod tests {
         assert!(is_sentence(&f));
         let g = parse("S(android) and S(notx)", &s).unwrap();
         assert_eq!(free_vars(&g).len(), 2);
+    }
+
+    /// `open` repeated `levels` times around `inner`, then `close` as
+    /// often.
+    fn nest(open: &str, inner: &str, close: &str, levels: usize) -> String {
+        format!("{}{inner}{}", open.repeat(levels), close.repeat(levels))
+    }
+
+    /// One query per construct that nests, `levels` deep.
+    fn nestings(levels: usize) -> [String; 5] {
+        [
+            nest("(", "S(1)", ")", levels),
+            nest("!", "S(1)", "", levels),
+            nest("not ", "S(1)", "", levels),
+            nest("exists x. ", "S(x)", "", levels),
+            nest("S(1) -> ", "S(1)", "", levels),
+        ]
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_parse_error_not_a_stack_overflow() {
+        // a spawned thread has the default 2 MiB stack, as a connection
+        // thread of `serve` does
+        std::thread::spawn(|| {
+            let s = schema();
+            for q in nestings(100_000)
+                .into_iter()
+                .chain([format!("exists {}. S(x0)", {
+                    let vars: Vec<String> = (0..100_000).map(|i| format!("x{i}")).collect();
+                    vars.join(", ")
+                })])
+            {
+                match parse(&q, &s) {
+                    Err(LogicError::Parse { message, .. }) => {
+                        assert!(message.contains("nesting"), "{message}")
+                    }
+                    other => panic!("{}…: {other:?}", &q[..24]),
+                }
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn nesting_at_the_cap_parses_and_one_more_level_does_not() {
+        let s = schema();
+        for (at_cap, past_cap) in nestings(MAX_NESTING)
+            .into_iter()
+            .zip(nestings(MAX_NESTING + 1))
+        {
+            parse(&at_cap, &s).unwrap_or_else(|e| panic!("{}…: {e}", &at_cap[..24]));
+            assert!(parse(&past_cap, &s).is_err(), "{}…", &past_cap[..24]);
+        }
+        // levels close again: many siblings at depth 1 are fine
+        let wide = vec!["!(S(1))"; 4 * MAX_NESTING].join(" /\\ ");
+        assert!(parse(&wide, &s).is_ok());
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //! and keep-alive semantics (`HTTP/1.1` defaults to persistent,
 //! `Connection: close` or `HTTP/1.0` ends the connection).
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Upper bound on a request head (request line + headers) in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Default upper bound on a request body in bytes.
 pub const DEFAULT_MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+
+/// Most body bytes reserved before any arrive.
+const BODY_RESERVE: usize = 64 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,35 +74,58 @@ impl std::fmt::Display for ParseError {
 }
 
 /// Reads one line terminated by `\r\n` (or bare `\n`), without the
-/// terminator, bounded by [`MAX_HEAD_BYTES`].
+/// terminator, bounded by the head's remaining `budget`. The line is
+/// found in the reader's buffer, so a head costs one `read` per buffer
+/// fill rather than one per byte.
 fn read_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<String, ParseError> {
     let mut line = Vec::new();
     loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Err(ParseError::ConnectionClosed);
-                }
-                return Err(ParseError::Malformed("truncated line".into()));
+        let buffered = reader
+            .fill_buf()
+            .map_err(|e| ParseError::Io(e.to_string()))?;
+        if buffered.is_empty() {
+            if line.is_empty() {
+                return Err(ParseError::ConnectionClosed);
             }
-            Ok(_) => {
-                if *budget == 0 {
-                    return Err(ParseError::TooLarge("request head".into()));
-                }
-                *budget -= 1;
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return String::from_utf8(line)
-                        .map_err(|_| ParseError::Malformed("non-UTF-8 header".into()));
-                }
-                line.push(byte[0]);
+            return Err(ParseError::Malformed("truncated line".into()));
+        }
+        let newline = buffered.iter().position(|&b| b == b'\n');
+        let taken = newline.map_or(buffered.len(), |i| i + 1);
+        if taken > *budget {
+            return Err(ParseError::TooLarge("request head".into()));
+        }
+        *budget -= taken;
+        line.extend_from_slice(&buffered[..taken]);
+        reader.consume(taken);
+        if newline.is_some() {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
             }
-            Err(e) => return Err(ParseError::Io(e.to_string())),
+            return String::from_utf8(line)
+                .map_err(|_| ParseError::Malformed("non-UTF-8 header".into()));
         }
     }
+}
+
+/// Appends exactly `len` bytes from `reader` to `out`. `out` grows with
+/// the bytes that arrive rather than by `len` up front, so a peer that
+/// declares a huge length and sends little costs little.
+fn read_declared(
+    reader: &mut impl BufRead,
+    len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), ParseError> {
+    let received = reader
+        .take(len as u64)
+        .read_to_end(out)
+        .map_err(|e| ParseError::Io(e.to_string()))?;
+    if received < len {
+        return Err(ParseError::Io(format!(
+            "connection closed after {received} of {len} declared bytes"
+        )));
+    }
+    Ok(())
 }
 
 /// Parses one request from the stream. `max_body` caps the
@@ -155,10 +181,8 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
             "chunked request bodies are not supported".into(),
         ));
     }
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| ParseError::Io(e.to_string()))?;
+    let mut body = Vec::with_capacity(content_length.min(BODY_RESERVE));
+    read_declared(reader, content_length, &mut body)?;
     let connection = headers
         .iter()
         .find(|(k, _)| k == "connection")
@@ -233,28 +257,29 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete fixed-length response.
+/// Writes a complete fixed-length response in one `write_all`: head
+/// and body as two writes would leave the socket (`TCP_NODELAY`) as two
+/// segments and wake the reader twice.
 pub fn write_response(
     stream: &mut impl Write,
     response: &Response,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut message = Vec::with_capacity(256 + response.body.len());
+    write!(
+        message,
         "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         response.status,
         reason(response.status),
         response.body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    );
+    )?;
     for (name, value) in &response.headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        write!(message, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    message.extend_from_slice(b"\r\n");
+    message.extend_from_slice(&response.body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -291,14 +316,18 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
     }
 
     /// Streams one chunk (non-empty; an empty slice is skipped because a
-    /// zero-length chunk would terminate the stream).
+    /// zero-length chunk would terminate the stream). The size line, the
+    /// data and the closing CRLF go out in one `write_all`, as one
+    /// segment.
     pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
+        let mut frame = Vec::with_capacity(20 + data.len());
+        write!(frame, "{:x}\r\n", data.len())?;
+        frame.extend_from_slice(data);
+        frame.extend_from_slice(b"\r\n");
+        self.stream.write_all(&frame)?;
         self.stream.flush()
     }
 
@@ -336,11 +365,7 @@ pub fn read_chunked_body(reader: &mut impl BufRead) -> Result<Vec<u8>, ParseErro
             }
             return Ok(body);
         }
-        let mut chunk = vec![0u8; size];
-        reader
-            .read_exact(&mut chunk)
-            .map_err(|e| ParseError::Io(e.to_string()))?;
-        body.extend_from_slice(&chunk);
+        read_declared(reader, size, &mut body)?;
         let mut crlf = [0u8; 2];
         reader
             .read_exact(&mut crlf)
@@ -371,6 +396,10 @@ mod tests {
         let mut reader = Cursor::new(&buf[body_at..]);
         let body = read_chunked_body(&mut reader).unwrap();
         assert_eq!(body, b"{\"a\":1}\n{\"b\":2}\n");
+        // a chunk size no server could send is an error, not an
+        // allocation of that size
+        let huge = read_chunked_body(&mut Cursor::new(b"7fffffffffffffff\r\nabc"));
+        assert!(matches!(huge, Err(ParseError::Io(_))), "{huge:?}");
     }
 
     #[test]
@@ -421,6 +450,107 @@ mod tests {
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    /// Records every `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_and_a_chunk_each_go_out_in_one_write() {
+        let mut out = CountingWriter::default();
+        let resp = Response::json(200, "{\"a\":1}").with_header("Retry-After", "2");
+        write_response(&mut out, &resp, true).unwrap();
+        assert_eq!(
+            out.writes,
+            [
+                b"HTTP/1.1 200 OK\r\nContent-Length: 7\r\nConnection: keep-alive\r\n\
+               Content-Type: application/json\r\nRetry-After: 2\r\n\r\n{\"a\":1}"
+                    .to_vec()
+            ]
+        );
+
+        let mut out = CountingWriter::default();
+        let mut w = ChunkedWriter::start(&mut out, 200, "application/x-ndjson", false).unwrap();
+        w.chunk(b"{\"a\":1}\n").unwrap();
+        w.chunk(&[b'x'; 300]).unwrap();
+        w.finish().unwrap();
+        let mut long = b"12c\r\n".to_vec();
+        long.extend_from_slice(&[b'x'; 300]);
+        long.extend_from_slice(b"\r\n");
+        assert_eq!(
+            out.writes,
+            [
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\
+                  Content-Type: application/x-ndjson\r\nConnection: close\r\n\r\n"
+                    .to_vec(),
+                b"8\r\n{\"a\":1}\n\r\n".to_vec(),
+                long,
+                b"0\r\n\r\n".to_vec(),
+            ]
+        );
+    }
+
+    /// Parses `raw` once from a reader that yields one byte per `read`
+    /// and once from one that holds it all, and requires the same outcome.
+    fn read_both_ways(raw: &[u8], max_body: usize) -> Result<Request, ParseError> {
+        let bytewise = read_request(&mut std::io::BufReader::with_capacity(1, raw), max_body);
+        let whole = read_request(&mut Cursor::new(raw), max_body);
+        assert_eq!(bytewise, whole);
+        whole
+    }
+
+    #[test]
+    fn a_request_parses_the_same_however_its_bytes_arrive() {
+        let raw =
+            b"POST /batch?x=1 HTTP/1.1\r\nHost: x\nX-Empty:\r\nContent-Length: 5\r\n\r\nhello";
+        let req = read_both_ways(raw, 1024).unwrap();
+        assert_eq!(req.path, "/batch?x=1");
+        assert_eq!(req.header("x-empty"), Some(""));
+        assert_eq!(req.body, b"hello");
+        for (raw, expected) in [
+            (&b""[..], ParseError::ConnectionClosed),
+            (
+                b"GET / HTTP/1.1\r\nHost",
+                ParseError::Malformed("truncated line".into()),
+            ),
+            (
+                b"GET / HTTP/1.1\r\n\xff: x\r\n\r\n",
+                ParseError::Malformed("non-UTF-8 header".into()),
+            ),
+        ] {
+            assert_eq!(read_both_ways(raw, 1024), Err(expected));
+        }
+        // a body cut short is an i/o error either way
+        let short = read_both_ways(b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc", 1024);
+        assert!(matches!(short, Err(ParseError::Io(_))), "{short:?}");
+    }
+
+    #[test]
+    fn a_head_of_exactly_the_cap_parses_and_one_byte_more_does_not() {
+        let start = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+        let pad = |len: usize| "a".repeat(len - start.len() - "\r\n\r\n".len());
+        let head = |len: usize| format!("{start}{}\r\n\r\n", pad(len)).into_bytes();
+        let at_cap = head(MAX_HEAD_BYTES);
+        assert_eq!(at_cap.len(), MAX_HEAD_BYTES);
+        let req = read_both_ways(&at_cap, 0).unwrap();
+        assert_eq!(req.header("x-pad"), Some(pad(MAX_HEAD_BYTES).as_str()));
+        assert_eq!(
+            read_both_ways(&head(MAX_HEAD_BYTES + 1), 0),
+            Err(ParseError::TooLarge("request head".into()))
+        );
     }
 
     #[test]

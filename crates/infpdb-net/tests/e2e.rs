@@ -486,6 +486,47 @@ fn keep_alive_reuses_one_connection() {
     server.shutdown();
 }
 
+/// Two bodies that overflowed a connection thread's stack and so aborted
+/// the whole server: 20 000 nested JSON arrays, and a query inside
+/// 20 000 parentheses. Each gets a 400, and the server answers the next
+/// request on a new connection.
+#[test]
+fn deeply_nested_bodies_get_400_and_the_server_keeps_serving() {
+    let (server, base) = start(ServerConfig::default(), 1);
+    let deep_query = format!("{}exists x. R(x){}", "(".repeat(20_000), ")".repeat(20_000));
+    for (body, code) in [
+        (
+            format!("{{\"query\": {}", "[".repeat(20_000)),
+            "bad_request",
+        ),
+        (query_body(&deep_query, 1e-3), "bad_query"),
+    ] {
+        let resp = post(&base, "/query", &body);
+        assert_eq!(resp.status, 400, "{:?}", resp.body_utf8());
+        let doc = Json::parse(resp.body_utf8().unwrap()).unwrap();
+        assert_eq!(error_code(&doc), Some(code));
+        let next = post(&base, "/query", &query_body("R(1)", 1e-3));
+        assert_eq!(next.status, 200, "{:?}", next.body_utf8());
+    }
+    // in a batch the deep query is an error line at its position
+    let batch = Json::obj([(
+        "queries",
+        Json::Array(vec![Json::str(deep_query), Json::str("R(1)")]),
+    )])
+    .encode();
+    let resp = post(&base, "/batch", &batch);
+    assert_eq!(resp.status, 200);
+    let lines: Vec<Json> = resp
+        .body_utf8()
+        .unwrap()
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .collect();
+    assert_eq!(error_code(&lines[0]), Some("bad_query"));
+    assert!(lines[1].get("estimate").is_some());
+    server.shutdown();
+}
+
 /// Sends one `/query` in two writes, split `split` bytes into the raw
 /// request, with an 800 ms pause between them (longer than the server's
 /// 500 ms read timeout), and checks the answer against a direct

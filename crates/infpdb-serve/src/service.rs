@@ -1868,6 +1868,64 @@ mod tests {
     }
 
     #[test]
+    fn queries_nested_to_the_parser_cap_are_answered_from_a_default_stack() {
+        use infpdb_core::value::Value;
+        use infpdb_logic::parser::MAX_NESTING;
+        // the thread that parses, fingerprints and probes has the default
+        // 2 MiB stack, as a connection thread of `serve` does; the miss
+        // runs on a pool worker, which has it too
+        std::thread::spawn(|| {
+            // one fact, so a chain of quantifiers ranges over one
+            // constant: over more, evaluation time grows exponentially
+            // with the chain, and eight did not finish in 20 s on `kb.pdb`
+            let schema = Schema::from_relations([Relation::new("R", 1)]).unwrap();
+            let fact = Fact::new(RelId(0), [Value::int(1)]);
+            let supply = FactSupply::from_vec(schema.clone(), vec![(fact, 0.5)]).unwrap();
+            let svc = QueryService::new(
+                CountableTiPdb::new(supply).unwrap(),
+                ServiceConfig {
+                    threads: 1,
+                    ..ServiceConfig::default()
+                },
+            );
+            let levels = MAX_NESTING;
+            let answer = |text: &str| {
+                let q = parse(text, &schema).unwrap();
+                query_fingerprint(&schema, &q);
+                svc.evaluate(QueryRequest::new(q, 0.1))
+                    .unwrap()
+                    .approx
+                    .estimate
+            };
+            for (deep, shallow) in [
+                (
+                    format!(
+                        "{}exists x. R(x){}",
+                        "(".repeat(levels - 1),
+                        ")".repeat(levels - 1)
+                    ),
+                    "exists x. R(x)",
+                ),
+                (format!("{}R(1)", "!".repeat(levels)), "R(1)"),
+                (format!("{}R(1)", "not ".repeat(levels)), "R(1)"),
+                (
+                    format!("{}R(x)", "exists x. ".repeat(levels)),
+                    "exists x. R(x)",
+                ),
+                (format!("{}R(1)", "R(2) -> ".repeat(levels)), "R(2) -> R(1)"),
+            ] {
+                assert_eq!(
+                    answer(&deep).to_bits(),
+                    answer(shallow).to_bits(),
+                    "{shallow}"
+                );
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
     fn retry_policy_backoff_is_bounded() {
         let r = RetryPolicy {
             max_attempts: 10,
