@@ -19,7 +19,7 @@ use infpdb_core::fact::{Fact, FactId};
 use infpdb_core::instance::Instance;
 use infpdb_core::value::Value;
 use infpdb_logic::ast::{Formula, Term, Var};
-use infpdb_logic::vars::free_vars;
+use infpdb_logic::vars::{free_vars, occurs_free};
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
@@ -299,6 +299,15 @@ fn build(
         Formula::Not(g) => build(g, table, domain, env).negate(),
         Formula::And(gs) => Lineage::and(gs.iter().map(|g| build(g, table, domain, env))),
         Formula::Or(gs) => Lineage::or(gs.iter().map(|g| build(g, table, domain, env))),
+        // a quantifier whose variable is not free in its body: every copy
+        // of the body is the same lineage, so ground it once
+        Formula::Exists(v, g) | Formula::Forall(v, g) if !occurs_free(v, g) => {
+            match (domain.values().is_empty(), f) {
+                (false, _) => build(g, table, domain, env),
+                (true, Formula::Exists(..)) => Lineage::Bot,
+                (true, _) => Lineage::Top,
+            }
+        }
         Formula::Exists(v, g) => {
             let values = domain.values();
             let mut children = Vec::with_capacity(values.len());
@@ -401,6 +410,15 @@ fn build_arena(
                 .map(|g| build_arena(g, table, domain, env, arena))
                 .collect();
             arena.or(ids)
+        }
+        // as in `build`: the canonical `∧`/`∨` would fold the copies of
+        // a body that does not mention the variable into one node
+        Formula::Exists(v, g) | Formula::Forall(v, g) if !occurs_free(v, g) => {
+            match (domain.values().is_empty(), f) {
+                (false, _) => build_arena(g, table, domain, env, arena),
+                (true, Formula::Exists(..)) => arena::BOT,
+                (true, _) => arena::TOP,
+            }
         }
         Formula::Exists(v, g) => {
             let values = domain.values();
@@ -602,6 +620,64 @@ mod tests {
         let t = table(&[(1, 0.5)], &[]);
         let q = parse("exists x. x = 1 /\\ R(x)", t.schema()).unwrap();
         assert_eq!(lineage_of(&q, &t).unwrap(), Lineage::Var(FactId(0)));
+    }
+
+    #[test]
+    fn shadowed_quantifiers_ground_their_body_once() {
+        use infpdb_logic::parser::MAX_NESTING;
+        // eight constants: grounding every one of 256 shadowed levels per
+        // domain value would take 8^256 steps
+        let facts: Vec<(i64, f64)> = (1..=8).map(|i| (i, 1.0 / (i as f64 + 1.0))).collect();
+        let t = table(&facts, &[(3, 0.5)]);
+        let probs = |id: FactId| t.prob(id);
+        for (level, shallow) in [
+            ("exists x. ", "exists x. R(x)"),
+            ("forall x. ", "forall x. R(x) \\/ S(x)"),
+            ("exists x. forall y. ", "exists x. R(x) /\\ S(x)"),
+        ] {
+            // the innermost binder and the body, behind as many shadowing
+            // binders as the parser accepts
+            let (binder, body) = shallow.split_at(shallow.find(". ").unwrap() + 2);
+            let levels = MAX_NESTING / level.matches('.').count();
+            let deep = format!("{}{binder}{body}", level.repeat(levels - 1));
+            let (shallow, deep) = (
+                parse(shallow, t.schema()).unwrap(),
+                parse(&deep, t.schema()).unwrap(),
+            );
+            assert_eq!(
+                lineage_of(&deep, &t).unwrap(),
+                lineage_of(&shallow, &t).unwrap()
+            );
+            let (mut a, mut b) = (LineageArena::new(), LineageArena::new());
+            let deep_root = lineage_of_arena(&deep, &t, &mut a).unwrap();
+            let shallow_root = lineage_of_arena(&shallow, &t, &mut b).unwrap();
+            assert_eq!(a.len(), b.len(), "{body}: arena node count");
+            assert_eq!(
+                crate::shannon::probability_dag(&mut a, deep_root, &probs).to_bits(),
+                crate::shannon::probability_dag(&mut b, shallow_root, &probs).to_bits(),
+                "{body}: estimate bits"
+            );
+        }
+        // over an empty domain a vacuous ∃ is ⊥ and a vacuous ∀ is ⊤
+        let empty = table(&[], &[]);
+        let q = |text: &str| parse(text, empty.schema()).unwrap();
+        assert_eq!(
+            lineage_of(&q("exists x. exists x. R(x)"), &empty).unwrap(),
+            Lineage::Bot
+        );
+        assert_eq!(
+            lineage_of(&q("forall x. forall x. R(x)"), &empty).unwrap(),
+            Lineage::Top
+        );
+        let mut a = LineageArena::new();
+        assert_eq!(
+            lineage_of_arena(&q("exists y. forall x. R(x)"), &empty, &mut a).unwrap(),
+            arena::BOT
+        );
+        assert_eq!(
+            lineage_of_arena(&q("forall y. exists x. R(x)"), &empty, &mut a).unwrap(),
+            arena::TOP
+        );
     }
 
     #[test]

@@ -209,21 +209,38 @@ fn prob_rec_budget<F: Fn(FactId) -> f64>(
 /// bit-for-bit the fused loop's, while the gather and map passes are free
 /// of the serial compensation chain.
 fn var_product(ps: impl Iterator<Item = f64>, is_and: bool) -> f64 {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
-            const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-    }
     SCRATCH.with(|s| {
         let (gather, logs) = &mut *s.borrow_mut();
         gather.clear();
         gather.extend(ps);
-        if is_and {
+        let p = if is_and {
             infpdb_math::flat::log_product(gather, logs)
         } else {
             infpdb_math::flat::log_product_one_minus(gather, logs)
+        };
+        // every thread that evaluates keeps this scratch, connection
+        // threads of a server included, so only a bounded part outlives
+        // a wide product
+        if gather.capacity() > SCRATCH_KEEP {
+            gather.clear();
+            logs.clear();
+            gather.shrink_to(SCRATCH_KEEP);
+            logs.shrink_to(SCRATCH_KEEP);
         }
+        p
     })
 }
+
+thread_local! {
+    /// `var_product`'s gather and log buffers, reused across calls.
+    static SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
+        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Entries of each `SCRATCH` buffer kept between calls: 32 KiB apiece.
+/// A wider product allocates for its own call; reallocating is small
+/// next to one transcendental per entry.
+const SCRATCH_KEEP: usize = 4096;
 
 /// Compilation statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1021,6 +1038,32 @@ mod tests {
         assert_eq!(probability(&Lineage::Bot, &p), 0.0);
         assert_eq!(probability(&v(0), &p), 0.3);
         assert!((probability(&v(0).negate(), &p) - 0.7).abs() < 1e-15);
+    }
+
+    #[test]
+    fn var_product_keeps_a_bounded_scratch() {
+        std::thread::spawn(|| {
+            let capacity = || {
+                SCRATCH.with(|s| {
+                    let (gather, logs) = &*s.borrow();
+                    (gather.capacity(), logs.capacity())
+                })
+            };
+            let ps: Vec<f64> = (0..4 * SCRATCH_KEEP)
+                .map(|i| 1.0 / (2.0 + i as f64))
+                .collect();
+            let p = var_product(ps.iter().copied(), false);
+            let fresh = infpdb_math::flat::log_product_one_minus(&ps, &mut Vec::new());
+            assert_eq!(p.to_bits(), fresh.to_bits());
+            let (gather, logs) = capacity();
+            assert!(gather <= SCRATCH_KEEP && logs <= SCRATCH_KEEP);
+            // a narrow product keeps its buffers for the next call
+            var_product((0..100).map(|_| 0.5), true);
+            let (gather, logs) = capacity();
+            assert!(gather >= 100 && logs >= 100);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -54,6 +54,20 @@ fn collect_free(f: &Formula, bound: &mut BTreeSet<Var>, out: &mut BTreeSet<Var>)
     }
 }
 
+/// Whether `var` occurs free in `f`. Unlike [`free_vars`] this allocates
+/// nothing and stops where a quantifier rebinds `var`.
+pub fn occurs_free(var: &str, f: &Formula) -> bool {
+    let is_var = |t: &Term| matches!(t, Term::Var(v) if v == var);
+    match f {
+        Formula::True | Formula::False => false,
+        Formula::Atom { args, .. } => args.iter().any(is_var),
+        Formula::Eq(a, b) => is_var(a) || is_var(b),
+        Formula::Not(g) => occurs_free(var, g),
+        Formula::And(gs) | Formula::Or(gs) => gs.iter().any(|g| occurs_free(var, g)),
+        Formula::Exists(v, g) | Formula::Forall(v, g) => v != var && occurs_free(var, g),
+    }
+}
+
 /// Whether the formula is a sentence (no free variables) — the Boolean
 /// queries of Section 6.
 pub fn is_sentence(f: &Formula) -> bool {
@@ -169,6 +183,17 @@ mod tests {
         // R(x) /\ exists x. R(x) — x free in the left conjunct
         let g = atom(vec![Term::var("x")]).and(Formula::exists("x", atom(vec![Term::var("x")])));
         assert!(free_vars(&g).contains("x"));
+        // occurs_free agrees: free in g, in neither f nor the shadowed
+        // conjunct alone, and never for an absent variable
+        assert!(occurs_free("x", &g));
+        assert!(!occurs_free("x", &f));
+        assert!(!occurs_free(
+            "x",
+            &Formula::exists("x", atom(vec![Term::var("x")]))
+        ));
+        assert!(!occurs_free("y", &g));
+        let eq = Formula::Eq(Term::cnst(1i64), Term::var("y"));
+        assert!(occurs_free("y", &eq.not()));
     }
 
     #[test]

@@ -353,6 +353,9 @@ fn stealing_scheduler_metrics_pass_the_linter() {
     assert_eq!(parsed.value("serve_injector_depth"), Some(0.0));
     let workers = parsed.family("serve_worker_tasks_total");
     assert_eq!(workers.len(), 2, "one labelled sample per pool worker");
+    // subtasks that connection threads run while computing their own
+    // misses have their own family
+    assert!(parsed.value("serve_caller_tasks_total").is_some());
     server.shutdown();
     // same queries through a fixed-scheduler server: bit-equal answers
     let (fixed_server, fixed_base) = start(ServerConfig::default(), 2);

@@ -115,7 +115,25 @@ impl PreparedPdb {
         store: &Store,
         expected_fingerprint: Option<u64>,
     ) -> (PreparedPdb, OpenReport) {
+        Self::restore(PreparedPdb::new(pdb), store, expected_fingerprint)
+    }
+
+    /// [`PreparedPdb::open`] with the PDB's own
+    /// [`fingerprint`](PreparedPdb::fingerprint) as the expected
+    /// identity: the supply is hashed once, for the identity check and
+    /// every later read.
+    pub fn open_identified(pdb: CountableTiPdb, store: &Store) -> (PreparedPdb, OpenReport) {
         let prepared = PreparedPdb::new(pdb);
+        let fingerprint = prepared.fingerprint();
+        Self::restore(prepared, store, Some(fingerprint))
+    }
+
+    /// The body of both opens, on a just-created `prepared`.
+    fn restore(
+        prepared: PreparedPdb,
+        store: &Store,
+        expected_fingerprint: Option<u64>,
+    ) -> (PreparedPdb, OpenReport) {
         let recovered = match store.load() {
             Ok(None) => {
                 return (
@@ -351,6 +369,27 @@ mod tests {
             "answers must be bit-for-bit equal"
         );
         assert_eq!(replay.trace, baseline.trace, "work counters must agree");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_identified_checks_and_keeps_the_pdb_fingerprint() {
+        let dir = tempdir("identified");
+        let store = Store::open_dir(&dir);
+        let pdb = geometric();
+        let own = infpdb_ti::fingerprint::countable_pdb_fingerprint(&pdb);
+        let prepared = PreparedPdb::new(pdb.clone());
+        prepared.warm(0.01).unwrap();
+        prepared.persist(&store, Some(own), None).unwrap();
+        let (reopened, report) = PreparedPdb::open_identified(pdb.clone(), &store);
+        assert!(report.supply_check_skipped, "its own fingerprint matched");
+        assert_eq!(reopened.fingerprint(), own);
+        assert_eq!(reopened.materialized_len(), prepared.materialized_len());
+        // a snapshot stamped with another identity is refused
+        prepared.persist(&store, Some(own ^ 1), None).unwrap();
+        let (refused, report) = PreparedPdb::open_identified(pdb, &store);
+        assert!(matches!(report.status, StoreStatus::Degraded { .. }));
+        assert_eq!(refused.materialized_len(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

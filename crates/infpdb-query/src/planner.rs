@@ -266,12 +266,12 @@ impl PlanProfile {
         cancel: &crate::cancel::CancelToken,
     ) -> Result<ProfileOutcome, QueryError> {
         match prepared.prefix_for(knobs.profile_eps, cancel)? {
-            PreparedPrefix::Complete { table, .. } => {
-                let fp = countable_pdb_fingerprint(prepared.pdb());
-                Ok(ProfileOutcome::Ready(Self::build(
-                    compiled, &table, fp, knobs,
-                )?))
-            }
+            PreparedPrefix::Complete { table, .. } => Ok(ProfileOutcome::Ready(Self::build(
+                compiled,
+                &table,
+                prepared.fingerprint(),
+                knobs,
+            )?)),
             PreparedPrefix::Cancelled {
                 kind,
                 facts_processed,

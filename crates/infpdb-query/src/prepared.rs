@@ -48,6 +48,7 @@ use infpdb_logic::compile::CompiledQuery;
 use infpdb_math::truncation::{self, Truncation};
 use infpdb_ti::catalog::FactCatalog;
 use infpdb_ti::construction::CountableTiPdb;
+use infpdb_ti::fingerprint::countable_pdb_fingerprint;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -68,6 +69,8 @@ struct State {
 #[derive(Debug)]
 struct Inner {
     pdb: CountableTiPdb,
+    /// [`countable_pdb_fingerprint`] of `pdb`, computed on first use.
+    fingerprint: OnceLock<u64>,
     state: Mutex<State>,
 }
 
@@ -113,6 +116,7 @@ impl PreparedPdb {
         PreparedPdb {
             inner: Arc::new(Inner {
                 pdb,
+                fingerprint: OnceLock::new(),
                 state: Mutex::new(state),
             }),
         }
@@ -121,6 +125,16 @@ impl PreparedPdb {
     /// The underlying PDB.
     pub fn pdb(&self) -> &CountableTiPdb {
         &self.inner.pdb
+    }
+
+    /// The PDB's [`countable_pdb_fingerprint`], computed once and shared
+    /// by every clone: the planner's seeds and the serving layer's cache
+    /// keys read this one value instead of re-hashing the supply.
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .inner
+            .fingerprint
+            .get_or_init(|| countable_pdb_fingerprint(&self.inner.pdb))
     }
 
     /// Facts materialized into the shared catalog so far.

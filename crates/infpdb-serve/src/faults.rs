@@ -20,6 +20,7 @@
 
 use crate::ServeError;
 use infpdb_core::faultsim::SiteInjector;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 pub use infpdb_core::faultsim::Trigger;
@@ -39,6 +40,10 @@ pub enum FaultKind {
 #[derive(Debug)]
 pub struct FaultInjector {
     sites: SiteInjector<FaultKind>,
+    /// Injected latencies sleeping right now.
+    sleeping: AtomicU64,
+    /// The most injected latencies that slept at once.
+    peak_sleeping: AtomicU64,
 }
 
 impl FaultInjector {
@@ -47,6 +52,8 @@ impl FaultInjector {
     pub fn new(seed: u64) -> Self {
         FaultInjector {
             sites: SiteInjector::new(seed),
+            sleeping: AtomicU64::new(0),
+            peak_sleeping: AtomicU64::new(0),
         }
     }
 
@@ -72,6 +79,13 @@ impl FaultInjector {
         self.sites.calls(site)
     }
 
+    /// The most injected latencies that have slept at the same time.
+    /// With latency injected at `"engine"` alone, which every evaluation
+    /// passes, this is the most evaluations that were in flight at once.
+    pub fn peak_concurrent_latency(&self) -> u64 {
+        self.peak_sleeping.load(Ordering::SeqCst)
+    }
+
     /// The checkpoint placed at each named site. Returns `Ok(())` when
     /// nothing fires (or after an injected latency elapses); returns the
     /// injected error for [`FaultKind::Error`]; **panics** for
@@ -83,7 +97,10 @@ impl FaultInjector {
             Some(FaultKind::Panic) => panic!("injected fault: panic at {site}"),
             Some(FaultKind::Error) => Err(ServeError::Transient { site: site.into() }),
             Some(FaultKind::Latency(d)) => {
+                let now = self.sleeping.fetch_add(1, Ordering::SeqCst) + 1;
+                self.peak_sleeping.fetch_max(now, Ordering::SeqCst);
                 std::thread::sleep(d);
+                self.sleeping.fetch_sub(1, Ordering::SeqCst);
                 Ok(())
             }
         }
@@ -165,6 +182,33 @@ mod tests {
         assert!(f.fire("cache_insert").is_ok());
         assert!(t0.elapsed() >= Duration::from_millis(5));
         assert_eq!(f.fired("cache_insert"), 1);
+    }
+
+    #[test]
+    fn overlapping_latencies_are_counted_at_their_peak() {
+        let f = std::sync::Arc::new(FaultInjector::new(1));
+        f.inject(
+            "engine",
+            FaultKind::Latency(Duration::from_millis(200)),
+            Trigger::Always,
+        );
+        assert!(f.fire("engine").is_ok());
+        assert_eq!(f.peak_concurrent_latency(), 1, "one sleep at a time");
+        let start = std::sync::Arc::new(std::sync::Barrier::new(3));
+        let sleepers: Vec<_> = (0..3)
+            .map(|_| {
+                let (f, start) = (std::sync::Arc::clone(&f), std::sync::Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    f.fire("engine").unwrap();
+                })
+            })
+            .collect();
+        for s in sleepers {
+            s.join().unwrap();
+        }
+        // three 200 ms sleeps released together overlap
+        assert!((2..=3).contains(&f.peak_concurrent_latency()));
     }
 
     #[test]

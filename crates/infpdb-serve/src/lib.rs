@@ -13,12 +13,16 @@
 //!              [result cache]         sharded LRU keyed by
 //!                    │                (PDB, query, effective ε, engine)
 //!                    ▼ miss
-//!              [thread pool]──▶ [finite engine on Ω_n]   (Prop. 6.1)
+//!              [evaluation slot]──▶ [finite engine on Ω_n]   (Prop. 6.1)
+//!                                   on the caller's thread if a slot is
+//!                                   free (`evaluate`, no deadline), else
+//!                                   queued for a pool worker
 //! ```
 //!
 //! * [`pool`] — fixed-size `std`-only worker pool (mutex + condvar queue)
 //!   with a *bounded* submission queue, configurable overflow policy,
-//!   batch submission, and two shutdown modes;
+//!   batch submission, two shutdown modes, and evaluation slots shared
+//!   by workers and inline callers;
 //! * [`cache`] — sharded LRU over 64-bit request fingerprints;
 //! * [`fingerprint`] — stable content hashes: PDBs by enumeration prefix
 //!   and tail bound, queries modulo rectification/NNF/α-renaming;
@@ -46,10 +50,10 @@
 //! |---|---|---|
 //! | [`Rejected`](ServeError::Rejected) | admission | the plan needs a longer truncation than the budget affords and the policy left no feasible ε |
 //! | [`Query`](ServeError::Query) | engine | the evaluation itself failed (bad tolerance, free variables, divergence, …) — deterministic, not retried |
-//! | [`Overloaded`](ServeError::Overloaded) | submission | the bounded queue was full and the overflow policy shed this request (or, under `ShedOldest`, an older queued one); only queued requests can be shed, and [`QueryService::evaluate`] queues only misses and transient probe failures, never a cache hit |
+//! | [`Overloaded`](ServeError::Overloaded) | submission | the bounded queue was full and the overflow policy shed this request (or, under `ShedOldest`, an older queued one); only queued requests can be shed, and [`QueryService::evaluate`] queues only transient probe failures and misses that carry a deadline or find no free evaluation slot, never a cache hit |
 //! | [`Cancelled`](ServeError::Cancelled) | truncation loop | [`Ticket::cancel`](service::Ticket::cancel) fired a checkpoint mid-evaluation |
-//! | [`DeadlineExceeded`](ServeError::DeadlineExceeded) | truncation loop / ticket wait | the request's deadline passed — at a checkpoint mid-loop, or while the ticket was still waiting |
-//! | [`EnginePanic`](ServeError::EnginePanic) | worker, or the inline probe of [`QueryService::evaluate`] | the evaluation panicked; the panic was caught and counted, the thread survives, and the payload is preserved; a probe's panic is retried on the pool like any transient failure |
+//! | [`DeadlineExceeded`](ServeError::DeadlineExceeded) | truncation loop / ticket wait | the request's deadline passed — at a checkpoint mid-loop, or while the ticket was still waiting ([`QueryService::evaluate`] queues every request with a deadline, so its ticket can give up) |
+//! | [`EnginePanic`](ServeError::EnginePanic) | worker, or the calling thread of [`QueryService::evaluate`] (its probe, or a miss it computes there) | the evaluation panicked; the panic was caught and counted, the thread survives, and the payload is preserved; a probe's panic is retried on the pool like any transient failure, an inline miss's on the calling thread |
 //! | [`Transient`](ServeError::Transient) | anywhere (injected) | a spurious, retryable failure — retried with bounded exponential backoff before surfacing |
 //! | [`CircuitOpen`](ServeError::CircuitOpen) | cache-miss gate | the circuit breaker is open after too many consecutive failures; the request fails fast without evaluating (cache hits still serve) |
 //! | [`Shutdown`](ServeError::Shutdown) | pool | the service shut down before this request ran |
@@ -134,8 +138,9 @@ pub enum ServeError {
         /// A sound partial answer, when one exists (see *Failure model*).
         partial: Option<Approximation>,
     },
-    /// The evaluation panicked on a worker. The panic was caught, the
-    /// worker survives, and the payload is preserved here.
+    /// The evaluation panicked, on a worker or on the calling thread of
+    /// [`QueryService::evaluate`]. The panic was caught, the thread
+    /// survives, and the payload is preserved here.
     EnginePanic {
         /// The panic payload, stringified (`&str`/`String` payloads are
         /// preserved verbatim; anything else becomes a placeholder).

@@ -207,12 +207,18 @@ pub struct Metrics {
     /// work-stealing pool at spawn time (absent under the fixed
     /// scheduler, so fixed-pool dumps carry no per-worker lines).
     pub worker_tasks: std::sync::OnceLock<Vec<AtomicU64>>,
+    /// Subtasks executed by threads outside the pool: a caller that
+    /// computes its own miss on a claimed slot helps run its request's
+    /// subtasks. With `worker_tasks` this accounts for every subtask a
+    /// work-stealing pool ran; dumped only next to `worker_tasks`.
+    pub caller_tasks: AtomicU64,
     /// Time from entering the pool's queue to the start of evaluation,
-    /// for queued requests only. A cache hit or a refusal that
+    /// for queued requests only. A cache hit, a refusal, or a miss that
     /// [`QueryService::evaluate`](crate::QueryService::evaluate) answers
     /// on the calling thread never queues and records nothing here.
     pub wait: LatencyHistogram,
-    /// Evaluation time (admission + engine), excluding queue wait.
+    /// Evaluation time (admission + engine), excluding queue wait, on a
+    /// worker or on the calling thread alike.
     pub run: LatencyHistogram,
 }
 
@@ -365,6 +371,7 @@ impl Metrics {
                 )
                 .ok();
             }
+            writeln!(out, "serve_caller_tasks_total {}", c(&self.caller_tasks)).ok();
         }
         self.wait.dump_into("serve_wait_micros", &mut out);
         self.run.dump_into("serve_run_micros", &mut out);
@@ -607,7 +614,7 @@ impl Metrics {
         if let Some(per_worker) = self.worker_tasks.get() {
             writeln!(
                 out,
-                "# HELP serve_worker_tasks_total Subtasks executed per pool worker."
+                "# HELP serve_worker_tasks_total Subtasks executed per pool worker; serve_caller_tasks_total counts the rest."
             )
             .ok();
             writeln!(out, "# TYPE serve_worker_tasks_total counter").ok();
@@ -619,10 +626,17 @@ impl Metrics {
                 )
                 .ok();
             }
+            writeln!(
+                out,
+                "# HELP serve_caller_tasks_total Subtasks executed by callers computing their own miss outside the pool."
+            )
+            .ok();
+            writeln!(out, "# TYPE serve_caller_tasks_total counter").ok();
+            writeln!(out, "serve_caller_tasks_total {}", c(&self.caller_tasks)).ok();
         }
         self.wait.prometheus_into(
             "serve_wait_micros",
-            "Time from entering the queue to the start of evaluation, for queued requests only, in microseconds.",
+            "Time from entering the queue to the start of evaluation, for queued requests only (hits, and misses run on a free slot, never queue), in microseconds.",
             &mut out,
         );
         self.run.prometheus_into(
@@ -747,6 +761,7 @@ mod tests {
         }
         // per-worker counters only exist once a stealing pool sized them
         assert!(!dump.contains("serve_worker_tasks_total"));
+        assert!(!dump.contains("serve_caller_tasks_total"));
         m.worker_tasks.get_or_init(|| {
             (0..2)
                 .map(|_| AtomicU64::new(0))
@@ -756,6 +771,7 @@ mod tests {
         let labelled = m.dump();
         assert!(labelled.contains("serve_worker_tasks_total{worker=\"0\"} 0"));
         assert!(labelled.contains("serve_worker_tasks_total{worker=\"1\"} 5"));
+        assert!(labelled.contains("serve_caller_tasks_total 0"));
         // arena statistics only appear when asked for
         assert!(!dump.contains("serve_arena_nodes_total"));
         let full = m.dump_opts(true);
@@ -823,6 +839,7 @@ mod tests {
         // one sample per worker
         assert_eq!(prom.matches("# TYPE serve_worker_tasks_total").count(), 1);
         assert!(prom.contains("serve_worker_tasks_total{worker=\"2\"} 0"));
+        assert!(prom.contains("serve_caller_tasks_total 0"));
         // the old human-oriented unit suffix must not leak into scrapes
         assert!(!prom.contains("us\"}"));
         assert!(!prom.contains("_sum_micros"));

@@ -26,6 +26,22 @@
 //!   reports as a disconnect. Jobs already mid-flight still finish (the
 //!   pool never kills a thread), so joining stays deadlock-free.
 //!
+//! **Evaluation slots.** The pool bounds *evaluations*, not only
+//! workers: one count under the queue mutex holds the evaluations
+//! running now, pooled jobs and callers that run one on their own thread
+//! alike, and it never exceeds `threads`. A worker pops a job only while
+//! a slot is free; [`ThreadPool::try_claim`] hands a caller a [`Slot`]
+//! only when a slot is free *and* no job is queued, so queued jobs keep
+//! their FIFO priority under load. Dropping the slot frees it and wakes a
+//! worker if jobs wait.
+//!
+//! Slots bound evaluations, not the threads that run engine code. Under
+//! [`SchedulerKind::Stealing`] a worker runs subtasks without a slot, so
+//! the workers left idle while callers hold slots help with those
+//! callers' subtasks: up to `2 × threads` threads (every worker plus
+//! every slot-holding caller) can be busy at once, where a pool whose
+//! evaluations all run on workers keeps that at `threads`.
+//!
 //! Worker panics are caught per job and counted in
 //! [`Metrics::panics`](crate::metrics::Metrics); the worker thread
 //! survives and moves on to the next job. Every lock acquisition
@@ -167,11 +183,16 @@ struct QueuedJob {
 
 struct QueueState {
     jobs: VecDeque<QueuedJob>,
+    /// Evaluations running now: pooled jobs plus held [`Slot`]s. Never
+    /// above [`Shared::threads`].
+    running: usize,
     shutdown: bool,
 }
 
 struct Shared {
     state: Mutex<QueueState>,
+    /// The most evaluations that may run at once: the worker count.
+    threads: usize,
     /// Signals workers: a job is available (or shutdown began).
     available: Condvar,
     /// Signals blocked submitters: a slot freed up (or shutdown began).
@@ -267,12 +288,17 @@ fn pop_subtask(shared: &Shared, me: Option<usize>) -> Option<SubTask> {
 }
 
 fn run_subtask(shared: &Shared, sub: SubTask) {
-    if let Some(i) = WORKER_INDEX.with(|w| w.get()) {
-        if let Some(per_worker) = shared.metrics.worker_tasks.get() {
-            if let Some(c) = per_worker.get(i) {
-                c.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    let m = &shared.metrics;
+    let counter = match WORKER_INDEX.with(|w| w.get()) {
+        Some(i) => m
+            .worker_tasks
+            .get()
+            .and_then(|per_worker| per_worker.get(i)),
+        // a caller outside the pool helping its own request
+        None => Some(&m.caller_tasks),
+    };
+    if let Some(c) = counter {
+        c.fetch_add(1, Ordering::Relaxed);
     }
     // the wrapper installed by `StealingExecutor::run_tasks` contains its
     // own catch_unwind; a subtask can never unwind into the worker loop
@@ -318,8 +344,10 @@ impl ThreadPool {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
+                running: 0,
                 shutdown: false,
             }),
+            threads,
             available: Condvar::new(),
             space: Condvar::new(),
             cap: config.effective_cap(),
@@ -440,6 +468,22 @@ impl ThreadPool {
         }
     }
 
+    /// Claims an evaluation slot for the calling thread, so it can run
+    /// one evaluation itself instead of queueing it. `None` when every
+    /// slot is taken, when a job is already queued (it keeps its place
+    /// ahead of the caller), or after shutdown began. The slot is held
+    /// until the returned [`Slot`] drops.
+    pub fn try_claim(&self) -> Option<Slot<'_>> {
+        let mut state = recover::lock(&self.shared.state);
+        if state.shutdown || !state.jobs.is_empty() || state.running >= self.shared.threads {
+            return None;
+        }
+        state.running += 1;
+        Some(Slot {
+            shared: &self.shared,
+        })
+    }
+
     /// Jobs currently waiting for a worker.
     pub fn queue_depth(&self) -> usize {
         recover::lock(&self.shared.state).jobs.len()
@@ -512,10 +556,13 @@ fn worker_loop(shared: &Shared) {
         let job = {
             let mut state = recover::lock(&shared.state);
             loop {
-                if let Some(job) = state.jobs.pop_front() {
-                    break Some(job);
+                if state.running < shared.threads {
+                    if let Some(job) = state.jobs.pop_front() {
+                        state.running += 1;
+                        break Some(job);
+                    }
                 }
-                if state.shutdown {
+                if state.shutdown && state.jobs.is_empty() {
                     // any still-queued subtasks belong to requests whose
                     // owning worker is mid-`run_tasks`; the owner's help
                     // loop drains them, so exiting here cannot strand work
@@ -538,6 +585,31 @@ fn worker_loop(shared: &Shared) {
         if catch_unwind(AssertUnwindSafe(job.run)).is_err() {
             shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
         }
+        release_slot(shared);
+    }
+}
+
+/// Ends one evaluation: frees its slot and, if jobs wait for one, wakes
+/// a worker to take it.
+fn release_slot(shared: &Shared) {
+    let mut state = recover::lock(&shared.state);
+    state.running -= 1;
+    let waiting = !state.jobs.is_empty();
+    drop(state);
+    if waiting {
+        shared.available.notify_one();
+    }
+}
+
+/// An evaluation slot held by a caller that runs the evaluation on its
+/// own thread; see [`ThreadPool::try_claim`]. Dropping it frees the slot.
+pub struct Slot<'a> {
+    shared: &'a Shared,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        release_slot(self.shared);
     }
 }
 
@@ -888,6 +960,49 @@ mod tests {
         }
         pool.shutdown_now();
         assert_eq!(ran.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_claimed_slot_counts_against_the_worker_bound() {
+        let pool = ThreadPool::new(1, Arc::new(Metrics::new()));
+        let slot = pool.try_claim().expect("an idle pool has a free slot");
+        assert!(pool.try_claim().is_none(), "one worker, one slot");
+        let (tx, rx) = mpsc::channel::<u32>();
+        pool.submit(move || {
+            tx.send(1).ok();
+        });
+        // the worker is idle, but the only slot is held: the job waits
+        assert_eq!(pool.queue_depth(), 1);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(100)),
+            Err(mpsc::RecvTimeoutError::Timeout)
+        );
+        drop(slot);
+        assert_eq!(rx.recv_timeout(TICKET_GRACE).unwrap(), 1);
+        pool.join();
+    }
+
+    #[test]
+    fn no_slot_is_claimed_past_a_queued_job_or_after_shutdown() {
+        let mut pool = ThreadPool::new(2, Arc::new(Metrics::new()));
+        let first = pool.try_claim().unwrap();
+        let second = pool.try_claim().unwrap();
+        assert!(pool.try_claim().is_none());
+        let (block_tx, block_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        pool.submit(move || {
+            block_rx.recv().ok();
+            done_tx.send(()).ok();
+        });
+        drop(second);
+        // the freed slot belongs to the queued job: it is either still
+        // queued (and keeps its place) or running (and holds the slot)
+        assert!(pool.try_claim().is_none());
+        block_tx.send(()).ok();
+        done_rx.recv_timeout(TICKET_GRACE).unwrap();
+        drop(first);
+        pool.shutdown_now();
+        assert!(pool.try_claim().is_none(), "no slot after shutdown");
     }
 
     fn stealing_pool(threads: usize, metrics: &Arc<Metrics>) -> ThreadPool {

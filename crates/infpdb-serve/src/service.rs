@@ -27,25 +27,30 @@
 //!    into any remaining truncation work; record throughput, insert the
 //!    answer.
 //!
-//! [`QueryService::evaluate`] probes on the calling thread and queues
-//! only misses (and transient probe failures), so a cache hit never
-//! waits for a worker. [`QueryService::submit`] and
+//! [`QueryService::evaluate`] probes on the calling thread, so a cache
+//! hit never waits for a worker. A miss without a deadline computes on
+//! the calling thread too, whenever the pool has a free evaluation slot
+//! (see [`ThreadPool::try_claim`]); the pool's `threads` bounds inline
+//! and pooled evaluations together. Everything else — a miss with a
+//! deadline, a miss while every slot is busy or a job is queued, a
+//! transient probe failure — is queued. [`QueryService::submit`] and
 //! [`QueryService::submit_batch`] run both halves on a worker: their
 //! callers pipeline requests, and a probe at submission time would miss
 //! on a duplicate whose first copy is still queued.
 //!
-//! Both halves run under panic containment, and a bounded-backoff retry
-//! loop on the pool owns every retry; see the crate-level *Failure
-//! model*. Results come back through a [`Ticket`]: deadline-aware, never
-//! blocking past the request's deadline plus [`TICKET_GRACE`], and
-//! resolving to [`ServeError::Shutdown`] if the service shuts down
-//! before the request runs.
+//! Both halves run under panic containment, and one bounded-backoff
+//! retry loop owns every retry, on whichever thread the request runs;
+//! see the crate-level *Failure model*. Queued results come back through
+//! a [`Ticket`]: deadline-aware, never blocking past the request's
+//! deadline plus [`TICKET_GRACE`], and resolving to
+//! [`ServeError::Shutdown`] if the service shuts down before the request
+//! runs.
 
 use crate::admission::{self, Admitted, CostBudget, DegradePolicy, ThroughputEstimate};
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
 use crate::cache::ShardedLruCache;
 use crate::faults::FaultInjector;
-use crate::fingerprint::{countable_pdb_fingerprint, query_fingerprint, CacheKey};
+use crate::fingerprint::{query_fingerprint, CacheKey};
 use crate::metrics::Metrics;
 use crate::pool::{OverflowPolicy, PoolConfig, SchedulerKind, StealingExecutor, ThreadPool};
 use crate::ServeError;
@@ -69,8 +74,10 @@ use std::time::{Duration, Instant};
 
 /// Grace period added on top of a request's deadline before its
 /// [`Ticket`] gives up waiting: covers scheduling jitter plus the
-/// non-interruptible finite-engine stage. Also the bound the pool tests
-/// use for "this must already have happened".
+/// non-interruptible finite-engine stage. This is why a request with a
+/// deadline always queues, even through [`QueryService::evaluate`]: only
+/// a ticket can give up on its behalf. Also the bound the pool tests use
+/// for "this must already have happened".
 pub const TICKET_GRACE: Duration = Duration::from_secs(5);
 
 /// Bounded-exponential-backoff retry for transient failures.
@@ -115,7 +122,12 @@ impl RetryPolicy {
 /// Configuration for a [`QueryService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads in the pool (at least 1).
+    /// Worker threads in the pool (at least 1), and the most
+    /// evaluations that run at once: a miss that
+    /// [`QueryService::evaluate`] computes on its caller's thread holds
+    /// one of these slots, exactly as a pooled job does. Under
+    /// [`SchedulerKind::Stealing`] idle workers help such callers with
+    /// their subtasks, so up to twice this many threads run engine code.
     pub threads: usize,
     /// Total result-cache capacity in entries.
     pub cache_capacity: usize,
@@ -325,7 +337,6 @@ impl Ticket {
 
 struct Inner {
     prepared: PreparedPdb,
-    pdb_fingerprint: u64,
     engine: Engine,
     parallelism: usize,
     knobs: PlanKnobs,
@@ -383,7 +394,7 @@ impl Inner {
     fn prepared_query(&self, qfp: u64, query: &Formula) -> PreparedQuery {
         let key = {
             let mut fp = Fingerprinter::new();
-            fp.write_u64(self.pdb_fingerprint).write_u64(qfp);
+            fp.write_u64(self.prepared.fingerprint()).write_u64(qfp);
             fp.finish()
         };
         let m = &self.metrics;
@@ -431,7 +442,6 @@ impl QueryService {
         faults: Option<Arc<FaultInjector>>,
     ) -> Self {
         let metrics = Arc::new(Metrics::new());
-        let pdb_fingerprint = countable_pdb_fingerprint(&pdb);
         let (prepared, store, store_status) = match &config.store_dir {
             None => (PreparedPdb::new(pdb), None, None),
             Some(dir) => {
@@ -439,7 +449,7 @@ impl QueryService {
                 if let Some(cap) = config.store_shard_capacity {
                     store = store.with_shard_capacity(cap);
                 }
-                let (prepared, report) = PreparedPdb::open(pdb, &store, Some(pdb_fingerprint));
+                let (prepared, report) = PreparedPdb::open_identified(pdb, &store);
                 if matches!(
                     report.status,
                     StoreStatus::Recovered { .. } | StoreStatus::Degraded { .. }
@@ -464,7 +474,6 @@ impl QueryService {
             }
         };
         let inner = Arc::new(Inner {
-            pdb_fingerprint,
             prepared,
             engine: config.engine,
             parallelism: config.parallelism.max(1),
@@ -535,7 +544,10 @@ impl QueryService {
     /// (admission, query fingerprint, result-cache lookup) runs on the
     /// calling thread, so a cache hit or a deterministic refusal returns
     /// without touching the pool: a hit is never blocked or shed by a
-    /// full queue. Only a miss or a transient probe failure is queued,
+    /// full queue. A miss without a deadline computes on the calling
+    /// thread as well when the pool lends it a free evaluation slot, with
+    /// the same retry loop, cancel token and executor a pooled job would
+    /// use. Any other miss, and a transient probe failure, is queued,
     /// carrying what the probe found, and the pool's retry loop takes it
     /// from there. The deadline clock starts here, before the probe.
     /// While [draining](Self::begin_drain), returns
@@ -553,6 +565,20 @@ impl QueryService {
             Err(e) if e.is_transient() => Err(e),
             Err(e) => return inner.tally(Err(e)),
         };
+        // a deadline needs the ticket's timed wait, so only a request
+        // without one may run here, and only on a slot the pool lends
+        if first.is_ok() && request.budget.deadline.is_none() {
+            if let Some(_slot) = self.pool.try_claim() {
+                let cancel = CancelToken::new();
+                let executor = self
+                    .pool
+                    .steal_handle()
+                    .map(|h| StealingExecutor::new(h, cancel.clone()));
+                let result =
+                    run_resilient(inner, &request, &cancel, executor.as_ref(), Some(first));
+                return inner.tally(result);
+            }
+        }
         let (job, on_shed, ticket) = self.make_job(request, submitted, Some(first));
         self.pool.submit_with_shed(job, Some(on_shed));
         ticket.wait()
@@ -666,10 +692,8 @@ impl QueryService {
         let Some(store) = &self.inner.store else {
             return Ok(None);
         };
-        let info = self
-            .inner
-            .prepared
-            .persist(store, Some(self.inner.pdb_fingerprint), None)?;
+        let prepared = &self.inner.prepared;
+        let info = prepared.persist(store, Some(prepared.fingerprint()), None)?;
         let m = &self.inner.metrics;
         if info.unchanged {
             m.store_snapshot_noops.fetch_add(1, Ordering::Relaxed);
@@ -861,7 +885,7 @@ fn probe(inner: &Inner, request: &QueryRequest) -> Result<Probe, ServeError> {
     // keyed by the EFFECTIVE ε: a degraded answer is cached under the
     // tolerance it actually certifies
     let key = CacheKey {
-        pdb: inner.pdb_fingerprint,
+        pdb: inner.prepared.fingerprint(),
         query: qfp,
         eps_bits: admitted.eps.to_bits(),
         engine: inner.engine.tag(),
@@ -1140,25 +1164,47 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
+        let m = stealing.metrics();
+        let worker_tasks = || -> u64 {
+            m.worker_tasks
+                .get()
+                .expect("stealing pool sizes per-worker counters")
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .sum()
+        };
+        // pooled: the owner is a pool worker
         let a = fixed.evaluate(QueryRequest::new(q.clone(), 0.01)).unwrap();
-        let b = stealing.evaluate(QueryRequest::new(q, 0.01)).unwrap();
+        let b = stealing
+            .submit(QueryRequest::new(q.clone(), 0.01))
+            .wait()
+            .unwrap();
         assert_eq!(a.approx.estimate.to_bits(), b.approx.estimate.to_bits());
         assert_eq!(a.approx, b.approx);
         assert_eq!(a.trace, b.trace);
         // the component split still happened — as pool subtasks, not
         // freshly forked scoped threads
-        assert_eq!(stealing.metrics().parallel_tasks.load(Ordering::Relaxed), 2);
-        let per_worker = stealing
-            .metrics()
-            .worker_tasks
-            .get()
-            .expect("stealing pool sizes per-worker counters");
-        let subtasks: u64 = per_worker.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        assert_eq!(subtasks, 2, "both component subtasks ran on pool workers");
+        assert_eq!(m.parallel_tasks.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            worker_tasks(),
+            2,
+            "both component subtasks ran on pool workers"
+        );
+        assert_eq!(m.caller_tasks.load(Ordering::Relaxed), 0);
+        // inline: the owner is this thread, on a slot it claimed; it and
+        // the workers share the subtasks, and every one is counted once
+        let a = fixed.evaluate(QueryRequest::new(q.clone(), 0.02)).unwrap();
+        let b = stealing.evaluate(QueryRequest::new(q, 0.02)).unwrap();
+        assert_eq!(a.approx.estimate.to_bits(), b.approx.estimate.to_bits());
+        assert_eq!(a.trace, b.trace);
+        assert_eq!(m.wait.count(), 1, "only the submitted request queued");
+        assert_eq!(m.parallel_tasks.load(Ordering::Relaxed), 4);
+        assert_eq!(worker_tasks() + m.caller_tasks.load(Ordering::Relaxed), 4);
         let dump = stealing.metrics_dump();
         assert!(dump.contains("serve_steals_total"));
         assert!(dump.contains("serve_injector_depth 0"));
         assert!(dump.contains("serve_worker_tasks_total{worker=\"0\"}"));
+        assert!(dump.contains("serve_caller_tasks_total"));
         // a fixed-scheduler service never initializes the stealing tier
         assert!(fixed.metrics().worker_tasks.get().is_none());
     }
@@ -1548,7 +1594,7 @@ mod tests {
             other => panic!("expected EnginePanic, got {other:?}"),
         }
         assert_eq!(svc.metrics().panics.load(Ordering::Relaxed), 1);
-        // the worker survives and the next request succeeds
+        // the thread that ran it survives and the next request succeeds
         let resp = svc.evaluate(QueryRequest::new(q, 0.05)).unwrap();
         assert!(!resp.cached);
     }
@@ -1743,7 +1789,8 @@ mod tests {
                 .unwrap()
                 .cached
         );
-        assert_eq!(m.wait.count(), 1, "the miss went through the queue");
+        assert_eq!(m.wait.count(), 0, "the miss ran on the calling thread");
+        assert_eq!(m.run.count(), 1);
         assert!(
             svc.evaluate(QueryRequest::new(q.clone(), 0.05))
                 .unwrap()
@@ -1751,7 +1798,8 @@ mod tests {
         );
         // an invalid ε fails admission the same way on any thread
         svc.evaluate(QueryRequest::new(q, 0.5)).unwrap_err();
-        assert_eq!(m.wait.count(), 1, "the hit and the refusal stayed inline");
+        assert_eq!(m.wait.count(), 0, "the hit and the refusal stayed inline");
+        assert_eq!(m.run.count(), 1, "neither ran the engine");
         assert_eq!(m.submitted.load(Ordering::Relaxed), 3);
         assert_eq!(m.completed.load(Ordering::Relaxed), 2);
         assert_eq!(m.errors.load(Ordering::Relaxed), 1);
@@ -1787,6 +1835,211 @@ mod tests {
         assert_eq!(m.wait.count(), 1);
         // one admission pass per attempt: the inline one, then the retry
         assert_eq!(faults.calls("admission"), 2);
+    }
+
+    #[test]
+    fn a_miss_with_a_free_slot_runs_inline_with_the_answer_submit_gives() {
+        let p = blocks_pdb();
+        let q = parse(
+            "(exists x, y. A(x) /\\ A(y) /\\ x != y) \
+             /\\ (exists x, y. B(x) /\\ B(y) /\\ x != y)",
+            p.schema(),
+        )
+        .unwrap();
+        for scheduler in [SchedulerKind::Fixed, SchedulerKind::Stealing] {
+            let config = ServiceConfig {
+                threads: 2,
+                engine: Engine::Force(StrategyKind::Shannon),
+                parallelism: 2,
+                scheduler,
+                ..ServiceConfig::default()
+            };
+            let inline = QueryService::new(p.clone(), config.clone());
+            let pooled = QueryService::new(p.clone(), config);
+            let a = inline.evaluate(QueryRequest::new(q.clone(), 0.01)).unwrap();
+            let b = pooled
+                .submit(QueryRequest::new(q.clone(), 0.01))
+                .wait()
+                .unwrap();
+            assert!(!a.cached && !b.cached);
+            assert_eq!(a.approx.estimate.to_bits(), b.approx.estimate.to_bits());
+            assert_eq!(a.approx, b.approx);
+            assert_eq!(a.trace, b.trace, "{}", scheduler.name());
+            assert_eq!(inline.metrics().wait.count(), 0, "the miss never queued");
+            assert_eq!(inline.metrics().run.count(), 1);
+            assert_eq!(pooled.metrics().wait.count(), 1);
+            // the components still split into two tasks
+            assert_eq!(inline.metrics().parallel_tasks.load(Ordering::Relaxed), 2);
+        }
+    }
+
+    #[test]
+    fn a_miss_queues_while_every_slot_is_busy() {
+        // the first evaluation sleeps 300 ms at the engine site, holding
+        // the only slot while the miss below arrives
+        let faults = Arc::new(FaultInjector::new(17));
+        faults.inject(
+            "engine",
+            FaultKind::Latency(Duration::from_millis(300)),
+            Trigger::Times(1),
+        );
+        let svc = QueryService::with_faults(
+            pdb(),
+            ServiceConfig {
+                threads: 1,
+                ..ServiceConfig::default()
+            },
+            Arc::clone(&faults),
+        );
+        let p = pdb();
+        let parked = svc.submit(QueryRequest::new(parse("R(1)", p.schema()).unwrap(), 0.05));
+        let deadline = Instant::now() + TICKET_GRACE;
+        while svc.queue_depth() > 0 {
+            assert!(Instant::now() < deadline, "the parked job never started");
+            std::thread::yield_now();
+        }
+        let q = parse("R(2)", p.schema()).unwrap();
+        let resp = svc.evaluate(QueryRequest::new(q.clone(), 0.05)).unwrap();
+        let expected = approx_prob_boolean(&p, &q, 0.05, Engine::Auto).unwrap();
+        assert!(!resp.cached);
+        assert_eq!(resp.approx.estimate.to_bits(), expected.estimate.to_bits());
+        parked.wait().unwrap();
+        let m = svc.metrics();
+        assert_eq!(faults.fired("engine"), 1);
+        assert_eq!(m.wait.count(), 2, "the miss queued behind the parked job");
+        assert_eq!(m.run.count(), 2);
+        assert_eq!(m.completed.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_request_with_a_deadline_always_queues() {
+        // two slots: the one a finished pooled job may still be releasing
+        // leaves the other free for the miss without a deadline
+        let svc = service(2);
+        let p = pdb();
+        let q = parse("R(1)", p.schema()).unwrap();
+        let budget = CostBudget::deadline(Duration::from_secs(60));
+        let resp = svc
+            .evaluate(QueryRequest::new(q.clone(), 0.05).with_budget(budget))
+            .unwrap();
+        assert!(!resp.cached);
+        let m = svc.metrics();
+        assert_eq!(m.wait.count(), 1, "queued though both slots were free");
+        svc.evaluate(QueryRequest::new(q, 0.04)).unwrap();
+        assert_eq!(m.wait.count(), 1, "the miss without a deadline ran inline");
+        assert_eq!(m.run.count(), 2);
+    }
+
+    #[test]
+    fn inline_and_pooled_evaluations_never_exceed_threads() {
+        // every evaluation sleeps at the engine site, so evaluations in
+        // flight at once show up as overlapping sleeps there
+        let faults = Arc::new(FaultInjector::new(18));
+        faults.inject(
+            "engine",
+            FaultKind::Latency(Duration::from_millis(20)),
+            Trigger::Always,
+        );
+        let threads = 2;
+        let svc = Arc::new(QueryService::with_faults(
+            pdb(),
+            ServiceConfig {
+                threads,
+                ..ServiceConfig::default()
+            },
+            Arc::clone(&faults),
+        ));
+        // six callers evaluate, two submit. Round one: the six evaluate
+        // at once against an idle pool, so two run inline and four queue.
+        // Then the submitters join and every caller finishes its share.
+        const CALLERS: usize = 8;
+        const SUBMITTERS: usize = 2;
+        const EACH: usize = 4;
+        let round_one = Arc::new(std::sync::Barrier::new(CALLERS - SUBMITTERS));
+        let round_two = Arc::new(std::sync::Barrier::new(CALLERS));
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|c| {
+                let svc = Arc::clone(&svc);
+                let (round_one, round_two) = (Arc::clone(&round_one), Arc::clone(&round_two));
+                std::thread::spawn(move || {
+                    let schema = svc.pdb().schema().clone();
+                    let ask = |i: usize| {
+                        // a distinct key per request: every one misses
+                        let q = parse(&format!("R({})", c * EACH + i + 1), &schema).unwrap();
+                        let request = QueryRequest::new(q, 0.05);
+                        let resp = if c < SUBMITTERS {
+                            svc.submit(request).wait()
+                        } else {
+                            svc.evaluate(request)
+                        };
+                        assert!(!resp.unwrap().cached);
+                    };
+                    let mut i = 0;
+                    if c >= SUBMITTERS {
+                        round_one.wait();
+                        ask(0);
+                        i = 1;
+                    }
+                    round_two.wait();
+                    for i in i..EACH {
+                        ask(i);
+                    }
+                })
+            })
+            .collect();
+        for c in callers {
+            c.join().unwrap();
+        }
+        let total = (CALLERS * EACH) as u64;
+        let m = svc.metrics();
+        assert_eq!(faults.calls("engine"), total);
+        assert_eq!(m.run.count(), total);
+        assert!(
+            m.wait.count() >= (SUBMITTERS * EACH) as u64,
+            "every submit queued"
+        );
+        let peak = faults.peak_concurrent_latency();
+        assert!(
+            (1..=threads as u64).contains(&peak),
+            "{peak} evaluations at once on {threads} slots"
+        );
+    }
+
+    #[test]
+    fn an_inline_compute_panic_is_contained_and_retried_on_the_caller() {
+        let faults = Arc::new(FaultInjector::new(19));
+        faults.inject("engine", FaultKind::Panic, Trigger::Times(1));
+        let svc = QueryService::with_faults(
+            pdb(),
+            ServiceConfig {
+                threads: 1,
+                retry: RetryPolicy {
+                    max_attempts: 2,
+                    base: Duration::ZERO,
+                    cap: Duration::ZERO,
+                },
+                ..ServiceConfig::default()
+            },
+            Arc::clone(&faults),
+        );
+        let p = pdb();
+        let q = parse("R(1)", p.schema()).unwrap();
+        let resp = svc.evaluate(QueryRequest::new(q.clone(), 0.05)).unwrap();
+        let expected = approx_prob_boolean(&p, &q, 0.05, Engine::Auto).unwrap();
+        assert!(!resp.cached);
+        assert_eq!(resp.approx.estimate.to_bits(), expected.estimate.to_bits());
+        let m = svc.metrics();
+        assert_eq!(m.panics.load(Ordering::Relaxed), 1);
+        assert_eq!(m.retries.load(Ordering::Relaxed), 1);
+        assert_eq!(m.completed.load(Ordering::Relaxed), 1);
+        assert_eq!(m.errors.load(Ordering::Relaxed), 0);
+        // one engine pass per attempt, both on the calling thread
+        assert_eq!(faults.calls("engine"), 2);
+        assert_eq!(m.wait.count(), 0);
+        // the slot came back: the next miss runs inline too
+        svc.evaluate(QueryRequest::new(q, 0.04)).unwrap();
+        assert_eq!(m.wait.count(), 0);
+        assert_eq!(m.run.count(), 2);
     }
 
     #[test]
@@ -1871,9 +2124,9 @@ mod tests {
     fn queries_nested_to_the_parser_cap_are_answered_from_a_default_stack() {
         use infpdb_core::value::Value;
         use infpdb_logic::parser::MAX_NESTING;
-        // the thread that parses, fingerprints and probes has the default
-        // 2 MiB stack, as a connection thread of `serve` does; the miss
-        // runs on a pool worker, which has it too
+        // the thread that parses, fingerprints, probes and computes the
+        // miss has the default 2 MiB stack, as a connection thread of
+        // `serve` does
         std::thread::spawn(|| {
             // one fact, so a chain of quantifiers ranges over one
             // constant: over more, evaluation time grows exponentially

@@ -4,9 +4,11 @@
 //! *execution*, never *reduction*. The same mixed batch — heavy
 //! two-component queries interleaved with light point queries — must
 //! produce bit-for-bit identical estimates and identical `EvalTrace`
-//! counters at every pool size and under both schedulers. A second run
-//! sprays seeded random cancellations into the batch mid-flight and
-//! asserts the liveness half of the contract: every ticket resolves.
+//! counters at every pool size and under both schedulers, whether the
+//! requests run on pool workers (`submit_batch`) or on their callers'
+//! threads (`evaluate` with a free slot). A second run sprays seeded
+//! random cancellations into the batch mid-flight and asserts the
+//! liveness half of the contract: every ticket resolves.
 
 use infpdb_core::fact::Fact;
 use infpdb_core::schema::{Relation, Schema};
@@ -56,12 +58,16 @@ fn mixed_batch(pdb: &CountableTiPdb) -> Vec<QueryRequest> {
 }
 
 fn service(threads: usize, scheduler: SchedulerKind) -> QueryService {
+    service_at(threads, scheduler, 4)
+}
+
+fn service_at(threads: usize, scheduler: SchedulerKind, parallelism: usize) -> QueryService {
     QueryService::new(
         blocks_pdb(),
         ServiceConfig {
             threads,
             engine: Engine::Force(StrategyKind::Shannon),
-            parallelism: 4,
+            parallelism,
             scheduler,
             ..ServiceConfig::default()
         },
@@ -114,6 +120,72 @@ fn mixed_batch_is_bit_identical_across_threads_and_schedulers() {
                     "request {i}: EvalTrace differs at threads={threads} scheduler={}",
                     scheduler.name()
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn evaluate_is_bit_identical_to_submit_batch() {
+    const CALLERS: usize = 3;
+    let pdb = blocks_pdb();
+    for parallelism in [1usize, 2] {
+        for threads in [1usize, 2, 4] {
+            for scheduler in [SchedulerKind::Fixed, SchedulerKind::Stealing] {
+                let at = format!(
+                    "threads={threads} scheduler={} parallelism={parallelism}",
+                    scheduler.name()
+                );
+                let batch: Vec<_> = service_at(threads, scheduler, parallelism)
+                    .submit_batch(mixed_batch(&pdb))
+                    .into_iter()
+                    .map(|t| t.wait().unwrap())
+                    .collect();
+                // one caller at a time: every miss finds a free slot and
+                // runs on the calling thread
+                let svc = service_at(threads, scheduler, parallelism);
+                let inline: Vec<_> = mixed_batch(&pdb)
+                    .into_iter()
+                    .map(|r| svc.evaluate(r).unwrap())
+                    .collect();
+                assert_eq!(svc.metrics().wait.count(), 0, "{at}");
+                // several callers at once: misses run inline while a slot
+                // is free and queue otherwise
+                let svc = service_at(threads, scheduler, parallelism);
+                let requests = mixed_batch(&pdb);
+                let mut mixed: Vec<_> = std::thread::scope(|scope| {
+                    let callers: Vec<_> = (0..CALLERS)
+                        .map(|c| {
+                            let (svc, requests) = (&svc, &requests);
+                            scope.spawn(move || {
+                                (c..requests.len())
+                                    .step_by(CALLERS)
+                                    .map(|i| (i, svc.evaluate(requests[i].clone()).unwrap()))
+                                    .collect::<Vec<_>>()
+                            })
+                        })
+                        .collect();
+                    callers
+                        .into_iter()
+                        .flat_map(|c| c.join().unwrap())
+                        .collect()
+                });
+                mixed.sort_by_key(|(i, _)| *i);
+                assert_eq!(mixed.len(), batch.len());
+                for (i, r) in batch.iter().enumerate() {
+                    for (how, g) in [("inline", &inline[i]), ("concurrent", &mixed[i].1)] {
+                        assert_eq!(
+                            r.approx.estimate.to_bits(),
+                            g.approx.estimate.to_bits(),
+                            "request {i}: {how} evaluate differs at {at}"
+                        );
+                        assert_eq!(r.approx, g.approx, "request {i}: {how} at {at}");
+                        assert_eq!(
+                            r.trace, g.trace,
+                            "request {i}: {how} EvalTrace differs at {at}"
+                        );
+                    }
+                }
             }
         }
     }
