@@ -20,9 +20,8 @@
 //!    grounding.
 //!
 //! The output is a standalone JSON artifact
-//! (`BENCH_<iso-date>_store.json`, schema `infpdb-store-bench/v1`)
-//! modeled on the netbench artifact; EXPERIMENTS.md §Perf-store records
-//! the checked-in numbers.
+//! (`BENCH_<iso-date>_store.json`, schema `infpdb-store-bench/v1`);
+//! EXPERIMENTS.md §Perf-store records the checked-in numbers.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -73,10 +73,11 @@ impl BidTable {
                 infpdb_math::check_probability(p)
                     .map_err(infpdb_core::CoreError::Math)
                     .map_err(FiniteError::Core)?;
-                if interner.get(&fact).is_some() {
-                    return Err(FiniteError::DuplicateFact(
-                        fact.display(&schema).to_string(),
-                    ));
+                if let Some(first) = interner.get(&fact) {
+                    return Err(FiniteError::DuplicateFact {
+                        fact: fact.display(&schema).to_string(),
+                        first,
+                    });
                 }
                 let id = interner.intern(fact);
                 debug_assert_eq!(id.0 as usize, block_of.len());
@@ -312,7 +313,7 @@ mod tests {
         ));
         assert!(matches!(
             BidTable::from_blocks(schema(), [vec![(fact(1, 1), 0.2)], vec![(fact(1, 1), 0.2)]]),
-            Err(FiniteError::DuplicateFact(_))
+            Err(FiniteError::DuplicateFact { .. })
         ));
         assert!(BidTable::from_blocks(schema(), [vec![(fact(1, 1), 1.5)]]).is_err());
     }

@@ -70,7 +70,12 @@ pub enum FiniteError {
         mass: f64,
     },
     /// A fact appears twice in a table.
-    DuplicateFact(String),
+    DuplicateFact {
+        /// The fact, displayed.
+        fact: String,
+        /// The id the fact already has.
+        first: infpdb_core::fact::FactId,
+    },
 }
 
 impl std::fmt::Display for FiniteError {
@@ -86,7 +91,7 @@ impl std::fmt::Display for FiniteError {
             FiniteError::BlockMassExceedsOne { block, mass } => {
                 write!(f, "block {block} has total probability mass {mass} > 1")
             }
-            FiniteError::DuplicateFact(s) => write!(f, "duplicate fact {s}"),
+            FiniteError::DuplicateFact { fact, .. } => write!(f, "duplicate fact {fact}"),
         }
     }
 }
@@ -136,8 +141,11 @@ mod tests {
         }
         .to_string()
         .contains("1.5"));
-        assert!(FiniteError::DuplicateFact("R(1)".into())
-            .to_string()
-            .contains("R(1)"));
+        assert!(FiniteError::DuplicateFact {
+            fact: "R(1)".into(),
+            first: infpdb_core::fact::FactId(0)
+        }
+        .to_string()
+        .contains("R(1)"));
     }
 }

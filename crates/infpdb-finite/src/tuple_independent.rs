@@ -50,63 +50,6 @@ impl TiTable {
         }
     }
 
-    /// Rebuilds a table from an already-interned fact set and its aligned
-    /// probability vector — the zero-rehash path of the prepared-query
-    /// pipeline: a `FactCatalog` snapshot becomes a table by cloning its
-    /// interner instead of re-interning every owned `Fact`.
-    ///
-    /// Requires `interner.len() == probs.len()` (ids are dense positions
-    /// in insertion order; `probs[i]` belongs to fact id `i` — the same
-    /// invariant [`add_fact`](Self::add_fact) maintains incrementally).
-    /// Probabilities are validated; the length invariant is asserted
-    /// because violating it is a construction bug, not an input error.
-    pub fn from_interned_parts(
-        schema: Schema,
-        interner: FactInterner,
-        probs: Vec<f64>,
-    ) -> Result<Self, FiniteError> {
-        let len = probs.len();
-        Self::from_shared_parts(schema, Arc::new(interner), Arc::new(probs), len)
-    }
-
-    /// Builds a length-`len` prefix view directly over shared backing —
-    /// the fully zero-copy entry point: the catalog hands out its own
-    /// `Arc`s and no fact or probability is copied at any `len`.
-    ///
-    /// Requires `interner.len() == probs.len()` (asserted) and
-    /// `len ≤ probs.len()` (asserted). Only the first `len`
-    /// probabilities are validated; entries past the view belong to
-    /// longer prefixes of the same backing and are validated when a
-    /// view that exposes them is built.
-    pub fn from_shared_parts(
-        schema: Schema,
-        interner: Arc<FactInterner>,
-        probs: Arc<Vec<f64>>,
-        len: usize,
-    ) -> Result<Self, FiniteError> {
-        assert_eq!(
-            interner.len(),
-            probs.len(),
-            "interner and probability vector must be aligned"
-        );
-        assert!(
-            len <= probs.len(),
-            "view length {len} exceeds backing length {}",
-            probs.len()
-        );
-        for &p in &probs[..len] {
-            infpdb_math::check_probability(p)
-                .map_err(infpdb_core::CoreError::Math)
-                .map_err(FiniteError::Core)?;
-        }
-        Ok(Self {
-            schema,
-            interner,
-            probs,
-            len,
-        })
-    }
-
     /// Builds a table from `(fact, probability)` pairs; rejects duplicate
     /// facts and probabilities outside `[0, 1]`.
     ///
@@ -149,13 +92,13 @@ impl TiTable {
         }
         let id = Arc::make_mut(&mut self.interner)
             .try_intern(fact)
-            .map_err(|prev| {
-                FiniteError::DuplicateFact(
-                    self.interner
-                        .resolve(prev)
-                        .display(&self.schema)
-                        .to_string(),
-                )
+            .map_err(|first| FiniteError::DuplicateFact {
+                fact: self
+                    .interner
+                    .resolve(first)
+                    .display(&self.schema)
+                    .to_string(),
+                first,
             })?;
         debug_assert_eq!(id.0 as usize, self.len);
         Arc::make_mut(&mut self.probs).push(p);
@@ -431,34 +374,39 @@ mod tests {
     }
 
     #[test]
-    fn from_interned_parts_round_trips_without_rehashing() {
-        let t = table(&[0.5, 0.25, 0.8]);
-        let rebuilt = TiTable::from_interned_parts(
-            t.schema().clone(),
-            t.interner().clone(),
-            (0..t.len()).map(|i| t.prob(FactId(i as u32))).collect(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.len(), t.len());
-        assert_eq!(rebuilt.fingerprint(), t.fingerprint());
-        assert_eq!(rebuilt.prob(FactId(2)), 0.8);
-        // invalid probabilities are still rejected
-        assert!(TiTable::from_interned_parts(
-            t.schema().clone(),
-            t.interner().clone(),
-            vec![0.5, 0.25, 1.8],
-        )
-        .is_err());
-    }
-
-    #[test]
     fn duplicate_and_invalid_probability_rejected() {
         let mut t = table(&[0.5]);
         assert!(matches!(
             t.add_fact(fact(0), 0.3),
-            Err(FiniteError::DuplicateFact(_))
+            Err(FiniteError::DuplicateFact {
+                first: FactId(0),
+                ..
+            })
         ));
         assert!(t.add_fact(fact(7), 1.7).is_err());
+    }
+
+    #[test]
+    fn add_fact_stays_exact_when_every_fact_hashes_alike() {
+        let mut colliding = TiTable {
+            interner: Arc::new(FactInterner::with_colliding_hashes()),
+            ..TiTable::new(schema())
+        };
+        let mut plain = TiTable::new(schema());
+        for i in 0..30 {
+            let p = 1.0 / (i as f64 + 2.0);
+            assert_eq!(colliding.add_fact(fact(i), p).unwrap(), FactId(i as u32));
+            plain.add_fact(fact(i), p).unwrap();
+        }
+        for i in 0..30 {
+            assert!(matches!(
+                colliding.add_fact(fact(i), 0.5),
+                Err(FiniteError::DuplicateFact { first, .. }) if first == FactId(i as u32)
+            ));
+            assert_eq!(colliding.interner().resolve(FactId(i as u32)), &fact(i));
+        }
+        assert_eq!(colliding.len(), 30);
+        assert_eq!(colliding.fingerprint(), plain.fingerprint());
     }
 
     #[test]
@@ -626,16 +574,6 @@ mod tests {
         // worlds() of a view enumerates only the view's facts
         let w = p.worlds().unwrap();
         assert_eq!(w.space().support_size(), 4);
-    }
-
-    #[test]
-    fn from_shared_parts_validates_only_the_view() {
-        let t = table(&[0.5, 0.25]);
-        let interner = Arc::new(t.owned_interner());
-        let probs = Arc::new(vec![0.5, 7.0]); // invalid beyond the view
-        let ok = TiTable::from_shared_parts(schema(), interner.clone(), probs.clone(), 1).unwrap();
-        assert_eq!(ok.len(), 1);
-        assert!(TiTable::from_shared_parts(schema(), interner, probs, 2).is_err());
     }
 
     #[test]

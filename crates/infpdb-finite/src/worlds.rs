@@ -203,6 +203,26 @@ mod tests {
     }
 
     #[test]
+    fn brute_force_evaluates_a_shadowed_quantifier_body_once() {
+        use infpdb_logic::parser::MAX_NESTING;
+        // four facts, 16 worlds: evaluating every one of 256 shadowed
+        // levels per domain value would take 4^256 steps a world
+        let t = table(&[0.5, 0.3, 0.9, 0.2]);
+        for (level, shallow) in [
+            ("exists x. ", "exists x. R(x)"),
+            ("forall x. ", "forall x. R(x)"),
+        ] {
+            let deep = format!("{}{shallow}", level.repeat(MAX_NESTING - 1));
+            let p = |text: &str| {
+                prob_boolean_brute(&parse(text, t.schema()).unwrap(), &t)
+                    .unwrap()
+                    .to_bits()
+            };
+            assert_eq!(p(&deep), p(shallow), "{shallow}");
+        }
+    }
+
+    #[test]
     fn single_fact_events() {
         let t = table(&[0.5, 0.3]);
         assert!((prob_event(&Event::fact(FactId(1)), &t).unwrap() - 0.3).abs() < 1e-12);

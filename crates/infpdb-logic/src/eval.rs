@@ -8,7 +8,7 @@
 //! single instance's.
 
 use crate::ast::{Formula, Term, Var};
-use crate::vars::{constants, free_vars};
+use crate::vars::{constants, free_vars, occurs_free};
 use crate::LogicError;
 use infpdb_core::storage::InstanceStore;
 use infpdb_core::value::Value;
@@ -115,6 +115,16 @@ impl<'a> Evaluator<'a> {
             Formula::Not(g) => !self.eval(g, env),
             Formula::And(gs) => gs.iter().all(|g| self.eval(g, env)),
             Formula::Or(gs) => gs.iter().any(|g| self.eval(g, env)),
+            // a quantifier whose variable is not free in its body (say,
+            // shadowed by an inner binder) evaluates the body once, not
+            // once per domain value: nested vacuous quantifiers would
+            // otherwise cost |domain|^depth
+            Formula::Exists(v, g) if !occurs_free(v, g) => {
+                !self.domain.is_empty() && self.eval(g, env)
+            }
+            Formula::Forall(v, g) if !occurs_free(v, g) => {
+                self.domain.is_empty() || self.eval(g, env)
+            }
             Formula::Exists(v, g) => self.domain.iter().any(|val| {
                 env.push((v.clone(), val.clone()));
                 let r = self.eval(g, env);
@@ -185,6 +195,34 @@ mod tests {
             &s,
             &st
         ));
+    }
+
+    #[test]
+    fn shadowed_quantifiers_evaluate_their_body_once() {
+        use crate::parser::MAX_NESTING;
+        let (s, st) = setup();
+        // three nodes: evaluating every one of 256 shadowed levels per
+        // domain value would take 3^256 steps
+        for shallow in [
+            "exists x. Node(x)",
+            "exists x. Edge(x, x)",
+            "forall x. Node(x)",
+            "forall x. exists y. Edge(x, y)",
+        ] {
+            let (binder, body) = shallow.split_at(shallow.find(". ").unwrap() + 2);
+            // as many shadowing binders as the parser accepts
+            let levels = MAX_NESTING - shallow.matches(". ").count();
+            let deep = format!("{}{binder}{body}", binder.repeat(levels));
+            assert_eq!(holds(&deep, &s, &st), holds(shallow, &s, &st), "{deep}");
+        }
+        // over an empty domain a vacuous ∃ is false and a vacuous ∀ true
+        let empty = InstanceStore::from_facts([].iter(), &s);
+        let q = |text: &str| parse(text, &s).unwrap();
+        let ev = |f: &Formula| Evaluator::new(&empty, f).eval_sentence(f).unwrap();
+        assert!(!ev(&q("exists x. exists x. Node(x)")));
+        assert!(ev(&q("forall x. forall x. Node(x)")));
+        assert!(!ev(&q("exists y. forall x. Node(x)")));
+        assert!(ev(&q("forall y. exists x. Node(x)")));
     }
 
     #[test]

@@ -20,14 +20,12 @@
 //! The error-code mapping from the serving layer's failure taxonomy
 //! lives in [`proto`]; per-client token-bucket quotas in [`quota`];
 //! graceful SIGTERM drain in [`signal`] + [`server::HttpServer::shutdown`].
-//! The end-to-end load bench ([`loadbench`]) verifies on every
-//! response that transport adds **zero** numeric drift: estimates and
-//! certified intervals must be bit-for-bit identical to direct
-//! library calls.
+//! Transport adds **zero** numeric drift: estimates and certified
+//! intervals over the wire are bit-for-bit identical to direct library
+//! calls, which the end-to-end tests check response by response.
 
 pub mod client;
 pub mod http;
-pub mod loadbench;
 pub mod promtext;
 pub mod proto;
 pub mod quota;
@@ -35,6 +33,5 @@ pub mod server;
 pub mod signal;
 
 pub use client::{BaseUrl, ClientResponse};
-pub use loadbench::{NetBenchConfig, NetBenchReport, NetBenchRow};
 pub use quota::{QuotaConfig, QuotaDecision, QuotaRegistry};
 pub use server::{HttpServer, NetMetrics, ServerConfig};

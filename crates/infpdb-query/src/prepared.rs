@@ -3,18 +3,17 @@
 //! Proposition 6.1 splits naturally: the truncation length `n(ε)` and the
 //! prefix `Ω_n` depend only on the PDB's probability series, never on the
 //! query. A [`PreparedPdb`] exploits that by materializing the
-//! enumeration prefix once into a shared
-//! [`FactCatalog`] behind an `Arc`, and
-//! memoizing the `TiTable` snapshots it hands out per prefix length.
-//! Repeat executions — the same query again, a different query, or the
-//! same query at a tightened ε — reuse the catalog:
+//! enumeration prefix once into a shared [`FactCatalog`], whose
+//! `TiTable` view at any prefix length is O(1). Repeat executions — the
+//! same query again, a different query, or the same query at a tightened
+//! ε — reuse the catalog:
 //!
-//! * a **repeat at the same ε** takes the memoized `Arc<TiTable>` and
-//!   pays zero grounding cost;
+//! * a **repeat at the same ε** slices the catalog and pays zero
+//!   grounding cost;
 //! * an **ε-refinement** extends the catalog by the missing facts only
-//!   (ids never move: the catalog is append-only), then snapshots; the
-//!   memo is dropped first, so the append reuses the catalog's backing
-//!   instead of deep-cloning it under the memo's views;
+//!   (ids never move: the catalog is append-only), then slices; no view
+//!   is kept between requests, so the append reuses the catalog's
+//!   backing instead of deep-cloning it;
 //! * a **different query** shares everything, because the prefix is
 //!   query-independent.
 //!
@@ -49,34 +48,19 @@ use infpdb_math::truncation::{self, Truncation};
 use infpdb_ti::catalog::FactCatalog;
 use infpdb_ti::construction::CountableTiPdb;
 use infpdb_ti::fingerprint::countable_pdb_fingerprint;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Memoized prefix snapshots kept per distinct length before the memo is
-/// reset (a safety valve against unbounded growth under adversarial ε
-/// sequences; the catalog itself is never discarded).
-const TABLE_MEMO_CAP: usize = 64;
-
-#[derive(Debug)]
-struct State {
-    catalog: FactCatalog,
-    /// Views handed out per prefix length: a repeat at one ε skips
-    /// `table_prefix`'s O(n) re-validation of the view's probabilities.
-    /// Cleared before the catalog grows.
-    tables: HashMap<usize, Arc<TiTable>>,
-}
 
 #[derive(Debug)]
 struct Inner {
     pdb: CountableTiPdb,
     /// [`countable_pdb_fingerprint`] of `pdb`, computed on first use.
     fingerprint: OnceLock<u64>,
-    state: Mutex<State>,
+    catalog: Mutex<FactCatalog>,
 }
 
 /// A countable t.i. PDB prepared for repeat evaluation: a shared,
-/// lazily-extended fact catalog plus memoized prefix tables. Cloning is
-/// cheap and clones share the catalog.
+/// lazily-extended fact catalog whose prefix tables are O(1) views.
+/// Cloning is cheap and clones share the catalog.
 #[derive(Debug, Clone)]
 pub struct PreparedPdb {
     inner: Arc<Inner>,
@@ -109,15 +93,12 @@ impl PreparedPdb {
     /// Wraps a PDB for prepared evaluation. Nothing is materialized until
     /// the first slice request (or an explicit [`warm`](Self::warm)).
     pub fn new(pdb: CountableTiPdb) -> Self {
-        let state = State {
-            catalog: FactCatalog::new(pdb.schema().clone()),
-            tables: HashMap::new(),
-        };
+        let catalog = FactCatalog::new(pdb.schema().clone());
         PreparedPdb {
             inner: Arc::new(Inner {
                 pdb,
                 fingerprint: OnceLock::new(),
-                state: Mutex::new(state),
+                catalog: Mutex::new(catalog),
             }),
         }
     }
@@ -139,12 +120,11 @@ impl PreparedPdb {
 
     /// Facts materialized into the shared catalog so far.
     pub fn materialized_len(&self) -> usize {
-        self.lock_state().catalog.len()
+        self.lock_catalog().len()
     }
 
-    /// Eagerly materializes the `n(ε_max)` prefix (and memoizes its
-    /// snapshot), so the first request at any `ε ≥ ε_max` pays no
-    /// grounding cost. Returns `n(ε_max)`.
+    /// Eagerly materializes the `n(ε_max)` prefix, so the first request
+    /// at any `ε ≥ ε_max` pays no grounding cost. Returns `n(ε_max)`.
     pub fn warm(&self, eps_max: f64) -> Result<usize, QueryError> {
         match self.prefix_for(eps_max, &CancelToken::new())? {
             PreparedPrefix::Complete { truncation, .. } => Ok(truncation.n),
@@ -157,26 +137,26 @@ impl PreparedPdb {
     /// A point-in-time copy of the shared catalog — the artifact the
     /// durable store serializes (see [`crate::persist`]).
     pub fn catalog_snapshot(&self) -> FactCatalog {
-        self.lock_state().catalog.clone()
+        self.lock_catalog().clone()
     }
 
     /// Installs a restored catalog. Only an empty, untouched prepared
     /// PDB may adopt (the restore path runs before any grounding);
     /// returns `false` without touching anything otherwise.
     pub(crate) fn adopt_catalog(&self, catalog: FactCatalog) -> bool {
-        let mut state = self.lock_state();
-        if !state.catalog.is_empty() || !state.tables.is_empty() {
+        let mut current = self.lock_catalog();
+        if !current.is_empty() {
             return false;
         }
-        state.catalog = catalog;
+        *current = catalog;
         true
     }
 
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, State> {
+    fn lock_catalog(&self) -> std::sync::MutexGuard<'_, FactCatalog> {
         // a panic while extending leaves the catalog consistent (push is
         // all-or-nothing), so recover instead of propagating the poison
         self.inner
-            .state
+            .catalog
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -199,39 +179,23 @@ impl PreparedPdb {
         let supply = self.pdb().supply();
         let truncation = truncation::for_tolerance(supply, eps)?;
         let cap = supply.support_len().unwrap_or(usize::MAX).min(truncation.n);
-        let mut state = self.lock_state();
-        if let Some(table) = state.tables.get(&cap) {
-            return Ok(PreparedPrefix::Complete {
-                truncation,
-                table: Arc::clone(table),
-            });
-        }
-        let start = state.catalog.len();
-        if start < cap {
-            // the memo's views share the catalog's backing, so growing
-            // under them would make every push deep-clone it; a caller
-            // still holding an older view pays that clone instead
-            state.tables.clear();
-        }
-        for i in start..cap {
+        let mut catalog = self.lock_catalog();
+        for i in catalog.len()..cap {
             if i % CHECK_EVERY == 0 {
                 if let Err(kind) = cancel.check() {
-                    let partial_table = state.catalog.table_prefix(i);
                     return Ok(PreparedPrefix::Cancelled {
                         kind,
                         facts_processed: i,
-                        partial_table,
+                        partial_table: catalog.table_prefix(i),
                     });
                 }
             }
-            state.catalog.push(supply.fact(i), supply.prob(i))?;
+            catalog.push(supply.fact(i), supply.prob(i))?;
         }
-        let table = Arc::new(state.catalog.table_prefix(cap));
-        if state.tables.len() >= TABLE_MEMO_CAP {
-            state.tables.clear();
-        }
-        state.tables.insert(cap, Arc::clone(&table));
-        Ok(PreparedPrefix::Complete { truncation, table })
+        Ok(PreparedPrefix::Complete {
+            truncation,
+            table: Arc::new(catalog.table_prefix(cap)),
+        })
     }
 }
 
@@ -455,24 +419,26 @@ mod tests {
         run(&pq, 0.001);
         let after_tight = prepared.materialized_len();
         assert!(after_tight > after_loose);
-        // repeating at either ε leaves the catalog untouched (memo hit)
+        // repeating at either ε leaves the catalog untouched
         run(&pq, 0.1);
         run(&pq, 0.001);
         assert_eq!(prepared.materialized_len(), after_tight);
     }
 
     #[test]
-    fn repeated_slices_share_one_table() {
+    fn repeated_slices_share_one_backing() {
         let prepared = PreparedPdb::new(geometric());
-        let t1 = match prepared.prefix_for(0.05, &CancelToken::new()).unwrap() {
+        let slice = || match prepared.prefix_for(0.05, &CancelToken::new()).unwrap() {
             PreparedPrefix::Complete { table, .. } => table,
             other => panic!("expected completion, got {other:?}"),
         };
-        let t2 = match prepared.prefix_for(0.05, &CancelToken::new()).unwrap() {
-            PreparedPrefix::Complete { table, .. } => table,
-            other => panic!("expected completion, got {other:?}"),
-        };
-        assert!(Arc::ptr_eq(&t1, &t2), "repeat ε must reuse the snapshot");
+        let (t1, t2) = (slice(), slice());
+        assert!(
+            std::ptr::eq(t1.interner(), t2.interner()),
+            "repeat ε must view the same catalog backing"
+        );
+        assert_eq!(t1.len(), t2.len());
+        assert_eq!(t1.fingerprint(), t2.fingerprint());
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Prefix tables are views over the catalog's `Arc`-shared interner and
 //! probability vector. An append while another owner holds those `Arc`s
-//! makes `Arc::make_mut` deep-clone both: O(n) per growth step. The
-//! per-length table memo is such an owner, so `PreparedPdb::prefix_for`
-//! clears it before it grows the catalog. These tests pin that growth
-//! appends in place, and that a view held across a growth keeps reading
-//! its own prefix.
+//! makes `Arc::make_mut` deep-clone both: O(n) per growth step.
+//! `PreparedPdb::prefix_for` keeps no view of its own between calls, so
+//! only a caller that still holds one pays that clone. These tests pin
+//! that growth appends in place once the caller's views are dropped, and
+//! that a view held across a growth keeps reading its own prefix.
 
 use infpdb_core::fact::Fact;
 use infpdb_core::interner::FactInterner;

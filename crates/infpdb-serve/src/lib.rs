@@ -33,8 +33,8 @@
 //!   run of consecutive evaluation failures;
 //! * [`faults`] — a deterministic, seeded fault-injection harness for
 //!   chaos testing (panics, latency, spurious errors at named sites);
-//! * [`metrics`] — lock-free counters and latency histograms with a
-//!   plain-text dump;
+//! * [`metrics`] — lock-free counters and latency histograms, rendered
+//!   in the Prometheus text format;
 //! * [`service`] — the [`QueryService`] wiring it all together.
 //!
 //! Everything is `std`-only: no external dependencies.

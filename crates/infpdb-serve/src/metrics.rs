@@ -2,9 +2,11 @@
 //!
 //! Everything is lock-free (`AtomicU64` with relaxed ordering — metrics
 //! tolerate torn reads across counters) so recording never contends with
-//! the evaluation hot path. [`Metrics::dump`] renders a plain-text
-//! snapshot in a `name value` format; the metric names are part of the
-//! crate's public interface and documented in DESIGN.md §Serving layer.
+//! the evaluation hot path. [`Metrics::prometheus`] renders the one text
+//! form of a snapshot, the Prometheus exposition format that `/metrics`
+//! serves and `infpdb batch` and the shell print; the metric names are
+//! part of the crate's public interface and documented in DESIGN.md
+//! §Serving layer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -50,32 +52,10 @@ impl LatencyHistogram {
             .unwrap_or(0)
     }
 
-    fn dump_into(&self, name: &str, out: &mut String) {
-        use std::fmt::Write as _;
-        writeln!(out, "{name}_count {}", self.count()).ok();
-        writeln!(
-            out,
-            "{name}_sum_micros {}",
-            self.sum_micros.load(Ordering::Relaxed)
-        )
-        .ok();
-        let mut cumulative = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            cumulative += b.load(Ordering::Relaxed);
-            if i + 1 == HISTOGRAM_BUCKETS {
-                writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}").ok();
-            } else {
-                writeln!(out, "{name}_bucket{{le=\"{}us\"}} {cumulative}", 1u64 << i).ok();
-            }
-        }
-    }
-
-    /// Renders the histogram in Prometheus text exposition format.
-    ///
-    /// Unlike [`dump_into`](Self::dump_into)'s human-oriented `le="4us"`
-    /// labels, scrape output needs numeric `le` values; bucket `i`
-    /// (observations `< 2^i µs`) is exposed as `le="2^i"` microseconds,
-    /// cumulative as the format requires, terminated by `le="+Inf"`.
+    /// Renders the histogram in Prometheus text exposition format: bucket
+    /// `i` (observations `< 2^i µs`) is exposed as `le="2^i"`
+    /// microseconds, cumulative as the format requires, terminated by
+    /// `le="+Inf"`.
     fn prometheus_into(&self, name: &str, help: &str, out: &mut String) {
         use std::fmt::Write as _;
         writeln!(out, "# HELP {name} {help}").ok();
@@ -205,12 +185,12 @@ pub struct Metrics {
     pub injector_depth: AtomicU64,
     /// Subtasks executed per pool worker, initialized by a
     /// work-stealing pool at spawn time (absent under the fixed
-    /// scheduler, so fixed-pool dumps carry no per-worker lines).
+    /// scheduler, so fixed-pool snapshots carry no per-worker lines).
     pub worker_tasks: std::sync::OnceLock<Vec<AtomicU64>>,
     /// Subtasks executed by threads outside the pool: a caller that
     /// computes its own miss on a claimed slot helps run its request's
     /// subtasks. With `worker_tasks` this accounts for every subtask a
-    /// work-stealing pool ran; dumped only next to `worker_tasks`.
+    /// work-stealing pool ran; rendered only next to `worker_tasks`.
     pub caller_tasks: AtomicU64,
     /// Time from entering the pool's queue to the start of evaluation,
     /// for queued requests only. A cache hit, a refusal, or a miss that
@@ -228,180 +208,18 @@ impl Metrics {
         Self::default()
     }
 
-    /// Plain-text snapshot, one `name value` pair per line.
-    pub fn dump(&self) -> String {
-        self.dump_opts(false)
-    }
-
-    /// Like [`dump`](Self::dump), with optional per-engine arena
-    /// statistics (interned node and interning-hit totals) appended —
-    /// off by default because the lines are only meaningful when the
-    /// intensional engine runs.
-    pub fn dump_opts(&self, arena_stats: bool) -> String {
-        let mut out = String::new();
-        use std::fmt::Write as _;
-        let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        writeln!(out, "serve_requests_submitted_total {}", c(&self.submitted)).ok();
-        writeln!(out, "serve_requests_completed_total {}", c(&self.completed)).ok();
-        writeln!(out, "serve_cache_hits_total {}", c(&self.cache_hits)).ok();
-        writeln!(out, "serve_cache_misses_total {}", c(&self.cache_misses)).ok();
-        writeln!(
-            out,
-            "serve_plan_cache_hits_total {}",
-            c(&self.plan_cache_hits)
-        )
-        .ok();
-        writeln!(
-            out,
-            "serve_plan_cache_misses_total {}",
-            c(&self.plan_cache_misses)
-        )
-        .ok();
-        writeln!(
-            out,
-            "serve_plan_cache_evictions_total {}",
-            c(&self.plan_cache_evictions)
-        )
-        .ok();
-        writeln!(out, "serve_degraded_answers_total {}", c(&self.degraded)).ok();
-        writeln!(out, "serve_rejected_total {}", c(&self.rejected)).ok();
-        writeln!(out, "serve_errors_total {}", c(&self.errors)).ok();
-        writeln!(out, "serve_worker_panics_total {}", c(&self.panics)).ok();
-        writeln!(out, "serve_shed_total {}", c(&self.shed)).ok();
-        writeln!(out, "serve_cancelled_total {}", c(&self.cancelled)).ok();
-        writeln!(
-            out,
-            "serve_deadline_exceeded_total {}",
-            c(&self.deadline_exceeded)
-        )
-        .ok();
-        writeln!(out, "serve_retries_total {}", c(&self.retries)).ok();
-        writeln!(
-            out,
-            "serve_breaker_fastfail_total {}",
-            c(&self.breaker_fastfail)
-        )
-        .ok();
-        writeln!(
-            out,
-            "serve_shannon_memo_hits_total {}",
-            c(&self.shannon_memo_hits)
-        )
-        .ok();
-        writeln!(
-            out,
-            "serve_parallel_tasks_total {}",
-            c(&self.parallel_tasks)
-        )
-        .ok();
-        writeln!(
-            out,
-            "serve_parallel_fallback_seq_total {}",
-            c(&self.parallel_fallback_seq)
-        )
-        .ok();
-        for (i, name) in STRATEGY_LABELS.iter().enumerate() {
-            writeln!(
-                out,
-                "serve_plan_choice_total{{strategy=\"{name}\"}} {}",
-                c(&self.plan_choice[i])
-            )
-            .ok();
-        }
-        writeln!(out, "serve_replans_total {}", c(&self.replans)).ok();
-        writeln!(
-            out,
-            "store_snapshot_writes_total {}",
-            c(&self.store_snapshot_writes)
-        )
-        .ok();
-        writeln!(
-            out,
-            "store_snapshot_noops_total {}",
-            c(&self.store_snapshot_noops)
-        )
-        .ok();
-        writeln!(
-            out,
-            "store_snapshot_bytes_written_total {}",
-            c(&self.store_snapshot_bytes_written)
-        )
-        .ok();
-        writeln!(
-            out,
-            "store_snapshot_shards_written_total {}",
-            c(&self.store_snapshot_shards_written)
-        )
-        .ok();
-        writeln!(
-            out,
-            "store_snapshot_shards_skipped_total {}",
-            c(&self.store_snapshot_shards_skipped)
-        )
-        .ok();
-        writeln!(out, "store_mmap_maps_total {}", c(&self.store_mmap_maps)).ok();
-        writeln!(
-            out,
-            "store_mmap_fallbacks_total {}",
-            c(&self.store_mmap_fallbacks)
-        )
-        .ok();
-        writeln!(out, "store_recoveries_total {}", c(&self.store_recoveries)).ok();
-        writeln!(
-            out,
-            "store_checksum_failures_total {}",
-            c(&self.store_checksum_failures)
-        )
-        .ok();
-        writeln!(
-            out,
-            "store_recovered_facts_dropped_total {}",
-            c(&self.store_recovered_facts_dropped)
-        )
-        .ok();
-        writeln!(out, "serve_queue_depth {}", c(&self.queue_depth)).ok();
-        writeln!(out, "serve_steals_total {}", c(&self.steals)).ok();
-        writeln!(out, "serve_injector_depth {}", c(&self.injector_depth)).ok();
-        if let Some(per_worker) = self.worker_tasks.get() {
-            for (i, tasks) in per_worker.iter().enumerate() {
-                writeln!(
-                    out,
-                    "serve_worker_tasks_total{{worker=\"{i}\"}} {}",
-                    c(tasks)
-                )
-                .ok();
-            }
-            writeln!(out, "serve_caller_tasks_total {}", c(&self.caller_tasks)).ok();
-        }
-        self.wait.dump_into("serve_wait_micros", &mut out);
-        self.run.dump_into("serve_run_micros", &mut out);
-        if arena_stats {
-            writeln!(
-                out,
-                "serve_shannon_expansions_total {}",
-                c(&self.shannon_expansions)
-            )
-            .ok();
-            writeln!(out, "serve_arena_nodes_total {}", c(&self.arena_nodes)).ok();
-            writeln!(
-                out,
-                "serve_arena_intern_hits_total {}",
-                c(&self.arena_intern_hits)
-            )
-            .ok();
-        }
-        out
-    }
-
     /// Prometheus text exposition format snapshot (`# HELP`/`# TYPE`
     /// comments, numeric histogram `le` labels), suitable for a
-    /// `GET /metrics` scrape endpoint.
+    /// `GET /metrics` scrape endpoint: `serve_queue_depth` and
+    /// `serve_injector_depth` are gauges, every `*_total` a counter, and
+    /// the wait/run latencies native histograms in microseconds.
     ///
-    /// Exposes exactly the registry that [`dump_opts`](Self::dump_opts)
-    /// prints: the same metric names, with `serve_queue_depth` typed as a
-    /// gauge, every `*_total` as a counter, and the wait/run histograms
-    /// as native Prometheus histograms (the plain dump's
-    /// `*_sum_micros` line becomes the standard `*_sum`).
+    /// The per-worker `serve_worker_tasks_total` family and
+    /// `serve_caller_tasks_total` appear once a work-stealing pool has
+    /// sized them; the arena statistics (Shannon expansions, interned
+    /// node and interning-hit totals) only when `arena_stats` asks for
+    /// them, because they are only meaningful when the intensional
+    /// engine runs.
     pub fn prometheus(&self, arena_stats: bool) -> String {
         use std::fmt::Write as _;
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
@@ -704,7 +522,7 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert!(h.mean_micros() >= 333_000);
         let mut out = String::new();
-        h.dump_into("h", &mut out);
+        h.prometheus_into("h", "test", &mut out);
         assert!(out.contains("h_count 3"));
         // the cumulative +Inf bucket sees every observation
         assert!(out.contains("h_bucket{le=\"+Inf\"} 3"));
@@ -715,7 +533,7 @@ mod tests {
         let m = Metrics::new();
         m.submitted.fetch_add(2, Ordering::Relaxed);
         m.cache_hits.fetch_add(1, Ordering::Relaxed);
-        let dump = m.dump();
+        let text = m.prometheus(false);
         for name in [
             "serve_requests_submitted_total 2",
             "serve_requests_completed_total 0",
@@ -757,24 +575,27 @@ mod tests {
             "serve_wait_micros_count 0",
             "serve_run_micros_count 0",
         ] {
-            assert!(dump.contains(name), "missing {name:?} in:\n{dump}");
+            assert!(
+                text.lines().any(|line| line == name),
+                "missing {name:?} in:\n{text}"
+            );
         }
         // per-worker counters only exist once a stealing pool sized them
-        assert!(!dump.contains("serve_worker_tasks_total"));
-        assert!(!dump.contains("serve_caller_tasks_total"));
+        assert!(!text.contains("serve_worker_tasks_total"));
+        assert!(!text.contains("serve_caller_tasks_total"));
         m.worker_tasks.get_or_init(|| {
             (0..2)
                 .map(|_| AtomicU64::new(0))
                 .collect::<Vec<AtomicU64>>()
         });
         m.worker_tasks.get().unwrap()[1].fetch_add(5, Ordering::Relaxed);
-        let labelled = m.dump();
+        let labelled = m.prometheus(false);
         assert!(labelled.contains("serve_worker_tasks_total{worker=\"0\"} 0"));
         assert!(labelled.contains("serve_worker_tasks_total{worker=\"1\"} 5"));
         assert!(labelled.contains("serve_caller_tasks_total 0"));
         // arena statistics only appear when asked for
-        assert!(!dump.contains("serve_arena_nodes_total"));
-        let full = m.dump_opts(true);
+        assert!(!text.contains("serve_arena_nodes_total"));
+        let full = m.prometheus(true);
         for name in [
             "serve_shannon_expansions_total 0",
             "serve_arena_nodes_total 0",
@@ -784,8 +605,9 @@ mod tests {
         }
     }
 
-    /// Every sample name in the plain dump must be scrapeable: each maps
-    /// to a Prometheus family with a `# TYPE` line of the right kind.
+    /// Every sample belongs to a family declared by exactly one `# TYPE`
+    /// line of the right kind, histograms carry numeric `le` labels and
+    /// a plain `_sum`.
     #[test]
     fn prometheus_covers_every_registry_name() {
         let m = Metrics::new();
@@ -798,21 +620,13 @@ mod tests {
                 .collect::<Vec<AtomicU64>>()
         });
         let prom = m.prometheus(true);
-        for line in m.dump_opts(true).lines() {
+        for line in prom.lines().filter(|l| !l.starts_with('#')) {
             let name = line.split_whitespace().next().unwrap();
-            // map the plain dump's sample names onto Prometheus families
-            let family = if let Some(base) = name.strip_suffix("_sum_micros") {
-                base.to_string()
-            } else if let Some(base) = name.strip_suffix("_count") {
-                base.to_string()
-            } else if let Some(i) = name.find("_bucket{") {
-                name[..i].to_string()
-            } else if let Some(i) = name.find('{') {
-                // labelled samples (e.g. serve_worker_tasks_total{worker="0"})
-                name[..i].to_string()
-            } else {
-                name.to_string()
-            };
+            let name = name.split('{').next().unwrap();
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|s| name.strip_suffix(s).filter(|b| b.ends_with("_micros")))
+                .unwrap_or(name);
             let kind = if family == "serve_queue_depth" || family == "serve_injector_depth" {
                 "gauge"
             } else if family.ends_with("_micros") {
@@ -821,9 +635,10 @@ mod tests {
                 "counter"
             };
             let type_line = format!("# TYPE {family} {kind}");
-            assert!(
-                prom.contains(&type_line),
-                "missing {type_line:?} in:\n{prom}"
+            assert_eq!(
+                prom.lines().filter(|l| *l == type_line).count(),
+                1,
+                "want exactly one {type_line:?} in:\n{prom}"
             );
         }
         // numeric le labels, cumulative, +Inf-terminated
@@ -840,7 +655,7 @@ mod tests {
         assert_eq!(prom.matches("# TYPE serve_worker_tasks_total").count(), 1);
         assert!(prom.contains("serve_worker_tasks_total{worker=\"2\"} 0"));
         assert!(prom.contains("serve_caller_tasks_total 0"));
-        // the old human-oriented unit suffix must not leak into scrapes
+        // no unit suffix in labels or sample names
         assert!(!prom.contains("us\"}"));
         assert!(!prom.contains("_sum_micros"));
     }
@@ -925,7 +740,7 @@ mod tests {
             }),
             ..EvalTrace::default()
         });
-        let full = m.dump_opts(true);
+        let full = m.prometheus(true);
         assert!(full.contains("serve_shannon_memo_hits_total 14"));
         assert!(full.contains("serve_shannon_expansions_total 8"));
         assert!(full.contains("serve_arena_nodes_total 62"));
@@ -934,7 +749,7 @@ mod tests {
         assert!(full.contains("serve_parallel_fallback_seq_total 1"));
         // a lifted-path trace (no intensional work) adds nothing
         m.record_trace(&EvalTrace::default());
-        assert!(m.dump_opts(true).contains("serve_arena_nodes_total 62"));
+        assert!(m.prometheus(true).contains("serve_arena_nodes_total 62"));
     }
 
     #[test]
@@ -961,16 +776,13 @@ mod tests {
             },
             true,
         );
-        let dump = m.dump();
-        assert!(dump.contains("serve_plan_choice_total{strategy=\"lifted\"} 2"));
-        assert!(dump.contains("serve_plan_choice_total{strategy=\"shannon\"} 2"));
-        assert!(dump.contains("serve_plan_choice_total{strategy=\"mc\"} 1"));
-        assert!(dump.contains("serve_plan_choice_total{strategy=\"kl\"} 2"));
-        assert!(dump.contains("serve_replans_total 1"));
-        // the labelled family is scrapeable: declared once, all samples
         let prom = m.prometheus(false);
-        assert_eq!(prom.matches("# TYPE serve_plan_choice_total").count(), 1);
+        assert!(prom.contains("serve_plan_choice_total{strategy=\"lifted\"} 2"));
+        assert!(prom.contains("serve_plan_choice_total{strategy=\"shannon\"} 2"));
+        assert!(prom.contains("serve_plan_choice_total{strategy=\"mc\"} 1"));
         assert!(prom.contains("serve_plan_choice_total{strategy=\"kl\"} 2"));
         assert!(prom.contains("serve_replans_total 1"));
+        // the labelled family is scrapeable: declared once, all samples
+        assert_eq!(prom.matches("# TYPE serve_plan_choice_total").count(), 1);
     }
 }

@@ -640,10 +640,11 @@ impl QueryService {
         &self.inner.metrics
     }
 
-    /// Plain-text metrics snapshot, honoring the
+    /// The metrics snapshot in Prometheus text format
+    /// ([`Metrics::prometheus`]), honoring the
     /// [`arena_stats`](ServiceConfig::arena_stats) configuration.
     pub fn metrics_dump(&self) -> String {
-        self.inner.metrics.dump_opts(self.inner.arena_stats)
+        self.inner.metrics.prometheus(self.inner.arena_stats)
     }
 
     /// Entries currently cached.

@@ -417,7 +417,7 @@ fn cancellations_resolve_exactly_and_partials_are_sound() {
         assert_eq!(cancelled, 3);
         let m = svc.metrics();
         assert_eq!(m.cancelled.load(Ordering::Relaxed), 3);
-        assert!(m.dump().contains("serve_cancelled_total 3"));
+        assert!(m.prometheus(false).contains("serve_cancelled_total 3"));
 
         assert_pool_healthy(&svc, &faults, &pdb);
     }

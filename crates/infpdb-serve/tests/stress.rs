@@ -145,8 +145,8 @@ fn concurrent_answers_are_byte_identical_to_sequential() {
     assert_eq!(m.queue_depth.load(Ordering::Relaxed), 0);
     assert_eq!(m.wait.count(), total);
 
-    let dump = m.dump();
-    assert!(dump.contains("serve_requests_completed_total 800"));
+    let text = m.prometheus(false);
+    assert!(text.contains("serve_requests_completed_total 800"));
 }
 
 #[test]

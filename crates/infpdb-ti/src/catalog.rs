@@ -3,13 +3,12 @@
 //!
 //! Proposition 6.1's truncation length `n(ε)` depends only on the PDB's
 //! probability series, so the materialized prefix `f₁ … f_n` is a stable,
-//! query-independent artifact. A [`FactCatalog`] holds that prefix once —
-//! dense fact ids equal to enumeration indexes, aligned probabilities —
-//! and hands out [`TiTable`] snapshots *by sharing its backing storage*
-//! (`Arc`-cloned interner and probability vector, length-bounded views)
-//! instead of re-hashing owned `Fact`s, so repeat evaluations (and
-//! ε-refinements that only extend the prefix) skip the grounding cost
-//! entirely, at **every** prefix length — not just the full one.
+//! query-independent artifact. A [`FactCatalog`] holds that prefix once,
+//! as one growing [`TiTable`] — dense fact ids equal to enumeration
+//! indexes, aligned probabilities — and hands out the `Ω_n` snapshot at
+//! any `n` as an O(1) [`TiTable::prefix`] view of it: no fact is
+//! re-hashed, cloned or re-validated, because [`push`](FactCatalog::push)
+//! validated every probability on the way in.
 //!
 //! The catalog is append-only: extending to a larger `n` never perturbs
 //! existing ids, which is what keeps prepared evaluations bit-for-bit
@@ -28,19 +27,18 @@ use infpdb_core::fact::{Fact, FactId};
 use infpdb_core::fingerprint::{
     combine_unordered, fact_fingerprint, Fingerprinter, UnorderedCombiner,
 };
-use infpdb_core::interner::FactInterner;
 use infpdb_core::schema::Schema;
-use infpdb_finite::TiTable;
-use std::sync::Arc;
+use infpdb_core::CoreError;
+use infpdb_finite::{FiniteError, TiTable};
 
 /// A materialized enumeration prefix: dense fact ids, probabilities, and
 /// the schema they live in. Append-only; snapshot tables via
 /// [`table_prefix`](Self::table_prefix).
 #[derive(Debug, Clone)]
 pub struct FactCatalog {
-    schema: Schema,
-    interner: Arc<FactInterner>,
-    probs: Arc<Vec<f64>>,
+    /// Every fact pushed so far, in enumeration order. `push` is its only
+    /// writer, so every probability in it has been checked.
+    table: TiTable,
     /// `digests[i]` = `fact_fingerprint(schema, fact_i, prob_i)`, cached
     /// at push time so set-level fingerprints never rehash content.
     digests: Vec<u64>,
@@ -54,9 +52,7 @@ impl FactCatalog {
     /// An empty catalog over a schema.
     pub fn new(schema: Schema) -> Self {
         Self {
-            schema,
-            interner: Arc::new(FactInterner::new()),
-            probs: Arc::new(Vec::new()),
+            table: TiTable::new(schema),
             digests: Vec::new(),
             combiner: UnorderedCombiner::new(),
         }
@@ -64,17 +60,17 @@ impl FactCatalog {
 
     /// The schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.table.schema()
     }
 
     /// Facts materialized so far (also the next enumeration index).
     pub fn len(&self) -> usize {
-        self.probs.len()
+        self.table.len()
     }
 
     /// Whether nothing has been materialized yet.
     pub fn is_empty(&self) -> bool {
-        self.probs.is_empty()
+        self.table.is_empty()
     }
 
     /// Appends the next enumerated fact. The id returned equals the
@@ -82,16 +78,16 @@ impl FactCatalog {
     /// are injective) and probabilities validated. The fact is moved
     /// into the interner with one hash and one probe, never cloned.
     pub fn push(&mut self, fact: Fact, p: f64) -> Result<FactId, TiError> {
-        infpdb_math::check_probability(p).map_err(TiError::Math)?;
-        let id = Arc::make_mut(&mut self.interner)
-            .try_intern(fact)
-            .map_err(|first| TiError::DuplicateEnumeration {
+        let second = self.len();
+        let id = self.table.add_fact(fact, p).map_err(|e| match e {
+            FiniteError::DuplicateFact { first, .. } => TiError::DuplicateEnumeration {
                 first: first.0 as usize,
-                second: self.len(),
-            })?;
-        debug_assert_eq!(id.0 as usize, self.probs.len());
-        let digest = fact_fingerprint(&self.schema, self.interner.resolve(id), p);
-        Arc::make_mut(&mut self.probs).push(p);
+                second,
+            },
+            FiniteError::Core(CoreError::Math(e)) => TiError::Math(e),
+            e => TiError::Finite(e.to_string()),
+        })?;
+        let digest = fact_fingerprint(self.schema(), self.fact(id), p);
         self.digests.push(digest);
         self.combiner.add(digest);
         Ok(id)
@@ -99,12 +95,12 @@ impl FactCatalog {
 
     /// The probability of a materialized fact id.
     pub fn prob(&self, id: FactId) -> f64 {
-        self.probs[id.0 as usize]
+        self.table.prob(id)
     }
 
     /// The materialized fact for an id, borrowed from the catalog.
     pub fn fact(&self, id: FactId) -> &Fact {
-        self.interner.resolve(id)
+        self.table.interner().resolve(id)
     }
 
     /// The cached per-fact content digests, aligned with fact ids.
@@ -124,7 +120,7 @@ impl FactCatalog {
     /// fact.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprinter::new();
-        fp.write_u64(combine_unordered(self.schema.iter().map(|(_, r)| {
+        fp.write_u64(combine_unordered(self.schema().iter().map(|(_, r)| {
             let mut rf = Fingerprinter::new();
             rf.write_bytes(r.name().as_bytes())
                 .write_u64(r.arity() as u64);
@@ -138,9 +134,7 @@ impl FactCatalog {
     /// This is the snapshot hook the durable store uses to serialize the
     /// catalog — the iteration order *is* the dense on-disk order.
     pub fn iter(&self) -> impl Iterator<Item = (FactId, &Fact, f64)> {
-        self.interner
-            .iter()
-            .map(|(id, f)| (id, f, self.probs[id.0 as usize]))
+        self.table.iter()
     }
 
     /// Rebuilds a catalog from `(fact, probability)` pairs in enumeration
@@ -163,23 +157,17 @@ impl FactCatalog {
     /// A [`TiTable`] over the first `n` materialized facts — the `Ω_n`
     /// prefix of Proposition 6.1 with ids equal to enumeration indexes.
     ///
-    /// Zero-copy at every `n`: the table is a length-`n` view sharing
-    /// the catalog's `Arc`-backed interner and probability vector — no
-    /// fact is re-hashed or cloned, whether the prefix is full or
-    /// partial. Panics if `n` exceeds the materialized length.
+    /// O(1) at every `n`: the table is a [`TiTable::prefix`] view sharing
+    /// the catalog's interner and probability vector, so no fact is
+    /// re-hashed or cloned and no probability re-checked. Panics if `n`
+    /// exceeds the materialized length.
     pub fn table_prefix(&self, n: usize) -> TiTable {
         assert!(
             n <= self.len(),
             "prefix {n} exceeds materialized length {}",
             self.len()
         );
-        TiTable::from_shared_parts(
-            self.schema.clone(),
-            Arc::clone(&self.interner),
-            Arc::clone(&self.probs),
-            n,
-        )
-        .expect("catalog probabilities are validated on push")
+        self.table.prefix(n)
     }
 }
 
@@ -230,37 +218,12 @@ mod tests {
     }
 
     #[test]
-    fn push_stays_exact_when_every_fact_hashes_alike() {
-        let mut colliding = FactCatalog {
-            interner: Arc::new(FactInterner::with_colliding_hashes()),
-            ..FactCatalog::new(schema())
-        };
-        let mut plain = FactCatalog::new(schema());
-        for i in 0..30 {
-            let p = 1.0 / (i as f64 + 2.0);
-            assert_eq!(colliding.push(rfact(i), p).unwrap(), FactId(i as u32));
-            plain.push(rfact(i), p).unwrap();
-        }
-        for i in 0..30 {
-            assert!(matches!(
-                colliding.push(rfact(i), 0.5),
-                Err(TiError::DuplicateEnumeration { first, second: 30 }) if first == i as usize
-            ));
-            assert_eq!(colliding.fact(FactId(i as u32)), &rfact(i));
-        }
-        assert_eq!(colliding.len(), 30);
-        assert_eq!(colliding.fingerprint(), plain.fingerprint());
-        assert_eq!(colliding.fact_digests(), plain.fact_digests());
-    }
-
-    #[test]
     fn table_prefix_matches_incremental_construction() {
         let mut c = FactCatalog::new(schema());
         let probs = [0.5, 0.25, 0.125, 0.0625];
         for (i, &p) in probs.iter().enumerate() {
             c.push(rfact(i as i64 + 1), p).unwrap();
         }
-        // full snapshot: shared-backing fast path
         let full = c.table_prefix(4);
         // reference built the one-shot way
         let reference = TiTable::from_facts(
@@ -273,7 +236,7 @@ mod tests {
         .unwrap();
         assert_eq!(full.fingerprint(), reference.fingerprint());
         assert_eq!(full.prob(FactId(3)), 0.0625);
-        // shorter prefix: same ids, fewer facts, still zero-copy
+        // shorter prefix: same ids, fewer facts
         let short = c.table_prefix(2);
         assert_eq!(short.len(), 2);
         assert_eq!(short.interner().resolve(FactId(1)), &rfact(2));

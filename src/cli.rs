@@ -697,7 +697,7 @@ pub fn cmd_batch(
         }
     }
     writeln!(out, "-- metrics --").ok();
-    out.push_str(&svc.metrics().dump());
+    out.push_str(&svc.metrics_dump());
     svc.join();
     Ok(out)
 }
@@ -915,7 +915,7 @@ pub fn run(
     read_file: impl Fn(&str) -> std::io::Result<String>,
 ) -> Result<String, CliError> {
     let usage =
-        "usage: infpdb <info|query|marginals|sample|open|batch|store|bench|netbench|serve|shell> <table-file> [...]";
+        "usage: infpdb <info|query|marginals|sample|open|batch|store|bench|serve|shell> <table-file> [...]";
     if args.is_empty() {
         return Err(CliError::Usage(usage.into()));
     }
@@ -1089,13 +1089,6 @@ pub fn run(
                 Some("info") => cmd_store_info(&dir),
                 _ => Err(CliError::Usage(store_usage.into())),
             }
-        }
-        "netbench" => {
-            let table = read(args.get(1).ok_or(CliError::Usage(
-                "netbench: missing table file (usage: infpdb netbench <table-file> [--smoke] [--connections 1,2,4,8] [--requests N] [--eps E] [--threads T] [--out PATH])".into(),
-            ))?)?;
-            let opts = crate::netcmd::parse_netbench_options(&args[2..])?;
-            crate::netcmd::cmd_netbench(&table, &opts)
         }
         "bench" => {
             let smoke = args.iter().any(|a| a == "--smoke");
@@ -1465,8 +1458,12 @@ Person(1000000)
             lines[1],
             expected.estimate
         );
-        // the metrics dump follows the results
-        assert!(out.contains("-- metrics --"));
+        // the metrics dump follows the results, in the Prometheus text
+        // format `/metrics` serves
+        let (_, metrics) = out.split_once("-- metrics --\n").expect("metrics section");
+        let scrape = infpdb_net::promtext::parse_scrape(metrics).expect("metrics parse");
+        let problems = infpdb_net::promtext::lint(&scrape);
+        assert!(problems.is_empty(), "lint problems: {problems:?}");
         assert!(out.contains("serve_requests_completed_total 6"));
         assert!(out.contains("serve_cache_misses_total 4"));
         assert!(out.contains("serve_cache_hits_total 2"));

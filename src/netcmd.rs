@@ -1,18 +1,14 @@
-//! The network subcommands: `infpdb serve` (long-running HTTP front
-//! door) and `infpdb netbench` (end-to-end load bench against an
-//! in-process server).
+//! The network subcommand: `infpdb serve`, the long-running HTTP front
+//! door.
 //!
-//! Both build the same open-world completion as `infpdb open`/`batch`
+//! It builds the same open-world completion as `infpdb open`/`batch`
 //! (geometric tail over the first declared unary relation), so answers
 //! over the wire are bit-identical to the offline subcommands.
 
 use crate::cli::{self, CliError};
-use infpdb_bench::harness;
-use infpdb_net::loadbench::{self, NetBenchConfig};
 use infpdb_net::server::{HttpServer, ServerConfig};
 use infpdb_net::{signal, QuotaConfig};
 use infpdb_serve::{QueryService, SchedulerKind, ServiceConfig};
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Tail defaults shared with `open`/`batch`/shell.
@@ -188,100 +184,6 @@ pub fn cmd_serve(
     Ok(())
 }
 
-/// Tuning for `netbench`.
-#[derive(Debug, Clone)]
-pub struct NetBenchOptions {
-    /// Connection levels to sweep (`--connections`, comma-separated).
-    pub connection_levels: Vec<usize>,
-    /// Requests per connection (`--requests`).
-    pub requests_per_connection: usize,
-    /// Tolerance (`--eps`).
-    pub eps: f64,
-    /// Artifact path (`--out`); default `BENCH_<date>_net.json`.
-    pub out_path: Option<String>,
-    /// Smoke mode (`--smoke`): the small CI sweep.
-    pub smoke: bool,
-    /// Service worker threads (`--threads`).
-    pub threads: usize,
-    /// Intra-query thread budget (`--parallelism`).
-    pub parallelism: usize,
-    /// Intra-request subtask scheduling (`--scheduler fixed|stealing`).
-    pub scheduler: SchedulerKind,
-}
-
-impl Default for NetBenchOptions {
-    fn default() -> Self {
-        NetBenchOptions {
-            connection_levels: vec![1, 2, 4, 8],
-            requests_per_connection: 200,
-            eps: 1e-3,
-            out_path: None,
-            smoke: false,
-            threads: 4,
-            parallelism: 1,
-            scheduler: SchedulerKind::Fixed,
-        }
-    }
-}
-
-/// The query matrix the bench sweeps: mixes a ground atom, an
-/// existential, a self-join with disequality, and an open-world atom
-/// beyond the closed table.
-pub fn bench_queries(tail_start: i64) -> Vec<String> {
-    vec![
-        "Person(42)".to_string(),
-        "exists x. Person(x)".to_string(),
-        "exists x, y. Person(x) /\\ Person(y) /\\ x != y".to_string(),
-        format!("Person({tail_start})"),
-    ]
-}
-
-/// The `netbench` subcommand: starts an in-process server over the
-/// table, sweeps the connection levels, verifies bit-for-bit identity
-/// of every response against direct library calls, and writes the
-/// `BENCH_<date>_net.json` artifact.
-pub fn cmd_netbench(table_text: &str, opts: &NetBenchOptions) -> Result<String, CliError> {
-    let serve_opts = ServeOptions {
-        bind: "127.0.0.1:0".to_string(),
-        threads: opts.threads,
-        parallelism: opts.parallelism,
-        scheduler: opts.scheduler,
-        ..ServeOptions::default()
-    };
-    let server = start_server(table_text, &serve_opts)?;
-    let config = if opts.smoke {
-        let mut c = NetBenchConfig::smoke(bench_queries(TAIL_START), opts.eps);
-        c.connection_levels = opts.connection_levels.clone();
-        c
-    } else {
-        NetBenchConfig {
-            connection_levels: opts.connection_levels.clone(),
-            requests_per_connection: opts.requests_per_connection,
-            queries: bench_queries(TAIL_START),
-            eps: opts.eps,
-        }
-    };
-    let report = loadbench::run(&server, &config).map_err(CliError::Library)?;
-    server.shutdown();
-    let date = harness::iso_date_utc();
-    let json = report.to_json(&date, opts.smoke);
-    let path = opts
-        .out_path
-        .clone()
-        .unwrap_or_else(|| format!("BENCH_{date}_net.json"));
-    std::fs::write(&path, &json)
-        .map_err(|e| CliError::Library(format!("cannot write {path}: {e}")))?;
-    let mut out = report.summary_table();
-    writeln!(out, "wrote {path}").ok();
-    if report.total_failed > 0 || report.total_mismatched > 0 {
-        return Err(CliError::Library(format!(
-            "netbench: {} failed requests, {} bitwise mismatches\n{out}",
-            report.total_failed, report.total_mismatched
-        )));
-    }
-    Ok(out)
-}
-
 /// Parses `serve` flags from `args` (everything after the table path).
 pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
     let flag = |name: &str, default: &str| -> String {
@@ -296,11 +198,21 @@ pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
             .parse()
             .map_err(|_| CliError::Usage(format!("{name} must be a number")))
     };
-    let scheduler = parse_scheduler(&flag("--scheduler", "fixed"))?;
+    let count = |name: &str, default: &str| -> Result<usize, CliError> {
+        flag(name, default)
+            .parse()
+            .map_err(|_| CliError::Usage(format!("{name} must be a whole number")))
+    };
+    let scheduler = flag("--scheduler", "fixed");
+    let scheduler = SchedulerKind::parse(&scheduler).ok_or_else(|| {
+        CliError::Usage(format!(
+            "--scheduler must be fixed or stealing, got {scheduler:?}"
+        ))
+    })?;
     let mut opts = ServeOptions {
         bind: flag("--bind", "127.0.0.1:7117"),
-        threads: num("--threads", "4")? as usize,
-        parallelism: num("--parallelism", "1")? as usize,
+        threads: count("--threads", "4")?,
+        parallelism: count("--parallelism", "1")?,
         scheduler,
         default_eps: num("--eps", "0.01")?,
         quota_rps: None,
@@ -336,64 +248,6 @@ pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
         );
     }
     Ok(opts)
-}
-
-fn parse_scheduler(s: &str) -> Result<SchedulerKind, CliError> {
-    SchedulerKind::parse(s)
-        .ok_or_else(|| CliError::Usage(format!("--scheduler must be fixed or stealing, got {s:?}")))
-}
-
-/// Parses `netbench` flags from `args` (everything after the table path).
-pub fn parse_netbench_options(args: &[String]) -> Result<NetBenchOptions, CliError> {
-    let flag = |name: &str, default: &str| -> String {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    };
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let connections = flag("--connections", "1,2,4,8");
-    let connection_levels = connections
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<usize>()
-                .map_err(|_| CliError::Usage(format!("bad --connections entry {s:?}")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if connection_levels.is_empty() || connection_levels.contains(&0) {
-        return Err(CliError::Usage(
-            "--connections needs positive, comma-separated counts".into(),
-        ));
-    }
-    let requests: usize = flag("--requests", if smoke { "25" } else { "200" })
-        .parse()
-        .map_err(|_| CliError::Usage("--requests must be a number".into()))?;
-    let eps: f64 = flag("--eps", "0.001")
-        .parse()
-        .map_err(|_| CliError::Usage("--eps must be a number".into()))?;
-    let threads: usize = flag("--threads", "4")
-        .parse()
-        .map_err(|_| CliError::Usage("--threads must be a number".into()))?;
-    let parallelism: usize = flag("--parallelism", "1")
-        .parse()
-        .map_err(|_| CliError::Usage("--parallelism must be a number".into()))?;
-    let scheduler = parse_scheduler(&flag("--scheduler", "fixed"))?;
-    let out_path = match flag("--out", "") {
-        s if s.is_empty() => None,
-        s => Some(s),
-    };
-    Ok(NetBenchOptions {
-        connection_levels,
-        requests_per_connection: requests,
-        eps,
-        out_path,
-        smoke,
-        threads,
-        parallelism,
-        scheduler,
-    })
 }
 
 #[cfg(test)]
@@ -444,41 +298,15 @@ Person 42 @ 0.5
     }
 
     #[test]
-    fn netbench_smoke_writes_a_clean_artifact() {
-        let dir = std::env::temp_dir().join(format!("infpdb_netbench_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_net.json");
-        let opts = NetBenchOptions {
-            connection_levels: vec![1, 2],
-            requests_per_connection: 3,
-            eps: 1e-2,
-            out_path: Some(path.to_string_lossy().to_string()),
-            smoke: true,
-            threads: 2,
-            parallelism: 2,
-            scheduler: SchedulerKind::Stealing,
-        };
-        let out = cmd_netbench(TABLE, &opts).unwrap();
-        assert!(out.contains("bitwise mismatches: 0"), "{out}");
-        let artifact = std::fs::read_to_string(&path).unwrap();
-        let doc = Json::parse(&artifact).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("infpdb-net-bench/v2")
-        );
-        assert_eq!(doc.get("total_failed").and_then(Json::as_i64), Some(0));
-        assert_eq!(doc.get("total_mismatched").and_then(Json::as_i64), Some(0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn flag_parsing_for_serve_and_netbench() {
+    fn flag_parsing_for_serve() {
         let a = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
         let opts = parse_serve_options(&a(&[
             "--bind",
             "0.0.0.0:9000",
             "--threads",
             "8",
+            "--parallelism",
+            "2",
             "--quota-rps",
             "50",
             "--arena-stats",
@@ -486,9 +314,22 @@ Person 42 @ 0.5
         .unwrap();
         assert_eq!(opts.bind, "0.0.0.0:9000");
         assert_eq!(opts.threads, 8);
+        assert_eq!(opts.parallelism, 2);
         assert_eq!(opts.quota_rps, Some(50.0));
         assert!(opts.arena_stats);
         assert!(parse_serve_options(&a(&["--threads", "zero"])).is_err());
+        assert!(parse_serve_options(&a(&["--threads", "0"])).is_err());
+        // counts are whole numbers: a fraction is not rounded down, and
+        // a float past usize::MAX does not saturate into a pool that
+        // tries to spawn usize::MAX workers
+        for bad in ["2.9", "inf", "1e30", "-1", "NaN"] {
+            for name in ["--threads", "--parallelism"] {
+                assert!(
+                    parse_serve_options(&a(&[name, bad])).is_err(),
+                    "{name} {bad} must be refused"
+                );
+            }
+        }
         assert!(parse_serve_options(&a(&["--quota-rps", "lots"])).is_err());
         assert_eq!(
             parse_serve_options(&a(&["--shard-capacity", "4096"]))
@@ -501,19 +342,6 @@ Person 42 @ 0.5
             None
         );
         assert!(parse_serve_options(&a(&["--shard-capacity", "0"])).is_err());
-
-        let nb = parse_netbench_options(&a(&[
-            "--connections",
-            "1,4,16",
-            "--smoke",
-            "--scheduler",
-            "stealing",
-        ]))
-        .unwrap();
-        assert_eq!(nb.connection_levels, vec![1, 4, 16]);
-        assert!(nb.smoke);
-        assert_eq!(nb.requests_per_connection, 25);
-        assert_eq!(nb.scheduler, SchedulerKind::Stealing);
         assert_eq!(
             parse_serve_options(&a(&["--scheduler", "stealing"]))
                 .unwrap()
@@ -521,7 +349,5 @@ Person 42 @ 0.5
             SchedulerKind::Stealing
         );
         assert!(parse_serve_options(&a(&["--scheduler", "magic"])).is_err());
-        assert!(parse_netbench_options(&a(&["--connections", "1,zero"])).is_err());
-        assert!(parse_netbench_options(&a(&["--connections", "0"])).is_err());
     }
 }

@@ -781,6 +781,10 @@ Person 42 @ 0.5
         sh.handle_line("query Person(42)");
         let (out, _) = sh.handle_line("metrics");
         assert!(out.contains("serve_requests_completed_total"), "{out}");
+        // the same Prometheus text a remote shell reads from `/metrics`
+        let scrape = infpdb_net::promtext::parse_scrape(&out).expect("metrics parse");
+        let problems = infpdb_net::promtext::lint(&scrape);
+        assert!(problems.is_empty(), "lint problems: {problems:?}");
     }
 
     #[test]
