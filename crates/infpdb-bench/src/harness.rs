@@ -97,7 +97,9 @@ pub struct BenchRow {
     /// Median wall-clock nanoseconds per operation.
     pub median_ns: u64,
     /// The probability the stage computes (sanity anchor; identical
-    /// to the tree reference engine by the equivalence tests).
+    /// to the tree reference engine by the equivalence tests). The
+    /// `e2e` and `prepared` rows report their own answers; `ground` and
+    /// `shannon` report the untimed Shannon probe's.
     pub estimate: f64,
     /// Shannon memo hits / (hits + expansions + decompositions), from
     /// an untimed probe. `None` for ground-only rows.
@@ -343,7 +345,9 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
 
             // stage 3: end-to-end approx_prob_boolean under a forced
             // Shannon plan (profile + truncation + grounding + Shannon,
-            // all inside the timer)
+            // all inside the timer); the row reports its own answer
+            let fresh = approx_prob_boolean_par(&w.pdb, &query, eps, SHANNON, threads)
+                .map_err(|e| e.to_string())?;
             let (median_ns, iters) = run_timed(
                 policy,
                 || (),
@@ -360,10 +364,10 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
                 stage: "e2e",
                 eps,
                 threads,
-                n,
+                n: fresh.n,
                 iters,
                 median_ns,
-                estimate: probe.estimate,
+                estimate: fresh.estimate,
                 memo_hit_rate: Some(probe.memo_hit_rate),
                 arena_nodes: Some(probe.eval_nodes),
             });
@@ -396,16 +400,17 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
                     black_box(execute());
                 },
             );
+            let warm = execute().approx;
             rows.push(BenchRow {
                 workload: w.pdb_name,
                 query: w.query_name,
                 stage: "prepared",
                 eps,
                 threads,
-                n,
+                n: warm.n,
                 iters,
                 median_ns,
-                estimate: probe.estimate,
+                estimate: warm.estimate,
                 memo_hit_rate: Some(probe.memo_hit_rate),
                 arena_nodes: Some(probe.eval_nodes),
             });

@@ -33,10 +33,10 @@ use std::hint::black_box;
 use infpdb_finite::plan::{evaluate_plan, ChosenPlan};
 use infpdb_logic::compile::CompiledQuery;
 use infpdb_logic::parse;
-use infpdb_query::cancel::CancelToken;
-use infpdb_query::planner::{self, Engine, PlanKnobs, PlanProfile, ProfileOutcome, StrategyKind};
+use infpdb_query::planner::{self, Engine, PlanKnobs, PlanProfile, StrategyKind};
 use infpdb_query::truncate::TruncationPlan;
 use infpdb_ti::construction::CountableTiPdb;
+use infpdb_ti::fingerprint::countable_pdb_fingerprint;
 
 use crate::harness::{run_timed, IterPolicy};
 use crate::{geometric_pdb, grid_pdb, padded_sparse_grid_pdb};
@@ -189,13 +189,11 @@ pub fn run(config: &PlannerConfig) -> Result<Vec<PlannerRow>, String> {
     for cell in cells() {
         let query = parse(cell.query, cell.pdb.schema()).map_err(|e| e.to_string())?;
         let compiled = CompiledQuery::compile(cell.pdb.schema(), &query);
-        let cancel = CancelToken::new();
-        let profile = match PlanProfile::build_oneshot(&cell.pdb, &compiled, &knobs, &cancel)
-            .map_err(|e| e.to_string())?
-        {
-            ProfileOutcome::Ready(p) => p,
-            ProfileOutcome::Cancelled { .. } => unreachable!("a fresh token never fires"),
-        };
+        let prefix =
+            TruncationPlan::new(&cell.pdb, knobs.profile_eps).map_err(|e| e.to_string())?;
+        let fp = countable_pdb_fingerprint(&cell.pdb);
+        let profile =
+            PlanProfile::build(&compiled, &prefix.table, fp, &knobs).map_err(|e| e.to_string())?;
         let n_eval = planner::eval_prefix_len(&cell.pdb, cell.eps).map_err(|e| e.to_string())?;
         let auto = profile
             .plan(Engine::Auto, cell.eps, n_eval, &knobs)

@@ -22,7 +22,7 @@
 //! probability is inherited from the finite theory); hierarchical queries
 //! should use [`crate::lifted`] instead.
 //!
-//! Two engines share this algorithm:
+//! Two engines share this algorithm, each with one recursion:
 //!
 //! * the **tree reference engine** ([`probability`] and friends) walks the
 //!   boxed [`Lineage`] tree and keys its memo by cloned subtrees — simple,
@@ -32,7 +32,10 @@
 //!   on a hash-consed [`LineageArena`], keys its memo by dense
 //!   [`LineageId`]s (`O(1)` probes instead of `O(subtree)` rehashes) and
 //!   reads per-node *cached* variable sets, so the independence
-//!   decomposition stops recomputing free-variable scans.
+//!   decomposition stops recomputing free-variable scans. Every Shannon
+//!   expansion draws from an [`ExpansionBudget`]: the planner's trial
+//!   caps it ([`probability_dag_with_budget`]), every other entry point
+//!   runs the same recursion with an unlimited pool.
 //!
 //! Both perform bit-for-bit the same floating-point operations: the arena's
 //! canonical child order is the tree's structural order, the union–find
@@ -59,140 +62,6 @@ pub fn probability_with_stats<F: Fn(FactId) -> f64>(lineage: &Lineage, probs: &F
     let mut stats = Stats::default();
     let p = prob_rec(lineage, probs, &mut memo, &mut stats);
     (p, stats)
-}
-
-/// A shared countdown of Shannon expansions.
-///
-/// One budget instance is threaded by `&mut` through an *entire*
-/// evaluation, so every sibling subproblem draws from the same pool and
-/// `max_expansions` bounds **total** work, not per-branch work — the
-/// serve layer's graceful degradation (fall back to Monte Carlo when
-/// exact inference is too expensive) depends on this being a global
-/// bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExpansionBudget {
-    remaining: usize,
-}
-
-impl ExpansionBudget {
-    /// A budget allowing exactly `max_expansions` Shannon expansions.
-    pub fn new(max_expansions: usize) -> Self {
-        Self {
-            remaining: max_expansions,
-        }
-    }
-
-    /// Draws one expansion from the pool; `false` when exhausted.
-    #[must_use]
-    pub fn try_spend(&mut self) -> bool {
-        match self.remaining.checked_sub(1) {
-            Some(r) => {
-                self.remaining = r;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Expansions left in the pool.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-}
-
-/// Budgeted variant: gives up with `None` once `max_expansions` Shannon
-/// expansions have been performed. Inference on lineage is #P-hard in
-/// general; long-running callers (servers, benchmark harnesses) should use
-/// this and fall back to Monte Carlo when the budget trips.
-///
-/// The budget is a single [`ExpansionBudget`] countdown shared across the
-/// whole recursion (not copied per branch), so it bounds the total number
-/// of expansions.
-pub fn probability_with_budget<F: Fn(FactId) -> f64>(
-    lineage: &Lineage,
-    probs: &F,
-    max_expansions: usize,
-) -> Option<(f64, Stats)> {
-    let mut memo: HashMap<Lineage, f64> = HashMap::new();
-    let mut stats = Stats::default();
-    let mut budget = ExpansionBudget::new(max_expansions);
-    let p = prob_rec_budget(lineage, probs, &mut memo, &mut stats, &mut budget)?;
-    Some((p, stats))
-}
-
-fn prob_rec_budget<F: Fn(FactId) -> f64>(
-    l: &Lineage,
-    probs: &F,
-    memo: &mut HashMap<Lineage, f64>,
-    stats: &mut Stats,
-    budget: &mut ExpansionBudget,
-) -> Option<f64> {
-    match l {
-        Lineage::Top => return Some(1.0),
-        Lineage::Bot => return Some(0.0),
-        Lineage::Var(id) => return Some(probs(*id)),
-        Lineage::Not(g) => return Some(1.0 - prob_rec_budget(g, probs, memo, stats, budget)?),
-        _ => {}
-    }
-    if let Some(&p) = memo.get(l) {
-        stats.cache_hits += 1;
-        return Some(p);
-    }
-    let p = match l {
-        Lineage::And(children) | Lineage::Or(children) => {
-            let is_and = matches!(l, Lineage::And(_));
-            // Every child a (distinct) fact variable ⇒ all components are
-            // single facts: one direct log-space product, no grouping, no
-            // per-component recursion, no budget spent.
-            if children.iter().all(|c| matches!(c, Lineage::Var(_))) {
-                stats.decompositions += 1;
-                let p = var_product(
-                    children.iter().map(|c| match c {
-                        Lineage::Var(id) => probs(*id),
-                        _ => unreachable!("checked all-Var"),
-                    }),
-                    is_and,
-                );
-                memo.insert(l.clone(), p);
-                return Some(p);
-            }
-            let comps = components(children);
-            if comps.len() > 1 {
-                stats.decompositions += 1;
-                let mut acc = 1.0;
-                for comp in comps {
-                    let sub = if comp.len() == 1 {
-                        comp.into_iter().next().expect("len 1")
-                    } else if is_and {
-                        Lineage::and(comp)
-                    } else {
-                        Lineage::or(comp)
-                    };
-                    let ps = prob_rec_budget(&sub, probs, memo, stats, budget)?;
-                    acc *= if is_and { ps } else { 1.0 - ps };
-                }
-                if is_and {
-                    acc
-                } else {
-                    1.0 - acc
-                }
-            } else {
-                if !budget.try_spend() {
-                    return None;
-                }
-                stats.expansions += 1;
-                let v = most_frequent_var(children).expect("connected component has vars");
-                let pv = probs(v);
-                let pos = l.assign(v, true);
-                let neg = l.assign(v, false);
-                pv * prob_rec_budget(&pos, probs, memo, stats, budget)?
-                    + (1.0 - pv) * prob_rec_budget(&neg, probs, memo, stats, budget)?
-            }
-        }
-        _ => unreachable!("leaf cases handled above"),
-    };
-    memo.insert(l.clone(), p);
-    Some(p)
 }
 
 /// Direct log-space evaluation of an `And`/`Or` whose children are all
@@ -438,6 +307,47 @@ impl DagMemo {
     }
 }
 
+/// A shared countdown of Shannon expansions.
+///
+/// One budget instance is threaded by `&mut` through an *entire* DAG
+/// evaluation, so every sibling subproblem draws from the same pool and
+/// `max_expansions` bounds **total** work, not per-branch work. The
+/// planner's Shannon trial ([`probability_dag_with_budget`] on the
+/// profile prefix) relies on this being a global bound: a trial that
+/// runs dry is priced as a blown budget instead of running on.
+/// [`probability_dag`] and [`probability_dag_with_stats`] draw from an
+/// unlimited pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExpansionBudget {
+    remaining: usize,
+}
+
+impl ExpansionBudget {
+    /// A budget allowing exactly `max_expansions` Shannon expansions.
+    pub fn new(max_expansions: usize) -> Self {
+        Self {
+            remaining: max_expansions,
+        }
+    }
+
+    /// Draws one expansion from the pool; `false` when exhausted.
+    #[must_use]
+    pub fn try_spend(&mut self) -> bool {
+        match self.remaining.checked_sub(1) {
+            Some(r) => {
+                self.remaining = r;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Expansions left in the pool.
+    pub fn remaining(&self) -> usize {
+        self.remaining
+    }
+}
+
 /// Exact probability of arena node `root` being true when variable `v` is
 /// true independently with probability `probs(v)`.
 ///
@@ -459,14 +369,12 @@ pub fn probability_dag_with_stats<F: Fn(FactId) -> f64>(
     root: LineageId,
     probs: &F,
 ) -> (f64, Stats) {
-    let mut memo = DagMemo::default();
-    let mut stats = Stats::default();
-    let p = prob_rec_dag(arena, root, probs, &mut memo, &mut stats);
-    (p, stats)
+    probability_dag_with_budget(arena, root, probs, usize::MAX)
+        .expect("an unlimited budget is never exhausted")
 }
 
-/// Budgeted variant of [`probability_dag`]: `None` once the shared
-/// [`ExpansionBudget`] pool of `max_expansions` is exhausted.
+/// [`probability_dag_with_stats`] under a shared [`ExpansionBudget`] of
+/// `max_expansions`: `None` once the pool is exhausted.
 pub fn probability_dag_with_budget<F: Fn(FactId) -> f64>(
     arena: &mut LineageArena,
     root: LineageId,
@@ -476,76 +384,12 @@ pub fn probability_dag_with_budget<F: Fn(FactId) -> f64>(
     let mut memo = DagMemo::default();
     let mut stats = Stats::default();
     let mut budget = ExpansionBudget::new(max_expansions);
-    let p = prob_rec_dag_budget(arena, root, probs, &mut memo, &mut stats, &mut budget)?;
+    let p = prob_rec_dag(arena, root, probs, &mut memo, &mut stats, &mut budget)?;
     Some((p, stats))
 }
 
+/// The DAG engine's one recursion; `None` once `budget` runs out.
 fn prob_rec_dag<F: Fn(FactId) -> f64>(
-    arena: &mut LineageArena,
-    id: LineageId,
-    probs: &F,
-    memo: &mut DagMemo,
-    stats: &mut Stats,
-) -> f64 {
-    let (is_and, children) = match arena.node(id) {
-        LineageNode::Top => return 1.0,
-        LineageNode::Bot => return 0.0,
-        LineageNode::Var(v) => return probs(*v),
-        LineageNode::Not(g) => {
-            let g = *g;
-            return 1.0 - prob_rec_dag(arena, g, probs, memo, stats);
-        }
-        LineageNode::And(gs) => (true, gs.to_vec()),
-        LineageNode::Or(gs) => (false, gs.to_vec()),
-    };
-    if let Some(p) = memo.get(id) {
-        stats.cache_hits += 1;
-        return p;
-    }
-    // Every child a (distinct) fact variable ⇒ all components are single
-    // facts: one direct log-space product, no grouping, no cofactors.
-    if all_vars_dag(arena, &children) {
-        stats.decompositions += 1;
-        let p = var_product(children.iter().map(|&c| var_prob(arena, c, probs)), is_and);
-        memo.insert(id, p);
-        return p;
-    }
-    let comps = components_dag(arena, &children);
-    let p = if comps.len() > 1 {
-        stats.decompositions += 1;
-        // Independent components: P(∧) = ∏ P, P(∨) = 1 − ∏ (1 − P).
-        let mut acc = 1.0;
-        for comp in comps {
-            let sub = if comp.len() == 1 {
-                comp[0]
-            } else if is_and {
-                arena.and(comp)
-            } else {
-                arena.or(comp)
-            };
-            let ps = prob_rec_dag(arena, sub, probs, memo, stats);
-            acc *= if is_and { ps } else { 1.0 - ps };
-        }
-        if is_and {
-            acc
-        } else {
-            1.0 - acc
-        }
-    } else {
-        // Connected: Shannon expansion on the most frequent var.
-        stats.expansions += 1;
-        let v = most_frequent_var_dag(arena, &children).expect("connected component has vars");
-        let pv = probs(v);
-        let pos = arena.assign(id, v, true);
-        let neg = arena.assign(id, v, false);
-        pv * prob_rec_dag(arena, pos, probs, memo, stats)
-            + (1.0 - pv) * prob_rec_dag(arena, neg, probs, memo, stats)
-    };
-    memo.insert(id, p);
-    p
-}
-
-fn prob_rec_dag_budget<F: Fn(FactId) -> f64>(
     arena: &mut LineageArena,
     id: LineageId,
     probs: &F,
@@ -559,7 +403,7 @@ fn prob_rec_dag_budget<F: Fn(FactId) -> f64>(
         LineageNode::Var(v) => return Some(probs(*v)),
         LineageNode::Not(g) => {
             let g = *g;
-            return Some(1.0 - prob_rec_dag_budget(arena, g, probs, memo, stats, budget)?);
+            return Some(1.0 - prob_rec_dag(arena, g, probs, memo, stats, budget)?);
         }
         LineageNode::And(gs) => (true, gs.to_vec()),
         LineageNode::Or(gs) => (false, gs.to_vec()),
@@ -579,6 +423,7 @@ fn prob_rec_dag_budget<F: Fn(FactId) -> f64>(
     let comps = components_dag(arena, &children);
     let p = if comps.len() > 1 {
         stats.decompositions += 1;
+        // Independent components: P(∧) = ∏ P, P(∨) = 1 − ∏ (1 − P).
         let mut acc = 1.0;
         for comp in comps {
             let sub = if comp.len() == 1 {
@@ -588,7 +433,7 @@ fn prob_rec_dag_budget<F: Fn(FactId) -> f64>(
             } else {
                 arena.or(comp)
             };
-            let ps = prob_rec_dag_budget(arena, sub, probs, memo, stats, budget)?;
+            let ps = prob_rec_dag(arena, sub, probs, memo, stats, budget)?;
             acc *= if is_and { ps } else { 1.0 - ps };
         }
         if is_and {
@@ -597,6 +442,8 @@ fn prob_rec_dag_budget<F: Fn(FactId) -> f64>(
             1.0 - acc
         }
     } else {
+        // Connected: Shannon expansion on the most frequent var, paid
+        // for from the shared pool.
         if !budget.try_spend() {
             return None;
         }
@@ -605,8 +452,8 @@ fn prob_rec_dag_budget<F: Fn(FactId) -> f64>(
         let pv = probs(v);
         let pos = arena.assign(id, v, true);
         let neg = arena.assign(id, v, false);
-        pv * prob_rec_dag_budget(arena, pos, probs, memo, stats, budget)?
-            + (1.0 - pv) * prob_rec_dag_budget(arena, neg, probs, memo, stats, budget)?
+        pv * prob_rec_dag(arena, pos, probs, memo, stats, budget)?
+            + (1.0 - pv) * prob_rec_dag(arena, neg, probs, memo, stats, budget)?
     };
     memo.insert(id, p);
     Some(p)
@@ -1242,12 +1089,21 @@ mod tests {
         }
     }
 
+    /// The budgeted DAG entry on a fresh arena built from `f`.
+    fn dag_budget(f: &Lineage, probs: &dyn Fn(FactId) -> f64, max: usize) -> Option<(f64, Stats)> {
+        let mut arena = LineageArena::new();
+        let root = arena.from_lineage(f);
+        probability_dag_with_budget(&mut arena, root, &probs, max)
+    }
+
     #[test]
     fn budget_variant_matches_unbudgeted_when_affordable() {
         let probs = |id: FactId| [0.5, 0.4, 0.2][id.0 as usize];
         let f = Lineage::or([Lineage::and([v(0), v(1)]), Lineage::and([v(0), v(2)])]);
-        let (p, _) = probability_with_budget(&f, &probs, 1_000_000).unwrap();
-        assert!((p - probability(&f, &probs)).abs() < 1e-12);
+        let (p, stats) = dag_budget(&f, &probs, 1_000_000).unwrap();
+        let (tree_p, tree_stats) = probability_with_stats(&f, &probs);
+        assert_eq!(p.to_bits(), tree_p.to_bits());
+        assert_eq!(stats, tree_stats);
     }
 
     #[test]
@@ -1256,8 +1112,8 @@ mod tests {
         // must trip immediately on a connected component
         let probs = |_: FactId| 0.5;
         let f = Lineage::or((0..8).map(|i| Lineage::and([v(i), v(i + 1)])));
-        assert!(probability_with_budget(&f, &probs, 0).is_none());
-        assert!(probability_with_budget(&f, &probs, 1_000).is_some());
+        assert!(dag_budget(&f, &probs, 0).is_none());
+        assert!(dag_budget(&f, &probs, 1_000).is_some());
     }
 
     #[test]
@@ -1275,15 +1131,8 @@ mod tests {
         let f = Lineage::and([comp(0), comp(10)]);
         let (_, stats) = probability_with_stats(&f, &probs);
         assert!(stats.expansions >= 2, "needs ≥ 2 expansions in total");
-        assert!(probability_with_budget(&f, &probs, 1).is_none());
-        assert!(probability_with_budget(&f, &probs, stats.expansions).is_some());
-        // same semantics in the DAG engine
-        let mut a = LineageArena::new();
-        let id = a.from_lineage(&f);
-        assert!(probability_dag_with_budget(&mut a, id, &probs, 1).is_none());
-        let mut b = LineageArena::new();
-        let id = b.from_lineage(&f);
-        assert!(probability_dag_with_budget(&mut b, id, &probs, stats.expansions).is_some());
+        assert!(dag_budget(&f, &probs, 1).is_none());
+        assert!(dag_budget(&f, &probs, stats.expansions).is_some());
     }
 
     #[test]

@@ -122,9 +122,10 @@ impl QueryComponent {
 /// rank profile, relation-disjoint components, and (when one exists)
 /// extensional safe plan.
 ///
-/// The original formula is retained verbatim because the execute phase
-/// evaluates *it* — not the normal form — to stay bit-for-bit identical
-/// to the one-shot evaluation path.
+/// The original formula is retained verbatim because the execute phase's
+/// partial answer on cancellation evaluates *it* — not the normal form —
+/// with the exact engine, bit-for-bit what that engine returns for the
+/// formula as written.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     original: Formula,

@@ -47,7 +47,7 @@
 //! the serve layer's `serve_replans_total`.
 
 use crate::prepared::{PreparedPdb, PreparedPrefix};
-use crate::truncate::{PlannedTruncation, TruncationPlan};
+use crate::truncate::TruncationPlan;
 use crate::QueryError;
 use infpdb_core::fingerprint::Fingerprinter;
 use infpdb_finite::arena::LineageArena;
@@ -226,39 +226,11 @@ impl PlanProfile {
         })
     }
 
-    /// Profiles on the one-shot truncation at `knobs.profile_eps`,
-    /// checkpointing `cancel` during prefix materialization.
-    pub fn build_oneshot(
-        pdb: &CountableTiPdb,
-        compiled: &CompiledQuery,
-        knobs: &PlanKnobs,
-        cancel: &crate::cancel::CancelToken,
-    ) -> Result<ProfileOutcome, QueryError> {
-        match TruncationPlan::new_cancellable(pdb, knobs.profile_eps, cancel)? {
-            PlannedTruncation::Complete(plan) => {
-                let fp = countable_pdb_fingerprint(pdb);
-                Ok(ProfileOutcome::Ready(Self::build(
-                    compiled,
-                    &plan.table,
-                    fp,
-                    knobs,
-                )?))
-            }
-            PlannedTruncation::Cancelled {
-                kind,
-                facts_processed,
-                partial_table,
-            } => Ok(ProfileOutcome::Cancelled {
-                kind,
-                facts_processed,
-                partial_table,
-            }),
-        }
-    }
-
     /// Profiles on a [`PreparedPdb`]'s shared prefix at
-    /// `knobs.profile_eps` — byte-identical to the one-shot profile, so
-    /// prepared and one-shot planning agree bit-for-bit.
+    /// `knobs.profile_eps`, checkpointing `cancel` while the catalog
+    /// grows. The prefix is byte-identical to a fresh
+    /// [`TruncationPlan`] at that ε, so [`PlanProfile::build`] on either
+    /// gives the same profile.
     pub fn build_prepared(
         prepared: &PreparedPdb,
         compiled: &CompiledQuery,
@@ -522,11 +494,9 @@ pub fn explain(
 ) -> Result<(CompiledQuery, ChosenPlan, usize), QueryError> {
     let n_eval = eval_prefix_len(pdb, eps)?;
     let compiled = CompiledQuery::compile(pdb.schema(), query);
-    let cancel = crate::cancel::CancelToken::new();
-    let profile = match PlanProfile::build_oneshot(pdb, &compiled, knobs, &cancel)? {
-        ProfileOutcome::Ready(profile) => profile,
-        ProfileOutcome::Cancelled { .. } => unreachable!("a fresh token never fires"),
-    };
+    let prefix = TruncationPlan::new(pdb, knobs.profile_eps)?;
+    let fp = countable_pdb_fingerprint(pdb);
+    let profile = PlanProfile::build(&compiled, &prefix.table, fp, knobs)?;
     let plan = profile
         .plan(Engine::Auto, eps, n_eval, knobs)
         .expect("Auto always finds a plan");

@@ -17,28 +17,27 @@
 //! * a **different query** shares everything, because the prefix is
 //!   query-independent.
 //!
-//! Execution stays bit-for-bit identical to the one-shot
-//! [`approx_prob_boolean_cancellable`](crate::approx::approx_prob_boolean_cancellable)
-//! path: snapshots contain
-//! exactly the facts, dense ids, and probability bits the one-shot
-//! truncation loop produces, the profile is measured on the same prefix,
-//! so both paths plan and evaluate the same [`ChosenPlan`]. The lineage
-//! arena is still built per evaluation — sharing it would change the
-//! reported work counters; the shared artifact is the fact catalog.
+//! [`PreparedQuery::execute`] is the one Proposition 6.1 executor:
+//! [`approx_prob_boolean`](crate::approx::approx_prob_boolean) runs it
+//! once on a fresh catalog. Reuse moves no bit: a slice holds exactly the
+//! facts, dense ids and probability bits a fresh
+//! [`TruncationPlan`](crate::truncate::TruncationPlan) at the same ε
+//! holds, and the profile is measured on the same prefix, so a warm and
+//! a fresh execution plan and evaluate the same [`ChosenPlan`]. The
+//! lineage arena is still built per evaluation — sharing it would change
+//! the reported work counters; the shared artifact is the fact catalog.
 //!
-//! Cancellation semantics also mirror the one-shot path: catalog
-//! extension checkpoints the [`CancelToken`] every
-//! [`CHECK_EVERY`] facts, and a cancelled
-//! execution can still certify a sound partial answer via
-//! [`partial_certificate`](crate::truncate::partial_certificate). When the catalog was pre-warmed past the
-//! cancellation point, the partial answer uses everything materialized —
-//! at least as tight as the one-shot partial.
+//! Catalog extension ([`PreparedPdb::prefix_for`], the crate's one
+//! cancellable fact loop) checkpoints the [`CancelToken`] every
+//! [`CHECK_EVERY`] facts, and a cancelled execution can still certify a
+//! sound partial answer via [`partial_certificate`].
 
-use crate::approx::{cancelled, Approximation, PartialOnCancel};
-use crate::cancel::{CancelKind, CancelToken, CHECK_EVERY};
+use crate::approx::{Approximation, PartialOnCancel};
+use crate::cancel::{CancelInfo, CancelKind, CancelToken, CHECK_EVERY};
 use crate::planner::{self, Engine, PlanEvent, PlanKnobs, PlanProfile, Planner, ProfileOutcome};
+use crate::truncate::partial_certificate;
 use crate::QueryError;
-use infpdb_finite::engine::EvalTrace;
+use infpdb_finite::engine::{self, EvalTrace};
 use infpdb_finite::plan::{evaluate_plan, ChosenPlan};
 use infpdb_finite::shannon::TaskExecutor;
 use infpdb_finite::TiTable;
@@ -164,10 +163,10 @@ impl PreparedPdb {
     /// Slices the prepared prefix at the ε-appropriate `n`, extending the
     /// shared catalog if this ε needs more facts than any before it.
     ///
-    /// The returned table is byte-identical to what the one-shot
-    /// truncation loop builds for the same ε; the token is checkpointed
-    /// every [`CHECK_EVERY`] facts during extension, exactly like the
-    /// one-shot loop.
+    /// The returned table is byte-identical to the table of a
+    /// [`TruncationPlan`](crate::truncate::TruncationPlan) at the same ε;
+    /// the token is checkpointed every [`CHECK_EVERY`] facts during
+    /// extension.
     pub fn prefix_for(&self, eps: f64, cancel: &CancelToken) -> Result<PreparedPrefix, QueryError> {
         if let Err(kind) = cancel.check() {
             return Ok(PreparedPrefix::Cancelled {
@@ -254,11 +253,11 @@ impl PreparedQuery {
 
     /// Proposition 6.1 at tolerance `eps`: profile once, plan at `eps`
     /// under the query's engine and evaluate the plan on the prefix at
-    /// its `ε_trunc`. Bit-for-bit the one-shot
-    /// [`approx_prob_boolean_cancellable`](crate::approx::approx_prob_boolean_cancellable)
-    /// result — estimate, certificates and work counters, or the same
-    /// [`QueryError::Ineligible`] for a forced strategy — at every thread
-    /// count and under every executor.
+    /// its `ε_trunc`. An `eps` outside `(0, 1/2)` is refused before
+    /// anything is grounded. The answer — estimate, certificates and work
+    /// counters, or [`QueryError::Ineligible`] for a forced strategy — is
+    /// the same bits whether the catalog is fresh or warm, at every
+    /// thread count and under every executor.
     ///
     /// `cancel` is checkpointed while the catalog grows and once more
     /// before the finite evaluation starts. `exec` runs the evaluation's
@@ -274,6 +273,9 @@ impl PreparedQuery {
         partial_policy: PartialOnCancel,
         exec: Option<&dyn TaskExecutor>,
     ) -> Result<Execution, QueryError> {
+        // validates ε (Proposition 6.1 needs ε ∈ (0, 1/2)) before the
+        // profile grounds anything, and pins the prefix length for costing
+        let n_eval = planner::eval_prefix_len(self.pdb.pdb(), eps)?;
         let mut chosen = None;
         let stop = 'cancelled: {
             let planner = match self.planner.get() {
@@ -297,7 +299,6 @@ impl PreparedQuery {
                     } => break 'cancelled (kind, facts_processed, partial_table),
                 },
             };
-            let n_eval = planner::eval_prefix_len(self.pdb.pdb(), eps)?;
             let (plan, event) = planner.plan(self.engine, eps, n_eval, &self.knobs)?;
             let plan = chosen.insert(plan);
             let (truncation, table) = match self.pdb.prefix_for(plan.eps_trunc, cancel)? {
@@ -309,7 +310,7 @@ impl PreparedQuery {
                 } => break 'cancelled (kind, facts_processed, partial_table),
             };
             // last checkpoint before the evaluation: don't start a run
-            // whose budget is already spent (mirrors the one-shot path)
+            // whose budget is already spent
             if let Err(kind) = cancel.check() {
                 break 'cancelled (kind, truncation.n, (*table).clone());
             }
@@ -346,11 +347,46 @@ impl PreparedQuery {
     }
 }
 
+/// The cancellation tail of [`PreparedQuery::execute`]: certify the
+/// facts materialized before the checkpoint fired, at the `ε_m` their
+/// prefix supports, and (policy permitting) evaluate a sound partial
+/// answer on them with the exact evaluator. When the chosen plan samples
+/// a component there is no partial: the exact evaluator would run the
+/// Shannon expansion the plan priced out, after the budget is spent.
+fn cancelled(
+    pdb: &CountableTiPdb,
+    query: &Formula,
+    parallelism: usize,
+    partial_policy: PartialOnCancel,
+    plan: Option<&ChosenPlan>,
+    (kind, facts_processed, partial_table): (CancelKind, usize, TiTable),
+) -> QueryError {
+    let evaluate =
+        partial_policy == PartialOnCancel::Evaluate && !plan.is_some_and(ChosenPlan::has_sampling);
+    let partial = evaluate
+        .then(|| partial_certificate(pdb, facts_processed))
+        .flatten()
+        .and_then(|(trunc, eps_m)| {
+            engine::prob_boolean_traced(query, &partial_table, parallelism)
+                .ok()
+                .map(|(estimate, _)| Approximation {
+                    estimate,
+                    eps: eps_m,
+                    n: trunc.n,
+                    tail_mass: trunc.tail_mass,
+                })
+        });
+    QueryError::Cancelled(CancelInfo {
+        kind,
+        facts_processed,
+        partial,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::approx_prob_boolean_cancellable;
-    use crate::planner::StrategyKind;
+    use crate::truncate::TruncationPlan;
     use infpdb_core::schema::{RelId, Relation, Schema};
     use infpdb_logic::parse;
     use infpdb_math::series::{GeometricSeries, ZetaSeries};
@@ -378,33 +414,26 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn execute_matches_one_shot_bit_for_bit() {
-        let pdb = geometric();
-        let prepared = PreparedPdb::new(pdb.clone());
-        let shannon = Engine::Force(StrategyKind::Shannon);
-        for qs in ["exists x. R(x)", "R(1) /\\ !R(2)", "!(!R(1))"] {
-            let q = parse(qs, pdb.schema()).unwrap();
-            let pq = PreparedQuery::prepare(prepared.clone(), &q, shannon, knobs());
-            for eps in [0.1, 0.01, 0.001] {
-                let Execution {
-                    approx: a,
-                    trace: t,
-                    ..
-                } = run(&pq, eps);
-                let (a0, t0) = approx_prob_boolean_cancellable(
-                    &pdb,
-                    &q,
-                    eps,
-                    shannon,
-                    1,
-                    &CancelToken::new(),
-                    PartialOnCancel::Evaluate,
-                )
-                .unwrap();
-                assert_eq!(a, a0, "{qs} at {eps}");
-                assert_eq!(t, t0, "{qs} at {eps}: work counters must agree");
-            }
+    fn zeta() -> CountableTiPdb {
+        CountableTiPdb::new(FactSupply::unary_over_naturals(
+            schema(),
+            RelId(0),
+            ZetaSeries::basel(),
+        ))
+        .unwrap()
+    }
+
+    /// `P(∃x R(x))` under ζ(2), `p_i = 6/(π² i²)`: by Euler's product
+    /// `∏(1 − x²/i²) = sin(πx)/(πx)` at `x = √6/π`, it is `1 − sin√6/√6`.
+    fn zeta_exists_truth() -> f64 {
+        1.0 - 6f64.sqrt().sin() / 6f64.sqrt()
+    }
+
+    /// The [`CancelInfo`] of a cancelled result.
+    fn cancel_info(err: QueryError) -> CancelInfo {
+        match err {
+            QueryError::Cancelled(info) => info,
+            other => panic!("expected Cancelled, got {other:?}"),
         }
     }
 
@@ -454,30 +483,47 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_yields_sound_partial_like_one_shot() {
-        let pdb = CountableTiPdb::new(FactSupply::unary_over_naturals(
-            schema(),
-            RelId(0),
-            ZetaSeries::basel(),
-        ))
-        .unwrap();
-        let prepared = PreparedPdb::new(pdb.clone());
-        let q = parse("exists x. R(x)", pdb.schema()).unwrap();
-        let pq = PreparedQuery::prepare(prepared, &q, Engine::Auto, knobs());
-        let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        match pq
-            .execute(0.01, &token, PartialOnCancel::Evaluate, None)
-            .unwrap_err()
-        {
-            QueryError::Cancelled(info) => {
-                assert_eq!(info.kind, CancelKind::Deadline);
-                if let Some(partial) = info.partial {
-                    assert_eq!(partial.n, info.facts_processed);
-                    assert!(partial.eps < 0.5);
-                }
-            }
-            other => panic!("expected Cancelled, got {other:?}"),
+    fn invalid_eps_is_refused_before_grounding() {
+        let prepared = PreparedPdb::new(zeta());
+        let q = parse("exists x. R(x)", prepared.pdb().schema()).unwrap();
+        let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Auto, knobs());
+        for eps in [0.5, 0.0, -0.1, f64::NAN] {
+            let err = pq.execute(eps, &CancelToken::new(), PartialOnCancel::Evaluate, None);
+            assert!(
+                matches!(err, Err(QueryError::Math(_))),
+                "eps {eps}: {err:?}"
+            );
         }
+        assert_eq!(prepared.materialized_len(), 0, "nothing grounded");
+    }
+
+    #[test]
+    fn deadline_cancel_yields_sound_partial() {
+        // ζ(2) at ε = 0.01 needs 92 facts; a pre-expired deadline stops
+        // early, and the partial answer must still enclose the truth at
+        // its own (wider) certified tolerance — except when the prefix
+        // was too short to certify anything.
+        let pdb = zeta();
+        let q = parse("exists x. R(x)", pdb.schema()).unwrap();
+        let truth = zeta_exists_truth();
+        let pq = PreparedQuery::prepare(PreparedPdb::new(pdb.clone()), &q, Engine::Auto, knobs());
+        let token = CancelToken::with_deadline(std::time::Duration::ZERO);
+        let result = pq.execute(0.01, &token, PartialOnCancel::Evaluate, None);
+        let info = cancel_info(result.unwrap_err());
+        assert_eq!(info.kind, CancelKind::Deadline);
+        if let Some(partial) = info.partial {
+            assert_eq!(partial.n, info.facts_processed);
+            assert!(partial.eps < 0.5);
+            assert!(partial.interval().contains(truth));
+        }
+        // the same tail after 4096 facts, which certify a partial
+        let m = 4096;
+        let stop = (CancelKind::Deadline, m, pdb.truncate(m).unwrap());
+        let tail = cancelled(&pdb, &q, 1, PartialOnCancel::Evaluate, None, stop);
+        let partial = cancel_info(tail).partial.expect("4096 facts certify");
+        assert_eq!(partial.n, m);
+        assert!(partial.eps < 0.01);
+        assert!(partial.interval().contains(truth));
     }
 
     #[test]
@@ -487,15 +533,101 @@ mod tests {
         let pq = PreparedQuery::prepare(prepared, &q, Engine::Auto, knobs());
         let token = CancelToken::new();
         token.cancel();
-        match pq
-            .execute(0.01, &token, PartialOnCancel::Skip, None)
-            .unwrap_err()
-        {
-            QueryError::Cancelled(info) => {
-                assert_eq!(info.facts_processed, 0);
-                assert!(info.partial.is_none());
+        let result = pq.execute(0.01, &token, PartialOnCancel::Skip, None);
+        let info = cancel_info(result.unwrap_err());
+        assert_eq!(info.kind, CancelKind::Explicit);
+        assert_eq!(info.facts_processed, 0);
+        assert!(info.partial.is_none());
+    }
+
+    #[test]
+    fn cancelled_tail_skips_the_partial_a_sampling_plan_priced_out() {
+        use infpdb_finite::plan::{ComponentPlan, Strategy};
+        let p = geometric();
+        let q = parse("exists x. R(x)", p.schema()).unwrap();
+        // ∃x R(x) = 1 − ∏(1 − 2^{-i})
+        let truth = 1.0 - (0..2000).map(|i| 1.0 - p.supply().prob(i)).product::<f64>();
+        let compiled = CompiledQuery::compile(p.schema(), &q);
+        let prefix = TruncationPlan::new(&p, 0.01).unwrap();
+        let n = prefix.n();
+        assert!(n > 0);
+        let tail = |strategy| {
+            let plan = ChosenPlan {
+                connective: compiled.connective(),
+                components: vec![ComponentPlan {
+                    strategy,
+                    cost: 1.0,
+                    seed: 1,
+                }],
+                eps: 0.01,
+                eps_trunc: 0.01,
+            };
+            let stop = (CancelKind::Deadline, n, prefix.table.clone());
+            let policy = PartialOnCancel::Evaluate;
+            cancel_info(cancelled(&p, &q, 1, policy, Some(&plan), stop))
+        };
+        let sampled = tail(Strategy::MonteCarlo { samples: 1000 });
+        assert_eq!(sampled.facts_processed, n);
+        assert!(sampled.partial.is_none());
+        let exact = tail(Strategy::Lifted);
+        let partial = exact.partial.expect("an all-exact plan keeps its partial");
+        assert_eq!(partial.n, n);
+        assert!(partial.eps < 0.5);
+        assert!(partial.interval().contains(truth));
+    }
+
+    #[test]
+    fn cancellable_plan_completes_when_token_never_fires() {
+        let prepared = PreparedPdb::new(geometric());
+        match prepared.prefix_for(0.1, &CancelToken::new()).unwrap() {
+            PreparedPrefix::Complete { truncation, table } => {
+                let direct = TruncationPlan::new(prepared.pdb(), 0.1).unwrap();
+                assert_eq!(truncation.n, direct.n());
+                assert_eq!(table.len(), direct.table.len());
+                assert_eq!(table.fingerprint(), direct.table.fingerprint());
             }
-            other => panic!("expected Cancelled, got {other:?}"),
+            other => panic!("expected completion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pre_cancelled_token_stops_before_any_fact() {
+        let prepared = PreparedPdb::new(zeta());
+        let token = CancelToken::new();
+        token.cancel();
+        match prepared.prefix_for(0.01, &token).unwrap() {
+            PreparedPrefix::Cancelled {
+                kind,
+                facts_processed,
+                partial_table,
+            } => {
+                assert_eq!(kind, CancelKind::Explicit);
+                assert_eq!(facts_processed, 0);
+                assert_eq!(partial_table.len(), 0);
+                assert_eq!(prepared.materialized_len(), 0);
+            }
+            other => panic!("expected cancellation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn expired_deadline_stops_mid_loop_with_partial_table() {
+        // ζ(2) at ε = 0.01 needs 92 facts; an already-expired deadline
+        // must stop at a checkpoint, short of the full prefix
+        let prepared = PreparedPdb::new(zeta());
+        let token = CancelToken::with_deadline(std::time::Duration::ZERO);
+        match prepared.prefix_for(0.01, &token).unwrap() {
+            PreparedPrefix::Cancelled {
+                kind,
+                facts_processed,
+                partial_table,
+            } => {
+                assert_eq!(kind, CancelKind::Deadline);
+                assert_eq!(partial_table.len(), facts_processed);
+                let full = TruncationPlan::new(prepared.pdb(), 0.01).unwrap();
+                assert!(facts_processed < full.n());
+            }
+            other => panic!("expected cancellation, got {other:?}"),
         }
     }
 
@@ -513,8 +645,9 @@ mod tests {
         let q = parse("exists x. R(x)", pdb.schema()).unwrap();
         let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Auto, knobs());
         let a = run(&pq, 0.01).approx;
-        let a0 = crate::approx::approx_prob_boolean(&pdb, &q, 0.01, Engine::Auto).unwrap();
-        assert_eq!(a, a0);
+        assert_eq!(a.n, 3);
+        assert_eq!(a.tail_mass, 0.0);
+        assert!((a.estimate - (1.0 - 0.5 * 0.75 * 0.875)).abs() < 1e-12);
         assert_eq!(prepared.materialized_len(), 3);
     }
 }

@@ -9,7 +9,6 @@
 //! it to a PDB and materializes the `Ω_n` prefix table.
 
 use crate::approx::Approximation;
-use crate::cancel::{CancelKind, CancelToken, CHECK_EVERY};
 use crate::QueryError;
 use infpdb_finite::TiTable;
 use infpdb_logic::ast::Formula;
@@ -28,25 +27,6 @@ pub struct TruncationPlan {
     pub eps: f64,
 }
 
-/// The outcome of a cancellable truncation build: either the full plan,
-/// or the state at the moment a [`CancelToken`] checkpoint fired.
-#[derive(Debug)]
-pub enum PlannedTruncation {
-    /// The loop ran to completion.
-    Complete(TruncationPlan),
-    /// A checkpoint stopped the loop mid-materialization.
-    Cancelled {
-        /// What fired the checkpoint.
-        kind: CancelKind,
-        /// Facts materialized before the stop.
-        facts_processed: usize,
-        /// The partial prefix table — `facts_processed` facts of `Ω_n`.
-        /// Sound to evaluate against at the tolerance certified by
-        /// [`partial_certificate`], when one exists.
-        partial_table: TiTable,
-    },
-}
-
 impl TruncationPlan {
     /// Builds the Proposition 6.1 truncation for tolerance
     /// `ε ∈ (0, 1/2)`.
@@ -58,47 +38,6 @@ impl TruncationPlan {
             table,
             eps,
         })
-    }
-
-    /// Like [`TruncationPlan::new`], but materializes the prefix table
-    /// fact by fact with a [`CancelToken`] checkpoint every
-    /// [`CHECK_EVERY`] facts, so deadline-expired or client-cancelled
-    /// requests stop mid-loop instead of paying the full `n(ε)`.
-    pub fn new_cancellable(
-        pdb: &CountableTiPdb,
-        eps: f64,
-        cancel: &CancelToken,
-    ) -> Result<PlannedTruncation, QueryError> {
-        if let Err(kind) = cancel.check() {
-            return Ok(PlannedTruncation::Cancelled {
-                kind,
-                facts_processed: 0,
-                partial_table: TiTable::new(pdb.schema().clone()),
-            });
-        }
-        let truncation = truncation::for_tolerance(pdb.supply(), eps)?;
-        let supply = pdb.supply();
-        let cap = supply.support_len().unwrap_or(usize::MAX).min(truncation.n);
-        let mut table = TiTable::new(pdb.schema().clone());
-        for i in 0..cap {
-            if i % CHECK_EVERY == 0 {
-                if let Err(kind) = cancel.check() {
-                    return Ok(PlannedTruncation::Cancelled {
-                        kind,
-                        facts_processed: i,
-                        partial_table: table,
-                    });
-                }
-            }
-            table
-                .add_fact(supply.fact(i), supply.prob(i))
-                .map_err(|e| QueryError::Finite(e.to_string()))?;
-        }
-        Ok(PlannedTruncation::Complete(Self {
-            truncation,
-            table,
-            eps,
-        }))
     }
 
     /// `n(ε)`: the prefix length.
@@ -198,60 +137,6 @@ mod tests {
         let g = TruncationPlan::new(&pdb(GeometricSeries::new(0.5, 0.5).unwrap()), 0.01).unwrap();
         let z = TruncationPlan::new(&pdb(ZetaSeries::basel()), 0.01).unwrap();
         assert!(z.n() > 10 * g.n());
-    }
-
-    #[test]
-    fn cancellable_plan_completes_when_token_never_fires() {
-        let p = pdb(GeometricSeries::new(0.5, 0.5).unwrap());
-        let token = CancelToken::new();
-        match TruncationPlan::new_cancellable(&p, 0.1, &token).unwrap() {
-            PlannedTruncation::Complete(plan) => {
-                let direct = TruncationPlan::new(&p, 0.1).unwrap();
-                assert_eq!(plan.n(), direct.n());
-                assert_eq!(plan.table.len(), direct.table.len());
-            }
-            other => panic!("expected completion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pre_cancelled_token_stops_before_any_fact() {
-        let p = pdb(ZetaSeries::basel());
-        let token = CancelToken::new();
-        token.cancel();
-        match TruncationPlan::new_cancellable(&p, 0.01, &token).unwrap() {
-            PlannedTruncation::Cancelled {
-                kind,
-                facts_processed,
-                partial_table,
-            } => {
-                assert_eq!(kind, crate::cancel::CancelKind::Explicit);
-                assert_eq!(facts_processed, 0);
-                assert_eq!(partial_table.len(), 0);
-            }
-            other => panic!("expected cancellation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn expired_deadline_stops_mid_loop_with_partial_table() {
-        // ζ(2) at ε = 0.01 needs thousands of facts; an already-expired
-        // deadline must stop at the first checkpoint after the plan
-        let p = pdb(ZetaSeries::basel());
-        let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        match TruncationPlan::new_cancellable(&p, 0.01, &token).unwrap() {
-            PlannedTruncation::Cancelled {
-                kind,
-                facts_processed,
-                partial_table,
-            } => {
-                assert_eq!(kind, crate::cancel::CancelKind::Deadline);
-                assert_eq!(partial_table.len(), facts_processed);
-                let full = TruncationPlan::new(&p, 0.01).unwrap();
-                assert!(facts_processed < full.n());
-            }
-            other => panic!("expected cancellation, got {other:?}"),
-        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Differential tests: the prepared-query pipeline against the one-shot
-//! evaluation path.
+//! Differential tests: the prepared-query pipeline against an independent
+//! reference.
 //!
 //! `PreparedQuery::execute` promises *bit-for-bit* equality with
-//! `approx_prob_boolean_cancellable` — identical `f64` estimates
-//! (by bit pattern, not approximate agreement), identical Proposition 6.1
+//! Proposition 6.1 assembled from its public parts ([`reference`]:
+//! fresh truncations, no fact catalog) — identical `f64` estimates (by bit
+//! pattern, not approximate agreement), identical Proposition 6.1
 //! certificates, and identical engine work counters (Shannon expansions,
 //! memo hits, arena interning statistics) — or, for a forced strategy
 //! some component cannot run, the identical rejection. These properties
@@ -17,14 +18,20 @@ use infpdb_core::schema::{RelId, Relation, Schema};
 use infpdb_core::space::rand_core::{RngCore, SplitMix64};
 use infpdb_core::value::Value;
 use infpdb_finite::engine::EvalTrace;
+use infpdb_finite::plan::evaluate_plan;
+use infpdb_logic::ast::Formula;
+use infpdb_logic::compile::CompiledQuery;
 use infpdb_logic::parse;
 use infpdb_math::series::GeometricSeries;
-use infpdb_query::approx::{approx_prob_boolean_cancellable, Approximation, PartialOnCancel};
+use infpdb_query::approx::{Approximation, PartialOnCancel};
 use infpdb_query::cancel::CancelToken;
+use infpdb_query::planner::{eval_prefix_len, PlanProfile};
 use infpdb_query::prepared::{PreparedPdb, PreparedQuery};
-use infpdb_query::{Engine, PlanKnobs, QueryError, StrategyKind};
+use infpdb_query::truncate::TruncationPlan;
+use infpdb_query::{Engine, PlanKnobs, Planner, QueryError, StrategyKind};
 use infpdb_ti::construction::CountableTiPdb;
 use infpdb_ti::enumerator::FactSupply;
+use infpdb_ti::fingerprint::countable_pdb_fingerprint;
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -60,6 +67,30 @@ fn random_pdb(rng: &mut SplitMix64) -> CountableTiPdb {
 
 type Outcome = Result<(Approximation, EvalTrace), QueryError>;
 
+/// The reference: Proposition 6.1 from its public parts at the default
+/// knobs. Profile on a fresh truncation at `profile_eps`, plan at `eps`,
+/// then evaluate the plan on a second fresh truncation at its
+/// `ε_trunc`. Shares no catalog code with `PreparedPdb`.
+fn reference(pdb: &CountableTiPdb, query: &Formula, eps: f64, engine: Engine) -> Outcome {
+    let knobs = PlanKnobs::default();
+    let n_eval = eval_prefix_len(pdb, eps)?;
+    let compiled = CompiledQuery::compile(pdb.schema(), query);
+    let profile_prefix = TruncationPlan::new(pdb, knobs.profile_eps)?;
+    let fp = countable_pdb_fingerprint(pdb);
+    let profile = PlanProfile::build(&compiled, &profile_prefix.table, fp, &knobs)?;
+    let (plan, _) = Planner::new(profile).plan(engine, eps, n_eval, &knobs)?;
+    let prefix = TruncationPlan::new(pdb, plan.eps_trunc)?;
+    let (estimate, trace) = evaluate_plan(&compiled, &plan, &prefix.table, 1, None)?
+        .expect("the fork-join executor runs every task");
+    let approx = Approximation {
+        estimate,
+        eps,
+        n: prefix.n(),
+        tail_mass: prefix.truncation.tail_mass,
+    };
+    Ok((approx, trace))
+}
+
 /// One prepared execution's answer and trace, evaluating a partial
 /// answer on cancellation.
 fn execute(pq: &PreparedQuery, eps: f64, cancel: &CancelToken) -> Outcome {
@@ -92,18 +123,18 @@ const ENGINES: [(Engine, usize); 5] = [
     (Engine::Force(StrategyKind::KarpLuby), 1),
 ];
 
-/// The one-shot and prepared answers agree bit for bit — estimate,
-/// certificates and trace — or both paths reject a forced strategy with
-/// the same [`QueryError::Ineligible`]. Returns the shared answer.
+/// The reference and prepared answers agree bit for bit — estimate,
+/// certificates and trace — or both reject a forced strategy with the
+/// same [`QueryError::Ineligible`]. Returns the shared answer.
 fn agree(
-    one_shot: Outcome,
+    expected: Outcome,
     prepared: Outcome,
     query: &str,
 ) -> Result<Option<(Approximation, EvalTrace)>, TestCaseError> {
-    match (one_shot, prepared) {
+    match (expected, prepared) {
         (Ok(a), Ok(b)) => {
             let same = a.0.estimate.to_bits() == b.0.estimate.to_bits() && a == b;
-            prop_assert!(same, "{:?}: one-shot {:?} vs prepared {:?}", query, a, b);
+            prop_assert!(same, "{:?}: reference {:?} vs prepared {:?}", query, a, b);
             Ok(Some(b))
         }
         (Err(e0), Err(e1)) => {
@@ -118,12 +149,12 @@ fn agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A fresh prepared pipeline returns exactly what the one-shot path
+    /// A fresh prepared pipeline returns exactly what the reference
     /// returns — estimate bits, certificates, and work counters, or the
     /// same rejection — and a repeat execution (served from the memoized
     /// snapshot, zero grounding) returns it again.
     #[test]
-    fn prepared_execute_is_bit_for_bit_one_shot(
+    fn prepared_execute_is_bit_for_bit_the_reference(
         seed in 0u64..u64::MAX,
         qi in 0usize..QUERIES.len(),
         ei in 0usize..EPS.len(),
@@ -135,14 +166,12 @@ proptest! {
         let (engine, tolerances) = ENGINES[gi];
         let eps = EPS[ei % tolerances];
 
-        let one_shot = approx_prob_boolean_cancellable(
-            &pdb, &query, eps, engine, 1, &CancelToken::new(), PartialOnCancel::Evaluate,
-        );
+        let expected = reference(&pdb, &query, eps, engine);
 
         let prepared = PreparedPdb::new(pdb);
         let pq = PreparedQuery::prepare(prepared.clone(), &query, engine, PlanKnobs::default());
         let first = execute(&pq, eps, &CancelToken::new());
-        let Some((a1, t1)) = agree(one_shot, first, QUERIES[qi])? else {
+        let Some((a1, t1)) = agree(expected, first, QUERIES[qi])? else {
             return Ok(());
         };
 
@@ -155,9 +184,9 @@ proptest! {
     }
 
     /// ε-refinement on a shared catalog: executing loose-then-tight (and
-    /// loose again) matches the corresponding fresh one-shot runs at
-    /// every step, even though the catalog is extended in place and the
-    /// loose prefix is re-sliced from the longer catalog.
+    /// loose again) matches the reference at every step, even though
+    /// the catalog is extended in place and the loose prefix is
+    /// re-sliced from the longer catalog.
     #[test]
     fn refinement_reuses_catalog_bit_for_bit(
         seed in 0u64..u64::MAX,
@@ -173,10 +202,7 @@ proptest! {
         let pq = PreparedQuery::prepare(prepared.clone(), &query, engine, PlanKnobs::default());
         for eps in [EPS[0], EPS[tolerances - 1], EPS[0]] {
             let got = execute(&pq, eps, &CancelToken::new());
-            let one_shot = approx_prob_boolean_cancellable(
-                &pdb, &query, eps, engine, 1, &CancelToken::new(), PartialOnCancel::Evaluate,
-            );
-            agree(one_shot, got, QUERIES[qi])?;
+            agree(reference(&pdb, &query, eps, engine), got, QUERIES[qi])?;
         }
     }
 
@@ -241,7 +267,7 @@ proptest! {
 
     /// One prepared PDB serves every query in the pool: the catalog is
     /// grounded once per prefix length, and each query's answer matches
-    /// its one-shot evaluation bit for bit.
+    /// the reference bit for bit.
     #[test]
     fn one_prepared_pdb_serves_many_queries(seed in 0u64..u64::MAX) {
         let mut rng = SplitMix64::new(seed);
@@ -253,9 +279,8 @@ proptest! {
             let query = parse(qs, pdb.schema()).expect("static query");
             let pq = PreparedQuery::prepare(prepared.clone(), &query, Engine::Auto, PlanKnobs::default());
             let (a1, t1) = execute(&pq, eps, &CancelToken::new()).expect("prepared path succeeds");
-            let (a0, t0) = approx_prob_boolean_cancellable(
-                &pdb, &query, eps, Engine::Auto, 1, &CancelToken::new(), PartialOnCancel::Evaluate,
-            ).expect("one-shot path succeeds");
+            let (a0, t0) = reference(&pdb, &query, eps, Engine::Auto)
+                .expect("the reference succeeds");
             prop_assert_eq!(a0, a1);
             prop_assert_eq!(t0, t1);
             match grounded_after_first {

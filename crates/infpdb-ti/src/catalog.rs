@@ -12,9 +12,10 @@
 //!
 //! The catalog is append-only: extending to a larger `n` never perturbs
 //! existing ids, which is what keeps prepared evaluations bit-for-bit
-//! identical to the one-shot path — a prefix snapshot at `n` contains
-//! exactly the facts, ids, and probability bits the one-shot loop would
-//! have produced.
+//! identical to a fresh truncation — a prefix snapshot at `n`
+//! contains exactly the facts, ids, and probability bits
+//! [`CountableTiPdb::truncate`](crate::construction::CountableTiPdb::truncate)
+//! produces at `n`.
 //!
 //! Alongside the facts, the catalog keeps each fact's content digest
 //! ([`fact_fingerprint`]) and a running [`UnorderedCombiner`], so
@@ -225,7 +226,7 @@ mod tests {
             c.push(rfact(i as i64 + 1), p).unwrap();
         }
         let full = c.table_prefix(4);
-        // reference built the one-shot way
+        // reference built directly from the facts
         let reference = TiTable::from_facts(
             schema(),
             probs

@@ -219,7 +219,9 @@ pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
         quota_burst: num("--quota-burst", "32")?,
         arena_stats: args.iter().any(|a| a == "--arena-stats"),
         tail_mass: num("--tail-mass", "0.5")?,
-        tail_start: num("--tail-start", "1000000")? as i64,
+        tail_start: flag("--tail-start", "1000000")
+            .parse()
+            .map_err(|_| CliError::Usage("--tail-start must be a whole number".into()))?,
         store_dir: match flag("--store", "") {
             s if s.is_empty() => None,
             s => Some(s),
@@ -235,7 +237,12 @@ pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
                 }
             },
         },
-        snapshot_every: Duration::from_secs_f64(num("--snapshot-every", "30")?.max(0.05)),
+        // at least 0.05 s; NaN passes the clamp and is refused together
+        // with infinite and overflowing values
+        snapshot_every: Duration::try_from_secs_f64(
+            num("--snapshot-every", "30")?.clamp(0.05, f64::INFINITY),
+        )
+        .map_err(|_| CliError::Usage("--snapshot-every must be finite".into()))?,
     };
     if opts.threads < 1 {
         return Err(CliError::Usage("--threads must be at least 1".into()));
@@ -349,5 +356,37 @@ Person 42 @ 0.5
             SchedulerKind::Stealing
         );
         assert!(parse_serve_options(&a(&["--scheduler", "magic"])).is_err());
+        // the tail start is an integer, as for `open` and `batch`
+        assert_eq!(
+            parse_serve_options(&a(&["--tail-start", "-7"]))
+                .unwrap()
+                .tail_start,
+            -7
+        );
+        for bad in ["100.7", "2.5", "1e30"] {
+            assert!(
+                matches!(
+                    parse_serve_options(&a(&["--tail-start", bad])),
+                    Err(CliError::Usage(_))
+                ),
+                "--tail-start {bad} must be refused"
+            );
+        }
+        // the snapshot interval is floored at 0.05 s and must be finite
+        let every = |v: &str| parse_serve_options(&a(&["--snapshot-every", v]));
+        assert_eq!(
+            every("2.5").unwrap().snapshot_every,
+            Duration::from_millis(2500)
+        );
+        assert_eq!(
+            every("0.001").unwrap().snapshot_every,
+            Duration::from_millis(50)
+        );
+        for bad in ["inf", "1e30", "NaN"] {
+            assert!(
+                matches!(every(bad), Err(CliError::Usage(_))),
+                "--snapshot-every {bad} must be refused"
+            );
+        }
     }
 }
