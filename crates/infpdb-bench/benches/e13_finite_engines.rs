@@ -8,9 +8,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use infpdb_bench::random_finite_table;
-use infpdb_core::space::rand_core::SplitMix64;
-use infpdb_finite::{engine, lifted, monte_carlo, worlds};
+use infpdb_finite::arena::LineageArena;
+use infpdb_finite::karp_luby::{self, Dnf};
+use infpdb_finite::lineage::lineage_of_arena;
+use infpdb_finite::shannon::ScopedExecutor;
+use infpdb_finite::{engine, lifted, monte_carlo, worlds, TiTable};
+use infpdb_logic::ast::Formula;
 use infpdb_logic::parse;
+
+/// Sequential estimators run inline and never touch the executor.
+const INLINE: ScopedExecutor = ScopedExecutor { threads: 1 };
+
+/// The query's monotone DNF within `max_clauses` clauses.
+fn dnf(q: &Formula, t: &TiTable, max_clauses: usize) -> Dnf {
+    let mut arena = LineageArena::new();
+    let root = lineage_of_arena(q, t, &mut arena).expect("lineage");
+    karp_luby::to_dnf_arena(&arena, root, max_clauses).expect("monotone query")
+}
 
 const SAFE: &str = "exists x, y. R(x) /\\ S(x, y)";
 const UNSAFE: &str = "exists x, y. R(x) /\\ S(x, y) /\\ T(y)";
@@ -23,11 +37,11 @@ fn print_rows() {
         let lineage = engine::prob_lineage(&q, &t).expect("lineage");
         let brute = worlds::prob_boolean_brute(&q, &t).expect("brute");
         let lifted = lifted::prob_hierarchical(&q, &t);
-        let mut rng = SplitMix64::new(1);
-        let mc = monte_carlo::estimate(&q, &t, 20_000, &mut rng).expect("mc");
-        let mut rng_kl = SplitMix64::new(2);
-        let kl = infpdb_finite::karp_luby::estimate_ucq(&q, &t, 40_000, 10_000, &mut rng_kl)
-            .expect("monotone query");
+        let mc = monte_carlo::estimate_parallel(&q, &t, 20_000, 1, 1, &INLINE)
+            .expect("mc")
+            .expect("inline");
+        let kl = karp_luby::estimate_dnf_parallel(&dnf(&q, &t, 10_000), &t, 40_000, 2, 1, &INLINE)
+            .expect("inline");
         println!(
             "{qs:<44} lineage={lineage:.6} brute={brute:.6} lifted={} mc={:.4} kl={:.4}",
             lifted
@@ -75,14 +89,13 @@ fn bench(c: &mut Criterion) {
     let q = parse(UNSAFE, t.schema()).expect("query");
     // Monte Carlo and Karp–Luby scale where exact intensional inference
     // cannot; KL additionally gives *relative* error (monotone queries)
-    let mut rng = SplitMix64::new(2);
     group.bench_function("monte_carlo_2000_samples", |b| {
-        b.iter(|| monte_carlo::estimate(&q, &t, 2000, &mut rng).expect("mc"))
+        b.iter(|| monte_carlo::estimate_parallel(&q, &t, 2000, 2, 1, &INLINE).expect("mc"))
     });
-    let mut rng2 = SplitMix64::new(3);
     group.bench_function("karp_luby_2000_samples", |b| {
         b.iter(|| {
-            infpdb_finite::karp_luby::estimate_ucq(&q, &t, 2000, 100_000, &mut rng2).expect("kl")
+            karp_luby::estimate_dnf_parallel(&dnf(&q, &t, 100_000), &t, 2000, 3, 1, &INLINE)
+                .expect("kl")
         })
     });
     group.finish();

@@ -1,9 +1,10 @@
-//! Column-indexed materialization of a single instance.
+//! Materialization of a single instance for per-world query evaluation.
 //!
-//! Query evaluation (in `infpdb-logic`) repeatedly asks "which tuples of
-//! relation `R` have value `v` in column `c`?". [`InstanceStore`] answers
-//! that in expected `O(1)` by materializing each relation's tuples once and
-//! building per-column hash indexes.
+//! The world evaluator (in `infpdb-logic`) asks "does relation `R`
+//! contain the tuple `t`?" for every ground atom it meets.
+//! [`InstanceStore`] answers that by materializing each relation's tuples
+//! once and hashing them by their first argument, so a probe compares
+//! only the rows that share it.
 
 use crate::fact::FactId;
 use crate::instance::Instance;
@@ -12,13 +13,14 @@ use crate::schema::{RelId, Schema};
 use crate::value::Value;
 use std::collections::{BTreeSet, HashMap};
 
-/// Tuples of one relation plus per-column indexes.
+/// Tuples of one relation plus their first-argument index.
 #[derive(Debug, Clone, Default)]
 struct RelationStore {
     /// Row-major tuples.
     rows: Vec<Vec<Value>>,
-    /// `indexes[c][v]` = row numbers with value `v` in column `c`.
-    indexes: Vec<HashMap<Value, Vec<usize>>>,
+    /// `by_first[v]` = row numbers whose first argument is `v` (empty
+    /// for a zero-arity relation).
+    by_first: HashMap<Value, Vec<usize>>,
 }
 
 /// An instance materialized for query evaluation.
@@ -33,24 +35,16 @@ impl InstanceStore {
     /// Materializes `instance` (resolving ids through `interner`) against
     /// `schema`.
     pub fn build(instance: &Instance, interner: &FactInterner, schema: &Schema) -> Self {
-        let mut relations: Vec<RelationStore> = (0..schema.len())
-            .map(|i| {
-                let arity = schema.relation(RelId(i as u32)).arity();
-                RelationStore {
-                    rows: Vec::new(),
-                    indexes: vec![HashMap::new(); arity],
-                }
-            })
-            .collect();
+        let mut relations = vec![RelationStore::default(); schema.len()];
         let mut active_domain = BTreeSet::new();
         for id in instance.iter() {
             let fact = interner.resolve(id);
             let rel = &mut relations[fact.rel().0 as usize];
-            let row_no = rel.rows.len();
-            for (c, v) in fact.args().iter().enumerate() {
-                rel.indexes[c].entry(v.clone()).or_default().push(row_no);
-                active_domain.insert(v.clone());
+            if let Some(first) = fact.args().first() {
+                let row_no = rel.rows.len();
+                rel.by_first.entry(first.clone()).or_default().push(row_no);
             }
+            active_domain.extend(fact.args().iter().cloned());
             rel.rows.push(fact.args().to_vec());
         }
         Self {
@@ -79,27 +73,16 @@ impl InstanceStore {
         &self.relations[rel.0 as usize].rows
     }
 
-    /// Row numbers of `rel` whose column `col` equals `v` (empty slice if
-    /// none).
-    pub fn rows_with(&self, rel: RelId, col: usize, v: &Value) -> &[usize] {
-        self.relations[rel.0 as usize].indexes[col]
-            .get(v)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// Whether `rel` contains exactly the tuple `args`.
     pub fn contains_tuple(&self, rel: RelId, args: &[Value]) -> bool {
         let store = &self.relations[rel.0 as usize];
-        if args.is_empty() {
+        let Some(first) = args.first() else {
             return !store.rows.is_empty();
-        }
-        // probe the most selective available column
-        let candidates = store.indexes[0].get(&args[0]);
-        match candidates {
-            None => false,
-            Some(rows) => rows.iter().any(|&r| store.rows[r] == args),
-        }
+        };
+        store
+            .by_first
+            .get(first)
+            .is_some_and(|rows| rows.iter().any(|&r| store.rows[r] == args))
     }
 
     /// The active domain of the instance.
@@ -141,16 +124,6 @@ mod tests {
         assert_eq!(store.rows(schema.rel_id("R").unwrap()).len(), 3);
         assert_eq!(store.rows(schema.rel_id("S").unwrap()).len(), 1);
         assert_eq!(store.size(), 4);
-    }
-
-    #[test]
-    fn column_index_lookup() {
-        let (schema, interner, inst) = setup();
-        let store = InstanceStore::build(&inst, &interner, &schema);
-        let r = schema.rel_id("R").unwrap();
-        assert_eq!(store.rows_with(r, 0, &Value::int(1)).len(), 2);
-        assert_eq!(store.rows_with(r, 1, &Value::int(3)).len(), 2);
-        assert_eq!(store.rows_with(r, 0, &Value::int(9)).len(), 0);
     }
 
     #[test]

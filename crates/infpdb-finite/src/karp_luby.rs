@@ -14,14 +14,19 @@
 //! pick a clause `i` with probability `w_i/W`, sample a world conditioned
 //! on `clause_i` being true, and score 1 iff `i` is the *first* satisfied
 //! clause in that world. The score's mean is `P(⋁ clauses)/W`.
+//!
+//! [`estimate_dnf_parallel`] is the one estimator: the planner's
+//! Karp–Luby strategy converts a component's lineage with
+//! [`to_dnf_arena`] and runs it with a master seed derived from the plan.
+//! Its samples are drawn in the same seeded chunks as
+//! [`crate::monte_carlo::estimate_parallel`]'s.
 
 use crate::arena::{LineageArena, LineageId, LineageNode};
-use crate::lineage::{lineage_of_arena, Lineage};
+use crate::lineage::Lineage;
 use crate::shannon::TaskExecutor;
-use crate::{FiniteError, TiTable};
+use crate::TiTable;
 use infpdb_core::fact::FactId;
 use infpdb_core::space::rand_core::RngCore;
-use infpdb_logic::ast::Formula;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -145,57 +150,6 @@ pub struct KlEstimate {
     pub clauses: usize,
 }
 
-/// Runs the Karp–Luby coverage estimator on a monotone DNF over the
-/// table's independent fact variables.
-pub fn estimate_dnf<R: RngCore>(
-    dnf: &Dnf,
-    table: &TiTable,
-    samples: usize,
-    rng: &mut R,
-) -> KlEstimate {
-    assert!(samples > 0, "need at least one sample");
-    let m = dnf.len();
-    if m == 0 {
-        return KlEstimate {
-            estimate: 0.0,
-            samples,
-            clauses: 0,
-        };
-    }
-    // clause weights w_i = ∏ p_v and the total W
-    let weights: Vec<f64> = dnf
-        .iter()
-        .map(|c| c.iter().map(|&v| table.prob(v)).product())
-        .collect();
-    let total_w: f64 = weights.iter().sum();
-    if total_w == 0.0 {
-        return KlEstimate {
-            estimate: 0.0,
-            samples,
-            clauses: m,
-        };
-    }
-    // a clause with an empty literal set is `true`: P = 1 exactly
-    if dnf.iter().any(|c| c.is_empty()) {
-        return KlEstimate {
-            estimate: 1.0,
-            samples,
-            clauses: m,
-        };
-    }
-    // the variables any clause mentions (only these matter)
-    let mut vars: Vec<FactId> = dnf.iter().flatten().copied().collect();
-    vars.sort_unstable();
-    vars.dedup();
-
-    let hits = kl_chunk(dnf, table, &weights, total_w, &vars, samples, rng);
-    KlEstimate {
-        estimate: (total_w * hits as f64 / samples as f64).min(1.0),
-        samples,
-        clauses: m,
-    }
-}
-
 /// Trivalent assignment cells for the flat Karp–Luby scratch.
 const KL_UNSET: u8 = 0;
 const KL_FALSE: u8 = 1;
@@ -268,7 +222,7 @@ fn kl_chunk<R: RngCore>(
 /// Deterministic, optionally parallel Karp–Luby estimate.
 ///
 /// Samples are drawn in [`crate::monte_carlo::SAMPLE_CHUNK`]-sized chunks
-/// seeded per chunk from `seed` (the same golden-ratio stream as
+/// seeded per chunk from `seed` (the same chunk seeds as
 /// [`crate::monte_carlo::estimate_parallel`]) and hit counts are summed,
 /// so the estimate is **bit-for-bit identical** at every thread count.
 /// With `threads ≥ 2` the chunks are striped over tasks on `exec`, each
@@ -347,26 +301,6 @@ pub fn estimate_dnf_parallel(
     constant((total_w * hits as f64 / samples as f64).min(1.0))
 }
 
-/// End-to-end Karp–Luby for a UCQ: computes the (monotone) lineage,
-/// converts to DNF, and estimates. Errors if the query is not a sentence
-/// or its lineage is not convertible within `max_clauses`.
-pub fn estimate_ucq<R: RngCore>(
-    query: &Formula,
-    table: &TiTable,
-    samples: usize,
-    max_clauses: usize,
-    rng: &mut R,
-) -> Result<KlEstimate, FiniteError> {
-    let mut arena = LineageArena::new();
-    let root = lineage_of_arena(query, table, &mut arena)?;
-    let dnf = to_dnf_arena(&arena, root, max_clauses).ok_or_else(|| {
-        FiniteError::Logic(infpdb_logic::LogicError::UnsupportedFragment(
-            "lineage is not a (bounded) monotone DNF; use Shannon or Monte Carlo".into(),
-        ))
-    })?;
-    Ok(estimate_dnf(&dnf, table, samples, rng))
-}
-
 /// Samples needed for a multiplicative `(ε, δ)` guarantee: the coverage
 /// estimator's score is a Bernoulli with mean `≥ 1/m`, so
 /// `n ≥ 3·m·ln(2/δ)/ε²` suffices (standard Karp–Luby–Madras analysis).
@@ -379,10 +313,12 @@ pub fn samples_for(clauses: usize, eps: f64, delta: f64) -> usize {
 mod tests {
     use super::*;
     use crate::engine;
+    use crate::lineage::lineage_of_arena;
     use infpdb_core::fact::Fact;
     use infpdb_core::schema::{RelId, Relation, Schema};
     use infpdb_core::space::rand_core::SplitMix64;
     use infpdb_core::value::Value;
+    use infpdb_logic::ast::Formula;
     use infpdb_logic::parse;
 
     fn table() -> TiTable {
@@ -411,6 +347,20 @@ mod tests {
 
     fn v(i: u32) -> FactId {
         FactId(i)
+    }
+
+    /// The query's DNF within `max_clauses`, or `None` when the lineage
+    /// is not a bounded monotone DNF.
+    fn dnf_of(q: &Formula, t: &TiTable, max_clauses: usize) -> Option<Dnf> {
+        let mut arena = LineageArena::new();
+        let root = lineage_of_arena(q, t, &mut arena).unwrap();
+        to_dnf_arena(&arena, root, max_clauses)
+    }
+
+    /// The sequential seeded estimate: `seed` is the master seed.
+    fn seeded(dnf: &Dnf, t: &TiTable, samples: usize, seed: u64) -> KlEstimate {
+        let exec = crate::shannon::ScopedExecutor { threads: 1 };
+        estimate_dnf_parallel(dnf, t, samples, seed, 1, &exec).expect("nothing skips")
     }
 
     #[test]
@@ -453,11 +403,6 @@ mod tests {
                 "{qs}: clause lists (including order) must coincide"
             );
         }
-        // cap and monotonicity refusals carry over
-        let q = parse("exists x. R(x) /\\ !T(x)", t.schema()).unwrap();
-        let mut arena = LineageArena::new();
-        let root = lineage_of_arena(&q, &t, &mut arena).unwrap();
-        assert_eq!(to_dnf_arena(&arena, root, 1000), None);
     }
 
     #[test]
@@ -466,8 +411,7 @@ mod tests {
         let t = table();
         let q = parse("exists x, y. R(x) /\\ S(x, y) /\\ T(y)", t.schema()).unwrap();
         let exact = engine::prob_lineage(&q, &t).unwrap();
-        let mut rng = SplitMix64::new(99);
-        let est = estimate_ucq(&q, &t, 60_000, 1000, &mut rng).unwrap();
+        let est = seeded(&dnf_of(&q, &t, 1000).unwrap(), &t, 60_000, 99);
         assert!(
             (est.estimate - exact).abs() < 0.02 * exact.max(0.05),
             "KL {} vs exact {exact}",
@@ -481,25 +425,23 @@ mod tests {
         let t = table();
         let q = parse("(exists x. R(x)) \\/ (exists y. T(y))", t.schema()).unwrap();
         let exact = engine::prob_lineage(&q, &t).unwrap();
-        let mut rng = SplitMix64::new(7);
-        let est = estimate_ucq(&q, &t, 40_000, 100, &mut rng).unwrap();
+        let est = seeded(&dnf_of(&q, &t, 100).unwrap(), &t, 40_000, 7);
         assert!((est.estimate - exact).abs() < 0.02);
     }
 
     #[test]
     fn degenerate_dnfs() {
         let t = table();
-        let mut rng = SplitMix64::new(1);
-        let zero = estimate_dnf(&vec![], &t, 10, &mut rng);
+        let zero = seeded(&vec![], &t, 10, 1);
         assert_eq!(zero.estimate, 0.0);
-        let one = estimate_dnf(&vec![vec![]], &t, 10, &mut rng);
+        let one = seeded(&vec![vec![]], &t, 10, 1);
         assert_eq!(one.estimate, 1.0);
         // all-zero weights
         let mut t2 = table();
         t2.add_fact(Fact::new(RelId(0), [Value::int(9)]), 0.0)
             .unwrap();
         let id = t2.len() as u32 - 1;
-        let z = estimate_dnf(&vec![vec![FactId(id)]], &t2, 10, &mut rng);
+        let z = seeded(&vec![vec![FactId(id)]], &t2, 10, 1);
         assert_eq!(z.estimate, 0.0);
     }
 
@@ -508,9 +450,7 @@ mod tests {
         let t = table();
         let q = parse("exists x, y. R(x) /\\ S(x, y) /\\ T(y)", t.schema()).unwrap();
         let exact = engine::prob_lineage(&q, &t).unwrap();
-        let mut arena = LineageArena::new();
-        let root = lineage_of_arena(&q, &t, &mut arena).unwrap();
-        let dnf = to_dnf_arena(&arena, root, 1000).unwrap();
+        let dnf = dnf_of(&q, &t, 1000).unwrap();
         let run = |dnf: &Dnf, samples, seed, threads| {
             let exec = crate::shannon::ScopedExecutor { threads };
             estimate_dnf_parallel(dnf, &t, samples, seed, threads, &exec).unwrap()
@@ -577,9 +517,7 @@ mod tests {
         }
         let t = table();
         let q = parse("exists x, y. R(x) /\\ S(x, y) /\\ T(y)", t.schema()).unwrap();
-        let mut arena = LineageArena::new();
-        let root = lineage_of_arena(&q, &t, &mut arena).unwrap();
-        let dnf = to_dnf_arena(&arena, root, 1000).unwrap();
+        let dnf = dnf_of(&q, &t, 1000).unwrap();
         let weights: Vec<f64> = dnf
             .iter()
             .map(|c| c.iter().map(|&v| t.prob(v)).product())
@@ -605,8 +543,7 @@ mod tests {
     fn rejects_non_monotone_queries() {
         let t = table();
         let q = parse("exists x. R(x) /\\ !T(x)", t.schema()).unwrap();
-        let mut rng = SplitMix64::new(1);
-        assert!(estimate_ucq(&q, &t, 100, 100, &mut rng).is_err());
+        assert_eq!(dnf_of(&q, &t, 100), None);
     }
 
     #[test]
@@ -614,8 +551,7 @@ mod tests {
         // one clause: the estimator always scores 1, result = W exactly
         let t = table();
         let q = parse("R(1) /\\ T(1)", t.schema()).unwrap();
-        let mut rng = SplitMix64::new(5);
-        let est = estimate_ucq(&q, &t, 100, 10, &mut rng).unwrap();
+        let est = seeded(&dnf_of(&q, &t, 10).unwrap(), &t, 100, 5);
         assert!((est.estimate - 0.35).abs() < 1e-12);
     }
 
@@ -642,8 +578,7 @@ mod tests {
         .unwrap();
         let q = parse("exists x. R(x)", t.schema()).unwrap();
         let exact = engine::prob_lineage(&q, &t).unwrap();
-        let mut rng = SplitMix64::new(11);
-        let est = estimate_ucq(&q, &t, 50_000, 10, &mut rng).unwrap();
+        let est = seeded(&dnf_of(&q, &t, 10).unwrap(), &t, 50_000, 11);
         let rel = (est.estimate - exact).abs() / exact;
         assert!(rel < 0.05, "relative error {rel} on P = {exact}");
     }

@@ -4,20 +4,23 @@
 //! tuple-independent table and count satisfying ones. Hoeffding's
 //! inequality gives the usual `(ε, δ)` additive guarantee:
 //! `n ≥ ln(2/δ) / (2ε²)` samples suffice for
-//! `P(|p̂ − p| > ε) ≤ δ`.
+//! `P(|p̂ − p| > ε) ≤ δ` ([`samples_for`]).
 //!
-//! The query is grounded **once** into a hash-consed
-//! [`LineageArena`]; each sampled world is then
-//! judged by a single linear pass over the arena's dense node ids
-//! ([`LineageArena::eval_into`](crate::arena::LineageArena::eval_into))
-//! with a reused scratch buffer — no per-sample formula walk, no
-//! per-sample allocation beyond the world itself.
+//! [`estimate_parallel`] is the one estimator: the planner's Monte-Carlo
+//! strategy runs it, with a master seed derived from the plan. The query
+//! is grounded **once** into a hash-consed [`LineageArena`]; samples are
+//! drawn in [`SAMPLE_CHUNK`]-sized chunks, each from its own generator
+//! seeded off the master seed, and each sampled world is judged by a
+//! single linear pass over the arena's dense node ids
+//! ([`LineageArena::eval_flat`](crate::arena::LineageArena::eval_flat))
+//! with reused scratch buffers — no per-sample formula walk, no
+//! per-sample allocation.
 
 use crate::arena::LineageArena;
 use crate::lineage::lineage_of_arena;
 use crate::shannon::{run_jobs, Job, TaskExecutor};
 use crate::{FiniteError, TiTable};
-use infpdb_core::space::rand_core::RngCore;
+use infpdb_core::space::rand_core::{RngCore, SplitMix64};
 use infpdb_logic::ast::Formula;
 use infpdb_logic::vars::free_vars;
 
@@ -40,49 +43,17 @@ pub fn samples_for(eps: f64, delta: f64) -> usize {
     ((2.0 / delta).ln() / (2.0 * eps * eps)).ceil() as usize
 }
 
-/// Estimates `P(Q)` for a Boolean query by sampling `samples` worlds.
-pub fn estimate<R: RngCore>(
-    query: &Formula,
-    table: &TiTable,
-    samples: usize,
-    rng: &mut R,
-) -> Result<McEstimate, FiniteError> {
-    let fv = free_vars(query);
-    if !fv.is_empty() {
-        return Err(FiniteError::Logic(infpdb_logic::LogicError::NotASentence(
-            fv.into_iter().collect(),
-        )));
-    }
-    assert!(samples > 0, "need at least one sample");
-    let mut arena = LineageArena::new();
-    let root = lineage_of_arena(query, table, &mut arena)?;
-    let mut hits = 0usize;
-    let mut present = Vec::new();
-    let mut buf = Vec::new();
-    for _ in 0..samples {
-        table.sample_into(rng, &mut present);
-        if arena.eval_flat(root, &present, &mut buf) {
-            hits += 1;
-        }
-    }
-    // report the 95%-confidence half-width for this sample count
-    let half_width = ((2.0f64 / 0.05).ln() / (2.0 * samples as f64)).sqrt();
-    Ok(McEstimate {
-        estimate: hits as f64 / samples as f64,
-        samples,
-        half_width,
-    })
-}
-
 /// Fixed chunk size of the deterministic sampler: seeds are derived per
 /// chunk, not per thread, so the estimate is a pure function of
 /// `(query, table, samples, seed)` — identical at every thread count.
 pub const SAMPLE_CHUNK: usize = 1024;
 
-/// The per-chunk seed stream: a SplitMix64-style golden-ratio mix of the
-/// master seed and the chunk index.
+/// The seed of chunk `c`: the `c`-th output of `SplitMix64::new(seed)`,
+/// computed directly from the generator's state after `c` steps. Seeding
+/// with the states themselves would make chunk `c + 1`'s generator chunk
+/// `c`'s advanced by one draw, so every chunk would replay one stream.
 fn chunk_seed(seed: u64, chunk: u64) -> u64 {
-    seed.wrapping_add((chunk.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    SplitMix64::new(seed.wrapping_add(chunk.wrapping_mul(0x9E37_79B9_7F4A_7C15))).next_u64()
 }
 
 /// The `(seed, samples)` chunks of a deterministic sampler: chunk `c`
@@ -136,7 +107,7 @@ fn run_chunk(
     present: &mut Vec<bool>,
     buf: &mut Vec<bool>,
 ) -> usize {
-    let mut rng = infpdb_core::space::rand_core::SplitMix64::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut hits = 0usize;
     for _ in 0..n {
         table.sample_into(&mut rng, present);
@@ -201,29 +172,24 @@ pub fn estimate_parallel(
     }))
 }
 
-/// Estimates with an `(ε, δ)` guarantee, choosing the sample count by
-/// Hoeffding.
-pub fn estimate_with_guarantee<R: RngCore>(
-    query: &Formula,
-    table: &TiTable,
-    eps: f64,
-    delta: f64,
-    rng: &mut R,
-) -> Result<McEstimate, FiniteError> {
-    let n = samples_for(eps, delta);
-    let mut e = estimate(query, table, n, rng)?;
-    e.half_width = eps;
-    Ok(e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use infpdb_core::fact::Fact;
     use infpdb_core::schema::{Relation, Schema};
-    use infpdb_core::space::rand_core::SplitMix64;
     use infpdb_core::value::Value;
     use infpdb_logic::parse;
+
+    /// The sequential seeded estimate: `seed` is the master seed.
+    fn seeded(
+        q: &Formula,
+        t: &TiTable,
+        samples: usize,
+        seed: u64,
+    ) -> Result<McEstimate, FiniteError> {
+        let exec = crate::shannon::ScopedExecutor { threads: 1 };
+        estimate_parallel(q, t, samples, seed, 1, &exec).map(|e| e.expect("nothing skips"))
+    }
 
     fn table() -> TiTable {
         let s = Schema::from_relations([Relation::new("R", 1), Relation::new("S", 1)]).unwrap();
@@ -254,12 +220,21 @@ mod tests {
     }
 
     #[test]
+    fn chunk_seeds_are_the_master_streams_outputs() {
+        let mut master = SplitMix64::new(42);
+        let seeds: Vec<u64> = sample_chunks(5 * SAMPLE_CHUNK, 42)
+            .into_iter()
+            .map(|(s, _)| s)
+            .collect();
+        assert_eq!(seeds, (0..5).map(|_| master.next_u64()).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn estimate_converges_to_truth() {
         let t = table();
         let q = parse("exists x. R(x) /\\ S(x)", t.schema()).unwrap();
         let truth = t.worlds().unwrap().prob_boolean(&q).unwrap();
-        let mut rng = SplitMix64::new(5);
-        let e = estimate(&q, &t, 20_000, &mut rng).unwrap();
+        let e = seeded(&q, &t, 20_000, 5).unwrap();
         assert!(
             (e.estimate - truth).abs() < 0.02,
             "estimate {} vs truth {truth}",
@@ -267,18 +242,6 @@ mod tests {
         );
         assert_eq!(e.samples, 20_000);
         assert!(e.half_width < 0.02);
-    }
-
-    #[test]
-    fn guarantee_variant_sets_half_width() {
-        let t = table();
-        let q = parse("exists x. R(x)", t.schema()).unwrap();
-        let truth = t.worlds().unwrap().prob_boolean(&q).unwrap();
-        let mut rng = SplitMix64::new(7);
-        let e = estimate_with_guarantee(&q, &t, 0.05, 0.01, &mut rng).unwrap();
-        assert_eq!(e.half_width, 0.05);
-        assert_eq!(e.samples, samples_for(0.05, 0.01));
-        assert!((e.estimate - truth).abs() < 0.05);
     }
 
     #[test]
@@ -347,17 +310,15 @@ mod tests {
     fn rejects_free_variables() {
         let t = table();
         let q = parse("R(x)", t.schema()).unwrap();
-        let mut rng = SplitMix64::new(1);
-        assert!(estimate(&q, &t, 10, &mut rng).is_err());
+        assert!(seeded(&q, &t, 10, 1).is_err());
     }
 
     #[test]
     fn degenerate_probabilities() {
         let t = table();
-        let mut rng = SplitMix64::new(2);
         let yes = parse("true", t.schema()).unwrap();
-        assert_eq!(estimate(&yes, &t, 50, &mut rng).unwrap().estimate, 1.0);
+        assert_eq!(seeded(&yes, &t, 50, 2).unwrap().estimate, 1.0);
         let no = parse("false", t.schema()).unwrap();
-        assert_eq!(estimate(&no, &t, 50, &mut rng).unwrap().estimate, 0.0);
+        assert_eq!(seeded(&no, &t, 50, 2).unwrap().estimate, 0.0);
     }
 }

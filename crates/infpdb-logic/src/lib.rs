@@ -10,9 +10,8 @@
 //! * quantifier rank and constant counts ([`rank`]) — the parameters `r`
 //!   and `s` of the truncation argument in Proposition 6.1,
 //! * an active-domain [`eval`]uator justified by Fact 2.1 (answers of
-//!   domain-independent queries live in `(adom(D) ∪ adom(φ))^k`),
-//! * a small relational [`algebra`] with hash joins, used to evaluate the
-//!   existential-conjunctive fragment efficiently,
+//!   domain-independent queries live in `(adom(D) ∪ adom(φ))^k`), the one
+//!   evaluator of a formula on a single world,
 //! * FO [`view`]s `V : D[τ,U] → D[τ′,U]` with pushforward semantics
 //!   (Section 3.1), and
 //! * the hierarchical-query [`safety`] analysis that decides whether a
@@ -22,7 +21,6 @@
 //!   α-invariant fingerprint, ranking, and safety into one reusable
 //!   [`compile::CompiledQuery`] artifact.
 
-pub mod algebra;
 pub mod ast;
 pub mod compile;
 pub mod eval;

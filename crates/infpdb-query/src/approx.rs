@@ -228,6 +228,41 @@ mod tests {
     }
 
     #[test]
+    fn forced_monte_carlo_lands_within_eps() {
+        // Monte-Carlo on an infinite PDB is the forced MC plan: the prefix
+        // is truncated at ε·(1−σ), and worlds sampled from it carry the
+        // remaining ε·σ at confidence 1 − δ
+        let p = pdb(GeometricSeries::new(0.5, 0.5).unwrap());
+        let mc = Engine::Force(StrategyKind::MonteCarlo);
+        let q = parse("exists x. R(x)", p.schema()).unwrap();
+        let truth = truth_exists(&p, 2000);
+        let a = approx_prob_boolean(&p, &q, 0.02, mc).unwrap();
+        assert!(
+            (a.estimate - truth).abs() <= a.eps,
+            "sampled {} vs truth {truth}",
+            a.estimate
+        );
+        // deeply quantified with negation: per-world evaluation needs no
+        // exact fast path, and agrees with the exact road within both ε
+        let deep = parse(
+            "forall x. (R(x) -> exists y. (R(y) /\\ !(x = y))) \\/ !(exists z. R(z))",
+            p.schema(),
+        )
+        .unwrap();
+        let sampled = approx_prob_boolean(&p, &deep, 0.05, mc).unwrap();
+        let exact =
+            approx_prob_boolean(&p, &deep, 0.05, Engine::Force(StrategyKind::Shannon)).unwrap();
+        assert!(
+            (sampled.estimate - exact.estimate).abs() <= sampled.eps + exact.eps,
+            "sampled {} vs exact {}",
+            sampled.estimate,
+            exact.estimate
+        );
+        let free = parse("R(x)", p.schema()).unwrap();
+        assert!(approx_prob_boolean(&p, &free, 0.05, mc).is_err());
+    }
+
+    #[test]
     fn rejects_bad_tolerance_and_free_variables() {
         let p = pdb(GeometricSeries::new(0.5, 0.5).unwrap());
         let q = parse("exists x. R(x)", p.schema()).unwrap();

@@ -36,7 +36,6 @@ pub mod marginal;
 pub mod persist;
 pub mod planner;
 pub mod prepared;
-pub mod sampling;
 pub mod truncate;
 
 pub use approx::{approx_prob_boolean, Approximation};

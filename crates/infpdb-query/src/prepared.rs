@@ -164,23 +164,19 @@ impl PreparedPdb {
     /// shared catalog if this ε needs more facts than any before it.
     ///
     /// The returned table is byte-identical to the table of a
-    /// [`TruncationPlan`](crate::truncate::TruncationPlan) at the same ε;
-    /// the token is checkpointed every [`CHECK_EVERY`] facts during
-    /// extension.
+    /// [`TruncationPlan`](crate::truncate::TruncationPlan) at the same ε.
+    /// The token is checkpointed only when there is work: before the
+    /// first missing fact and every [`CHECK_EVERY`] facts after it, so a
+    /// catalog that already holds the prefix slices it whatever the token
+    /// says.
     pub fn prefix_for(&self, eps: f64, cancel: &CancelToken) -> Result<PreparedPrefix, QueryError> {
-        if let Err(kind) = cancel.check() {
-            return Ok(PreparedPrefix::Cancelled {
-                kind,
-                facts_processed: 0,
-                partial_table: TiTable::new(self.pdb().schema().clone()),
-            });
-        }
         let supply = self.pdb().supply();
         let truncation = truncation::for_tolerance(supply, eps)?;
         let cap = supply.support_len().unwrap_or(usize::MAX).min(truncation.n);
         let mut catalog = self.lock_catalog();
-        for i in catalog.len()..cap {
-            if i % CHECK_EVERY == 0 {
+        let start = catalog.len();
+        for i in start..cap {
+            if (i - start).is_multiple_of(CHECK_EVERY) {
                 if let Err(kind) = cancel.check() {
                     return Ok(PreparedPrefix::Cancelled {
                         kind,
@@ -629,6 +625,27 @@ mod tests {
             }
             other => panic!("expected cancellation, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn expired_deadline_on_a_warm_catalog_returns_a_certified_partial() {
+        // ζ(2) at ε = 0.01 needs 92 facts; once they are materialized, an
+        // expired deadline still slices them, and the last checkpoint
+        // before evaluation certifies the answer on all 92
+        let prepared = PreparedPdb::new(zeta());
+        assert_eq!(prepared.warm(0.01).unwrap(), 92);
+        let q = parse("exists x. R(x)", prepared.pdb().schema()).unwrap();
+        let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Auto, knobs());
+        let token = CancelToken::with_deadline(std::time::Duration::ZERO);
+        let result = pq.execute(0.01, &token, PartialOnCancel::Evaluate, None);
+        let info = cancel_info(result.unwrap_err());
+        assert_eq!(info.kind, CancelKind::Deadline);
+        assert_eq!(info.facts_processed, 92);
+        let partial = info.partial.expect("92 facts certify a partial");
+        assert_eq!(partial.n, 92);
+        assert!(partial.eps < 0.01);
+        assert!(partial.interval().contains(zeta_exists_truth()));
+        assert_eq!(prepared.materialized_len(), 92, "nothing grounded");
     }
 
     #[test]

@@ -12,9 +12,10 @@ fn main() {
             let Some(table_path) = args.get(1).filter(|a| !a.starts_with("--")) else {
                 eprintln!(
                     "infpdb: usage: infpdb serve <table-file> [--bind ADDR] [--threads N] \
-                     [--parallelism P] [--eps E] [--quota-rps R] [--quota-burst B] \
-                     [--arena-stats] [--tail-mass M] [--tail-start K] \
-                     [--store DIR] [--snapshot-every SECS]"
+                     [--parallelism P] [--scheduler fixed|stealing] [--eps E] \
+                     [--quota-rps R] [--quota-burst B] [--arena-stats] [--tail-mass M] \
+                     [--tail-start K] [--store DIR] [--shard-capacity C] \
+                     [--snapshot-every SECS]"
                 );
                 std::process::exit(1);
             };
@@ -30,19 +31,11 @@ fn main() {
             }
         }
         Some("shell") => {
-            let connect = args
-                .iter()
-                .position(|a| a == "--connect")
-                .and_then(|i| args.get(i + 1))
-                .cloned();
             let stdin = std::io::stdin();
             let interactive = stdin.is_terminal();
-            if let Err(e) = infpdb::shell::repl(
-                stdin.lock(),
-                std::io::stdout(),
-                connect.as_deref(),
-                interactive,
-            ) {
+            if let Err(e) =
+                infpdb::shell::repl(stdin.lock(), std::io::stdout(), &args[1..], interactive)
+            {
                 eprintln!("infpdb: {e}");
                 std::process::exit(1);
             }

@@ -20,6 +20,9 @@
 //!
 //! # Subcommands
 //!
+//! Each subcommand declares its flags; an undeclared flag, a valued flag
+//! without its value and a repeated flag are usage errors.
+//!
 //! * `info <table>` — schema, expected size, size distribution head.
 //! * `query <table> <query> [--engine E] [--threads N] [--explain]` —
 //!   exact Boolean query probability: runs the plan `--explain` prints
@@ -909,6 +912,78 @@ pub fn cmd_bench_store(
     Ok(out)
 }
 
+/// A subcommand's arguments, split by the flags it declares.
+pub(crate) struct Flags<'a> {
+    /// The arguments that are neither flags nor flag values, in order.
+    pub(crate) positional: Vec<&'a str>,
+    given: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Splits `args`: each flag in `valued` takes the next argument as its
+    /// value, each in `switches` takes none, and anything else starting
+    /// with `--` is refused, as are a valued flag without a value and a
+    /// flag given twice.
+    pub(crate) fn parse(
+        args: &'a [String],
+        valued: &[&str],
+        switches: &[&str],
+    ) -> Result<Self, CliError> {
+        let mut flags = Flags {
+            positional: Vec::new(),
+            given: Vec::new(),
+        };
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with("--") {
+                flags.positional.push(arg);
+                continue;
+            }
+            let value = if valued.contains(&arg) {
+                match rest.next() {
+                    Some(v) if !v.starts_with("--") => Some(v),
+                    _ => return Err(CliError::Usage(format!("{arg} needs a value"))),
+                }
+            } else if switches.contains(&arg) {
+                None
+            } else {
+                let mut accepted: Vec<&str> = valued.iter().chain(switches).copied().collect();
+                accepted.sort_unstable();
+                return Err(CliError::Usage(format!(
+                    "unknown flag {arg} (accepted: {})",
+                    accepted.join(" ")
+                )));
+            };
+            if flags.has(arg) {
+                return Err(CliError::Usage(format!("{arg} given more than once")));
+            }
+            flags.given.push((arg, value));
+        }
+        Ok(flags)
+    }
+
+    /// Whether the flag was given.
+    pub(crate) fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|&(f, _)| f == name)
+    }
+
+    /// The value of a valued flag, if it was given.
+    pub(crate) fn get(&self, name: &str) -> Option<&'a str> {
+        self.given.iter().find(|&&(f, _)| f == name)?.1
+    }
+
+    /// The value of a valued flag parsed as `T`, if it was given; a value
+    /// that does not parse is a usage error.
+    pub(crate) fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError::Usage(format!("invalid value {v:?} for {name}")))
+            })
+            .transpose()
+    }
+}
+
 /// Argument dispatch for the binary. `args` excludes the program name.
 pub fn run(
     args: &[String],
@@ -922,230 +997,164 @@ pub fn run(
     let read = |path: &str| -> Result<String, CliError> {
         read_file(path).map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))
     };
-    let flag = |name: &str, default: &str| -> String {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+    // the flags each subcommand declares: (valued, switches)
+    let declared: (&[&str], &[&str]) = match (args[0].as_str(), args.get(1).map(String::as_str)) {
+        ("query", _) => (&["--engine", "--threads"], &["--explain"]),
+        ("sample", _) => (&["--count", "--seed"], &[]),
+        ("open", _) => (&["--eps", "--tail-mass", "--tail-start"], &["--explain"]),
+        ("batch", _) => (
+            &[
+                "--eps",
+                "--threads",
+                "--max-n",
+                "--deadline-ms",
+                "--policy",
+                "--queue-cap",
+                "--overflow",
+                "--tail-mass",
+                "--tail-start",
+                "--parallelism",
+            ],
+            &[],
+        ),
+        ("store", _) => (&["--dir", "--eps", "--tail-mass", "--tail-start"], &[]),
+        ("bench", Some("store")) => (
+            &["--facts", "--append", "--shard-capacity", "--dir", "--out"],
+            &["--smoke"],
+        ),
+        ("bench", _) => (
+            &["--out", "--repeats", "--threads", "--scheduler"],
+            &["--smoke"],
+        ),
+        _ => (&[], &[]),
+    };
+    let flags = Flags::parse(&args[1..], declared.0, declared.1)?;
+    let positional = |i: usize, missing: &str| {
+        flags
+            .positional
+            .get(i)
+            .copied()
+            .ok_or_else(|| CliError::Usage(missing.to_string()))
     };
     match args[0].as_str() {
-        "info" => {
-            let table = read(args.get(1).ok_or(CliError::Usage(usage.into()))?)?;
-            cmd_info(&table)
-        }
+        "info" => cmd_info(&read(positional(0, usage)?)?),
         "query" => {
-            let table = read(args.get(1).ok_or(CliError::Usage(usage.into()))?)?;
-            let q = args
-                .get(2)
-                .ok_or(CliError::Usage("query: missing query string".into()))?;
-            if args.iter().any(|a| a == "--explain") {
+            let table = read(positional(0, usage)?)?;
+            let q = positional(1, "query: missing query string")?;
+            if flags.has("--explain") {
                 return cmd_query_explain(&table, q);
             }
-            let threads: usize = flag("--threads", "1")
-                .parse()
-                .map_err(|_| CliError::Usage("--threads must be a number".into()))?;
-            cmd_query(&table, q, &flag("--engine", "auto"), threads)
+            let threads = flags.parsed("--threads")?.unwrap_or(1);
+            cmd_query(&table, q, flags.get("--engine").unwrap_or("auto"), threads)
         }
         "marginals" => {
-            let table = read(args.get(1).ok_or(CliError::Usage(usage.into()))?)?;
-            let q = args
-                .get(2)
-                .ok_or(CliError::Usage("marginals: missing query string".into()))?;
+            let table = read(positional(0, usage)?)?;
+            let q = positional(1, "marginals: missing query string")?;
             cmd_marginals(&table, q)
         }
         "sample" => {
-            let table = read(args.get(1).ok_or(CliError::Usage(usage.into()))?)?;
-            let count: usize = flag("--count", "5")
-                .parse()
-                .map_err(|_| CliError::Usage("--count must be a number".into()))?;
-            let seed: u64 = flag("--seed", "42")
-                .parse()
-                .map_err(|_| CliError::Usage("--seed must be a number".into()))?;
-            cmd_sample(&table, count, seed)
+            let table = read(positional(0, usage)?)?;
+            let count = flags.parsed("--count")?.unwrap_or(5);
+            cmd_sample(&table, count, flags.parsed("--seed")?.unwrap_or(42))
         }
         "open" => {
-            let table = read(args.get(1).ok_or(CliError::Usage(usage.into()))?)?;
-            let q = args
-                .get(2)
-                .ok_or(CliError::Usage("open: missing query string".into()))?;
-            let eps: f64 = flag("--eps", "0.01")
-                .parse()
-                .map_err(|_| CliError::Usage("--eps must be a number".into()))?;
-            let tail_mass: f64 = flag("--tail-mass", "0.5")
-                .parse()
-                .map_err(|_| CliError::Usage("--tail-mass must be a number".into()))?;
-            let tail_start: i64 = flag("--tail-start", "1000000")
-                .parse()
-                .map_err(|_| CliError::Usage("--tail-start must be a number".into()))?;
-            if args.iter().any(|a| a == "--explain") {
+            let table = read(positional(0, usage)?)?;
+            let q = positional(1, "open: missing query string")?;
+            let eps = flags.parsed("--eps")?.unwrap_or(0.01);
+            let tail_mass = flags.parsed("--tail-mass")?.unwrap_or(0.5);
+            let tail_start = flags.parsed("--tail-start")?.unwrap_or(1_000_000);
+            if flags.has("--explain") {
                 return cmd_open_explain(&table, q, eps, tail_mass, tail_start);
             }
             cmd_open(&table, q, eps, tail_mass, tail_start)
         }
         "batch" => {
-            let table = read(args.get(1).ok_or(CliError::Usage(usage.into()))?)?;
-            let queries = read(
-                args.get(2)
-                    .ok_or(CliError::Usage("batch: missing queries file".into()))?,
-            )?;
-            let eps: f64 = flag("--eps", "0.01")
-                .parse()
-                .map_err(|_| CliError::Usage("--eps must be a number".into()))?;
-            let threads: usize = flag("--threads", "4")
-                .parse()
-                .map_err(|_| CliError::Usage("--threads must be a number".into()))?;
-            let max_n = match flag("--max-n", "") {
-                s if s.is_empty() => None,
-                s => Some(
-                    s.parse::<usize>()
-                        .map_err(|_| CliError::Usage("--max-n must be a number".into()))?,
-                ),
-            };
-            let deadline = match flag("--deadline-ms", "") {
-                s if s.is_empty() => None,
-                s => Some(Duration::from_millis(s.parse::<u64>().map_err(|_| {
-                    CliError::Usage("--deadline-ms must be a number of milliseconds".into())
-                })?)),
-            };
-            let policy = match flag("--policy", "widen").as_str() {
-                "widen" => DegradePolicy::WidenEps,
-                "reject" => DegradePolicy::Reject,
-                other => {
+            let table = read(positional(0, usage)?)?;
+            let queries = read(positional(1, "batch: missing queries file")?)?;
+            let d = BatchOptions::default();
+            let policy = match flags.get("--policy") {
+                None => d.policy,
+                Some("widen") => DegradePolicy::WidenEps,
+                Some("reject") => DegradePolicy::Reject,
+                Some(other) => {
                     return Err(CliError::Usage(format!(
                         "unknown policy {other:?} (widen|reject)"
                     )))
                 }
             };
-            let queue_cap = match flag("--queue-cap", "") {
-                s if s.is_empty() => None,
-                s => Some(
-                    s.parse::<usize>()
-                        .map_err(|_| CliError::Usage("--queue-cap must be a number".into()))?,
-                ),
-            };
-            let overflow = match flag("--overflow", "block").as_str() {
-                "block" => OverflowPolicy::Block,
-                "reject" => OverflowPolicy::RejectNewest,
-                "shed" => OverflowPolicy::ShedOldest,
-                other => {
+            let overflow = match flags.get("--overflow") {
+                None => d.overflow,
+                Some("block") => OverflowPolicy::Block,
+                Some("reject") => OverflowPolicy::RejectNewest,
+                Some("shed") => OverflowPolicy::ShedOldest,
+                Some(other) => {
                     return Err(CliError::Usage(format!(
                         "unknown overflow policy {other:?} (block|reject|shed)"
                     )))
                 }
             };
-            let tail_mass: f64 = flag("--tail-mass", "0.5")
-                .parse()
-                .map_err(|_| CliError::Usage("--tail-mass must be a number".into()))?;
-            let tail_start: i64 = flag("--tail-start", "1000000")
-                .parse()
-                .map_err(|_| CliError::Usage("--tail-start must be a number".into()))?;
-            let parallelism: usize = flag("--parallelism", "1")
-                .parse()
-                .map_err(|_| CliError::Usage("--parallelism must be a number".into()))?;
-            cmd_batch(
-                &table,
-                &queries,
-                BatchOptions {
-                    eps,
-                    threads,
-                    max_n,
-                    deadline,
-                    policy,
-                    queue_cap,
-                    overflow,
-                    tail_mass,
-                    tail_start,
-                    parallelism,
-                },
-            )
+            let options = BatchOptions {
+                eps: flags.parsed("--eps")?.unwrap_or(d.eps),
+                threads: flags.parsed("--threads")?.unwrap_or(d.threads),
+                max_n: flags.parsed("--max-n")?,
+                deadline: flags.parsed("--deadline-ms")?.map(Duration::from_millis),
+                policy,
+                queue_cap: flags.parsed("--queue-cap")?,
+                overflow,
+                tail_mass: flags.parsed("--tail-mass")?.unwrap_or(d.tail_mass),
+                tail_start: flags.parsed("--tail-start")?.unwrap_or(d.tail_start),
+                parallelism: flags.parsed("--parallelism")?.unwrap_or(d.parallelism),
+            };
+            cmd_batch(&table, &queries, options)
         }
         "store" => {
             let store_usage = "usage: infpdb store <snapshot|verify|info> \
                  [<table-file>] --dir DIR [--eps E] [--tail-mass M] [--tail-start K]";
-            let dir = match flag("--dir", "") {
-                s if s.is_empty() => return Err(CliError::Usage(store_usage.into())),
-                s => s,
+            let Some(dir) = flags.get("--dir").filter(|d| !d.is_empty()) else {
+                return Err(CliError::Usage(store_usage.into()));
             };
-            match args.get(1).map(String::as_str) {
-                Some("snapshot") => {
-                    let table = read(
-                        args.get(2)
-                            .filter(|a| !a.starts_with("--"))
-                            .ok_or(CliError::Usage(store_usage.into()))?,
-                    )?;
-                    let eps: f64 = flag("--eps", "0.01")
-                        .parse()
-                        .map_err(|_| CliError::Usage("--eps must be a number".into()))?;
-                    let tail_mass: f64 = flag("--tail-mass", "0.5")
-                        .parse()
-                        .map_err(|_| CliError::Usage("--tail-mass must be a number".into()))?;
-                    let tail_start: i64 = flag("--tail-start", "1000000")
-                        .parse()
-                        .map_err(|_| CliError::Usage("--tail-start must be a number".into()))?;
-                    cmd_store_snapshot(&table, &dir, eps, tail_mass, tail_start)
-                }
-                Some("verify") => cmd_store_verify(&dir),
-                Some("info") => cmd_store_info(&dir),
+            match flags.positional.first().copied() {
+                Some("snapshot") => cmd_store_snapshot(
+                    &read(positional(1, store_usage)?)?,
+                    dir,
+                    flags.parsed("--eps")?.unwrap_or(0.01),
+                    flags.parsed("--tail-mass")?.unwrap_or(0.5),
+                    flags.parsed("--tail-start")?.unwrap_or(1_000_000),
+                ),
+                Some("verify") => cmd_store_verify(dir),
+                Some("info") => cmd_store_info(dir),
                 _ => Err(CliError::Usage(store_usage.into())),
             }
         }
         "bench" => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            if args.get(1).map(String::as_str) == Some("store") {
-                let parse_num = |name: &str| -> Result<Option<usize>, CliError> {
-                    match flag(name, "") {
-                        s if s.is_empty() => Ok(None),
-                        s => s
-                            .parse()
-                            .map(Some)
-                            .map_err(|_| CliError::Usage(format!("{name} must be a number"))),
-                    }
-                };
-                let facts = parse_num("--facts")?;
-                let append = parse_num("--append")?;
-                let shard_capacity = match flag("--shard-capacity", "") {
-                    s if s.is_empty() => None,
-                    s => Some(s.parse::<u64>().map_err(|_| {
-                        CliError::Usage("--shard-capacity must be a number".into())
-                    })?),
-                };
-                let dir = match flag("--dir", "") {
-                    s if s.is_empty() => None,
-                    s => Some(s),
-                };
-                let out = match flag("--out", "") {
-                    s if s.is_empty() => None,
-                    s => Some(s),
-                };
+            let smoke = flags.has("--smoke");
+            if args.get(1).is_some_and(|a| a == "store") {
                 return cmd_bench_store(
                     smoke,
-                    facts,
-                    append,
-                    shard_capacity,
-                    dir.as_deref(),
-                    out.as_deref(),
+                    flags.parsed("--facts")?,
+                    flags.parsed("--append")?,
+                    flags.parsed("--shard-capacity")?,
+                    flags.get("--dir"),
+                    flags.get("--out"),
                 );
             }
-            let out = match flag("--out", "") {
-                s if s.is_empty() => None,
-                s => Some(s),
-            };
-            let repeats: usize = flag("--repeats", &harness::DEFAULT_REPEATS.to_string())
-                .parse()
-                .map_err(|_| CliError::Usage("--repeats must be a number".into()))?;
-            let threads: usize = flag("--threads", "1")
-                .parse()
-                .map_err(|_| CliError::Usage("--threads must be a number".into()))?;
-            let scheduler = match flag("--scheduler", "").as_str() {
-                "" => None,
-                other => Some(SchedulerKind::parse(other).ok_or_else(|| {
+            let scheduler = match flags.get("--scheduler") {
+                None => None,
+                Some(other) => Some(SchedulerKind::parse(other).ok_or_else(|| {
                     CliError::Usage(format!(
                         "--scheduler must be fixed or stealing, got {other:?}"
                     ))
                 })?),
             };
-            cmd_bench(smoke, out.as_deref(), repeats, threads, scheduler)
+            cmd_bench(
+                smoke,
+                flags.get("--out"),
+                flags
+                    .parsed("--repeats")?
+                    .unwrap_or(harness::DEFAULT_REPEATS),
+                flags.parsed("--threads")?.unwrap_or(1),
+                scheduler,
+            )
         }
         other => Err(CliError::Usage(format!(
             "unknown subcommand {other:?}; {usage}"
@@ -1631,6 +1640,45 @@ Person(1000000)
                 "{bad:?} must be a usage error"
             );
         }
+    }
+
+    #[test]
+    fn undeclared_missing_and_repeated_flags_are_usage_errors() {
+        let files = |path: &str| -> std::io::Result<String> {
+            match path {
+                "kb.pdb" => Ok(TABLE.to_string()),
+                "q.txt" => Ok("Person(42)\n".to_string()),
+                _ => Err(std::io::Error::new(std::io::ErrorKind::NotFound, "nope")),
+            }
+        };
+        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        let open = ["open", "kb.pdb", "Person(1000000)"];
+        let batch = ["batch", "kb.pdb", "q.txt"];
+        for (base, bad) in [
+            // a misspelt flag, a flag the subcommand does not declare
+            (&open[..], &["--esp", "0.001"][..]),
+            (&batch, &["--scheduler", "stealing"]),
+            // a valued flag without its value, last or before a flag
+            (&open, &["--eps"]),
+            (&open, &["--eps", "--explain"]),
+            (&batch, &["--eps"]),
+            // a repeated flag
+            (&open, &["--eps", "0.001", "--eps", "0.2"]),
+            (&batch, &["--threads", "1", "--threads", "2"]),
+        ] {
+            let mut a = args(base);
+            a.extend(args(bad));
+            // the message names the offending flag
+            assert!(
+                matches!(run(&a, files), Err(CliError::Usage(m)) if m.contains(bad[0])),
+                "{a:?} must be a usage error"
+            );
+        }
+        // the shell reads its one flag the same way
+        let shell = |v: &[&str]| crate::shell::repl(&b""[..], Vec::new(), &args(v), false);
+        assert!(matches!(shell(&["--conect", "x"]), Err(CliError::Usage(_))));
+        assert!(matches!(shell(&["--connect"]), Err(CliError::Usage(_))));
+        assert!(shell(&[]).is_ok());
     }
 
     #[test]

@@ -185,74 +185,65 @@ pub fn cmd_serve(
 }
 
 /// Parses `serve` flags from `args` (everything after the table path).
+/// A flag `serve` does not declare, a valued flag without its value and
+/// a repeated flag are usage errors.
 pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
-    let flag = |name: &str, default: &str| -> String {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+    let flags = cli::Flags::parse(
+        args,
+        &[
+            "--bind",
+            "--threads",
+            "--parallelism",
+            "--scheduler",
+            "--eps",
+            "--quota-rps",
+            "--quota-burst",
+            "--tail-mass",
+            "--tail-start",
+            "--store",
+            "--shard-capacity",
+            "--snapshot-every",
+        ],
+        &["--arena-stats"],
+    )?;
+    let d = ServeOptions::default();
+    let scheduler = match flags.get("--scheduler") {
+        None => d.scheduler,
+        Some(other) => SchedulerKind::parse(other).ok_or_else(|| {
+            CliError::Usage(format!(
+                "--scheduler must be fixed or stealing, got {other:?}"
+            ))
+        })?,
     };
-    let num = |name: &str, default: &str| -> Result<f64, CliError> {
-        flag(name, default)
-            .parse()
-            .map_err(|_| CliError::Usage(format!("{name} must be a number")))
-    };
-    let count = |name: &str, default: &str| -> Result<usize, CliError> {
-        flag(name, default)
-            .parse()
-            .map_err(|_| CliError::Usage(format!("{name} must be a whole number")))
-    };
-    let scheduler = flag("--scheduler", "fixed");
-    let scheduler = SchedulerKind::parse(&scheduler).ok_or_else(|| {
-        CliError::Usage(format!(
-            "--scheduler must be fixed or stealing, got {scheduler:?}"
-        ))
-    })?;
-    let mut opts = ServeOptions {
-        bind: flag("--bind", "127.0.0.1:7117"),
-        threads: count("--threads", "4")?,
-        parallelism: count("--parallelism", "1")?,
-        scheduler,
-        default_eps: num("--eps", "0.01")?,
-        quota_rps: None,
-        quota_burst: num("--quota-burst", "32")?,
-        arena_stats: args.iter().any(|a| a == "--arena-stats"),
-        tail_mass: num("--tail-mass", "0.5")?,
-        tail_start: flag("--tail-start", "1000000")
-            .parse()
-            .map_err(|_| CliError::Usage("--tail-start must be a whole number".into()))?,
-        store_dir: match flag("--store", "") {
-            s if s.is_empty() => None,
-            s => Some(s),
-        },
-        store_shard_capacity: match flag("--shard-capacity", "") {
-            s if s.is_empty() => None,
-            s => match s.parse::<u64>() {
-                Ok(c) if c > 0 => Some(c),
-                _ => {
-                    return Err(CliError::Usage(
-                        "--shard-capacity must be a positive integer".into(),
-                    ))
-                }
-            },
-        },
+    let snapshot_every = match flags.parsed::<f64>("--snapshot-every")? {
+        None => d.snapshot_every,
         // at least 0.05 s; NaN passes the clamp and is refused together
         // with infinite and overflowing values
-        snapshot_every: Duration::try_from_secs_f64(
-            num("--snapshot-every", "30")?.clamp(0.05, f64::INFINITY),
-        )
-        .map_err(|_| CliError::Usage("--snapshot-every must be finite".into()))?,
+        Some(secs) => Duration::try_from_secs_f64(secs.clamp(0.05, f64::INFINITY))
+            .map_err(|_| CliError::Usage("--snapshot-every must be finite".into()))?,
+    };
+    let opts = ServeOptions {
+        bind: flags.get("--bind").map_or(d.bind, str::to_string),
+        threads: flags.parsed("--threads")?.unwrap_or(d.threads),
+        parallelism: flags.parsed("--parallelism")?.unwrap_or(d.parallelism),
+        scheduler,
+        default_eps: flags.parsed("--eps")?.unwrap_or(d.default_eps),
+        quota_rps: flags.parsed("--quota-rps")?,
+        quota_burst: flags.parsed("--quota-burst")?.unwrap_or(d.quota_burst),
+        arena_stats: flags.has("--arena-stats"),
+        tail_mass: flags.parsed("--tail-mass")?.unwrap_or(d.tail_mass),
+        tail_start: flags.parsed("--tail-start")?.unwrap_or(d.tail_start),
+        store_dir: flags.get("--store").map(str::to_string),
+        store_shard_capacity: flags.parsed("--shard-capacity")?,
+        snapshot_every,
     };
     if opts.threads < 1 {
         return Err(CliError::Usage("--threads must be at least 1".into()));
     }
-    let rps = flag("--quota-rps", "");
-    if !rps.is_empty() {
-        opts.quota_rps = Some(
-            rps.parse()
-                .map_err(|_| CliError::Usage("--quota-rps must be a number".into()))?,
-        );
+    if opts.store_shard_capacity == Some(0) {
+        return Err(CliError::Usage(
+            "--shard-capacity must be a positive integer".into(),
+        ));
     }
     Ok(opts)
 }
@@ -386,6 +377,24 @@ Person 42 @ 0.5
             assert!(
                 matches!(every(bad), Err(CliError::Usage(_))),
                 "--snapshot-every {bad} must be refused"
+            );
+        }
+    }
+
+    #[test]
+    fn undeclared_missing_and_repeated_serve_flags_are_usage_errors() {
+        let a = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        for bad in [
+            &["--esp", "0.001"][..],
+            &["--explain"],
+            &["--eps"],
+            &["--bind", "--arena-stats"],
+            &["--eps", "0.001", "--eps", "0.2"],
+            &["--arena-stats", "--arena-stats"],
+        ] {
+            assert!(
+                matches!(parse_serve_options(&a(bad)), Err(CliError::Usage(_))),
+                "{bad:?} must be a usage error"
             );
         }
     }

@@ -572,16 +572,20 @@ commands:
 ";
 
 /// Runs the interactive loop over arbitrary reader/writer (stdin and
-/// stdout in the binary; pipes in tests). Returns an error only on
-/// I/O failure — command errors are printed and the loop continues.
+/// stdout in the binary; pipes in tests). `args` are the `shell`
+/// subcommand's arguments: `--connect URL` drives a remote `serve`, and
+/// any other flag is a usage error. Returns an error only on bad
+/// arguments or I/O failure — command errors are printed and the loop
+/// continues.
 pub fn repl(
     input: impl std::io::BufRead,
     mut output: impl std::io::Write,
-    connect: Option<&str>,
+    args: &[String],
     interactive: bool,
 ) -> Result<(), CliError> {
+    let flags = crate::cli::Flags::parse(args, &["--connect"], &[])?;
     let mut shell = Shell::new(|path| std::fs::read_to_string(path));
-    if let Some(url) = connect {
+    if let Some(url) = flags.get("--connect") {
         match shell.connect(url) {
             Ok(msg) => writeln!(output, "{msg}").map_err(|e| CliError::Library(e.to_string()))?,
             Err(e) => return Err(CliError::Usage(format!("--connect {url}: {e}"))),

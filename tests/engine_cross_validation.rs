@@ -4,7 +4,7 @@
 //! agree.
 
 use infpdb::finite::TiTable;
-use infpdb::finite::{engine, lifted, worlds};
+use infpdb::finite::{engine, lifted, monte_carlo, worlds};
 use infpdb::logic::parse;
 use infpdb_core::fact::Fact;
 use infpdb_core::schema::{RelId, Relation, Schema};
@@ -120,7 +120,11 @@ fn monte_carlo_lands_within_hoeffding_bounds() {
     let t = random_table(&mut rng, 3);
     let q = parse("exists x, y. R(x) /\\ S(x, y) /\\ T(y)", t.schema()).unwrap();
     let truth = engine::prob_lineage(&q, &t).unwrap();
-    let est = infpdb::finite::monte_carlo::estimate_with_guarantee(&q, &t, 0.03, 0.001, &mut rng)
+    // the Hoeffding count for (ε, δ) = (0.03, 0.001), master seed 45
+    let samples = monte_carlo::samples_for(0.03, 0.001);
+    let exec = infpdb::finite::shannon::ScopedExecutor { threads: 1 };
+    let est = monte_carlo::estimate_parallel(&q, &t, samples, 45, 1, &exec)
+        .unwrap()
         .unwrap();
     assert!(
         (est.estimate - truth).abs() <= 0.03,
