@@ -24,7 +24,7 @@ use infpdb_finite::lineage::lineage_of_arena;
 use infpdb_finite::shannon;
 use infpdb_logic::ast::Formula;
 use infpdb_logic::parse;
-use infpdb_query::approx::{approx_prob_boolean_par, PartialOnCancel};
+use infpdb_query::approx::approx_prob_boolean_par;
 use infpdb_query::cancel::CancelToken;
 use infpdb_query::prepared::{PreparedPdb, PreparedQuery};
 use infpdb_query::truncate::TruncationPlan;
@@ -388,10 +388,7 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, String> {
             )
             .with_parallelism(threads);
             let token = CancelToken::new();
-            let execute = || {
-                pq.execute(eps, &token, PartialOnCancel::Evaluate, None)
-                    .expect("probed")
-            };
+            let execute = || pq.execute(eps, &token, None).expect("probed");
             execute(); // prepare: grounds once
             let (median_ns, iters) = run_timed(
                 repeat_policy,

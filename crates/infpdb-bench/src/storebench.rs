@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use infpdb_core::json::Json;
 use infpdb_logic::parse;
-use infpdb_query::approx::{approx_prob_boolean_par, PartialOnCancel};
+use infpdb_query::approx::approx_prob_boolean_par;
 use infpdb_query::cancel::CancelToken;
 use infpdb_query::prepared::{PreparedPdb, PreparedQuery};
 use infpdb_query::{Engine, PlanKnobs, StoreStatus};
@@ -469,7 +469,7 @@ fn run_in(config: &StoreBenchConfig, dir: &std::path::Path) -> Result<StoreBench
                 PlanKnobs::default(),
             )
             .with_parallelism(threads)
-            .execute(ANSWER_EPS, &cancel, PartialOnCancel::Evaluate, None)
+            .execute(ANSWER_EPS, &cancel, None)
             .map_err(|e| format!("reopened eval {q:?}: {e}"))?
             .approx;
             bits.push(got.estimate.to_bits());

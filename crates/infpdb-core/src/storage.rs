@@ -2,55 +2,38 @@
 //!
 //! The world evaluator (in `infpdb-logic`) asks "does relation `R`
 //! contain the tuple `t`?" for every ground atom it meets.
-//! [`InstanceStore`] answers that by materializing each relation's tuples
-//! once and hashing them by their first argument, so a probe compares
-//! only the rows that share it.
+//! [`InstanceStore`] answers that with one probe of the relation's set
+//! of tuples.
 
 use crate::fact::FactId;
 use crate::instance::Instance;
 use crate::interner::FactInterner;
 use crate::schema::{RelId, Schema};
 use crate::value::Value;
-use std::collections::{BTreeSet, HashMap};
-
-/// Tuples of one relation plus their first-argument index.
-#[derive(Debug, Clone, Default)]
-struct RelationStore {
-    /// Row-major tuples.
-    rows: Vec<Vec<Value>>,
-    /// `by_first[v]` = row numbers whose first argument is `v` (empty
-    /// for a zero-arity relation).
-    by_first: HashMap<Value, Vec<usize>>,
-}
+use std::collections::{BTreeSet, HashSet};
 
 /// An instance materialized for query evaluation.
 #[derive(Debug, Clone)]
 pub struct InstanceStore {
-    relations: Vec<RelationStore>,
+    /// The tuples of each relation, indexed by [`RelId`].
+    relations: Vec<HashSet<Vec<Value>>>,
     active_domain: BTreeSet<Value>,
-    size: usize,
 }
 
 impl InstanceStore {
     /// Materializes `instance` (resolving ids through `interner`) against
     /// `schema`.
     pub fn build(instance: &Instance, interner: &FactInterner, schema: &Schema) -> Self {
-        let mut relations = vec![RelationStore::default(); schema.len()];
+        let mut relations = vec![HashSet::new(); schema.len()];
         let mut active_domain = BTreeSet::new();
         for id in instance.iter() {
             let fact = interner.resolve(id);
-            let rel = &mut relations[fact.rel().0 as usize];
-            if let Some(first) = fact.args().first() {
-                let row_no = rel.rows.len();
-                rel.by_first.entry(first.clone()).or_default().push(row_no);
-            }
             active_domain.extend(fact.args().iter().cloned());
-            rel.rows.push(fact.args().to_vec());
+            relations[fact.rel().0 as usize].insert(fact.args().to_vec());
         }
         Self {
             relations,
             active_domain,
-            size: instance.size(),
         }
     }
 
@@ -68,31 +51,14 @@ impl InstanceStore {
         Self::build(&instance, &interner, schema)
     }
 
-    /// All tuples of a relation.
-    pub fn rows(&self, rel: RelId) -> &[Vec<Value>] {
-        &self.relations[rel.0 as usize].rows
-    }
-
     /// Whether `rel` contains exactly the tuple `args`.
     pub fn contains_tuple(&self, rel: RelId, args: &[Value]) -> bool {
-        let store = &self.relations[rel.0 as usize];
-        let Some(first) = args.first() else {
-            return !store.rows.is_empty();
-        };
-        store
-            .by_first
-            .get(first)
-            .is_some_and(|rows| rows.iter().any(|&r| store.rows[r] == args))
+        self.relations[rel.0 as usize].contains(args)
     }
 
     /// The active domain of the instance.
     pub fn active_domain(&self) -> &BTreeSet<Value> {
         &self.active_domain
-    }
-
-    /// Number of facts in the instance.
-    pub fn size(&self) -> usize {
-        self.size
     }
 }
 
@@ -121,9 +87,14 @@ mod tests {
     fn rows_materialized_per_relation() {
         let (schema, interner, inst) = setup();
         let store = InstanceStore::build(&inst, &interner, &schema);
-        assert_eq!(store.rows(schema.rel_id("R").unwrap()).len(), 3);
-        assert_eq!(store.rows(schema.rel_id("S").unwrap()).len(), 1);
-        assert_eq!(store.size(), 4);
+        let (r, s) = (schema.rel_id("R").unwrap(), schema.rel_id("S").unwrap());
+        for (a, b) in [(1, 2), (1, 3), (2, 3)] {
+            assert!(store.contains_tuple(r, &[Value::int(a), Value::int(b)]));
+        }
+        assert!(store.contains_tuple(s, &[Value::int(3)]));
+        // each relation holds only its own tuples
+        assert!(!store.contains_tuple(s, &[Value::int(1)]));
+        assert!(!store.contains_tuple(r, &[Value::int(3)]));
     }
 
     #[test]
@@ -156,7 +127,9 @@ mod tests {
         let r = schema.rel_id("R").unwrap();
         let facts = [Fact::new(r, [Value::int(1)]), Fact::new(r, [Value::int(2)])];
         let store = InstanceStore::from_facts(facts.iter(), &schema);
-        assert_eq!(store.rows(r).len(), 2);
+        assert!(store.contains_tuple(r, &[Value::int(1)]));
+        assert!(store.contains_tuple(r, &[Value::int(2)]));
+        assert!(!store.contains_tuple(r, &[Value::int(3)]));
     }
 
     #[test]
@@ -164,7 +137,6 @@ mod tests {
         let schema = Schema::from_relations([Relation::new("R", 1)]).unwrap();
         let interner = FactInterner::new();
         let store = InstanceStore::build(&Instance::empty(), &interner, &schema);
-        assert_eq!(store.rows(schema.rel_id("R").unwrap()).len(), 0);
         assert!(store.active_domain().is_empty());
         assert!(!store.contains_tuple(schema.rel_id("R").unwrap(), &[Value::int(1)]));
     }

@@ -1,25 +1,29 @@
 //! The exact evaluator for finite t.i. tables.
 //!
-//! [`prob_boolean`] is the safe plan when the query is a hierarchical
-//! self-join-free CQ (polynomial time), otherwise lineage + Shannon
-//! ([`prob_lineage`]: exact but worst-case exponential). Choosing a
-//! strategy per query component — sampling included — is the query
-//! layer's cost-based planner's job; its plans run through
-//! [`crate::plan::evaluate_plan`]. Brute-force world enumeration
-//! ([`crate::worlds::prob_boolean_brute`]) is the tests' oracle, not an
-//! engine.
+//! [`prob_boolean`] compiles its query and runs [`ChosenPlan::exact`]
+//! through [`evaluate_plan`], the one code path from a finite table and a
+//! query to a probability: the safe plan on every component that is a
+//! hierarchical self-join-free CQ (polynomial time), lineage + Shannon on
+//! the rest (exact but worst-case exponential). Choosing a strategy per
+//! component — sampling included — is the query layer's cost-based
+//! planner's job; its plans run through the same [`evaluate_plan`].
+//! Shannon on the whole formula's lineage ([`prob_lineage`]) and
+//! brute-force world enumeration ([`crate::worlds::prob_boolean_brute`])
+//! are the tests' references, not engines.
 //!
 //! [`answer_marginals`] lifts Boolean evaluation to free-variable queries
 //! exactly the way Section 6 of the paper does: ground the free variables
 //! with every tuple over the relevant domain and evaluate each resulting
 //! sentence (the marginal-probability query semantics of Section 3.1).
 
-use crate::arena::{ArenaStats, LineageArena};
+use crate::arena::{ArenaStats, LineageArena, LineageId};
 use crate::lineage::{lineage_of_arena, GroundingDomain};
-use crate::{lifted, shannon, FiniteError, TiTable};
+use crate::plan::{evaluate_plan, ChosenPlan};
+use crate::{shannon, FiniteError, TiTable};
 use infpdb_core::value::Value;
 use infpdb_logic::ast::Formula;
-use infpdb_logic::vars::{free_vars, ground};
+use infpdb_logic::compile::CompiledQuery;
+use infpdb_logic::vars::for_each_grounding;
 
 /// What an evaluation did, for observability: Shannon compilation
 /// statistics and arena interning statistics when the intensional
@@ -34,7 +38,8 @@ pub struct EvalTrace {
     /// evaluation ran with `parallelism ≤ 1` or no lineage was evaluated.
     pub parallel: Option<shannon::ParReport>,
     /// Per-strategy component counts and cost estimate of the plan that
-    /// ran; `None` from the exact evaluator, which runs no plan.
+    /// ran; every evaluation runs a plan, so `None` only in a default
+    /// trace.
     pub plan: Option<crate::plan::PlanSummary>,
 }
 
@@ -60,74 +65,42 @@ impl EvalTrace {
     }
 }
 
-/// `P(Q)` for a Boolean query, exactly: the safe plan when there is one,
-/// else lineage + Shannon.
+/// `P(Q)` for a Boolean query, exactly: [`ChosenPlan::exact`] run by
+/// [`evaluate_plan`] on one thread.
 pub fn prob_boolean(query: &Formula, table: &TiTable) -> Result<f64, FiniteError> {
-    prob_boolean_traced(query, table, 1).map(|(p, _)| p)
-}
-
-/// Like [`prob_boolean`], but also reports an [`EvalTrace`], and the
-/// lineage path forks independent components over up to `parallelism`
-/// threads ([`shannon::probability_dag_parallel`]). The f64 result and
-/// the work counters are bit-for-bit those at `parallelism = 1`; only
-/// `EvalTrace::parallel` tells the runs apart.
-pub fn prob_boolean_traced(
-    query: &Formula,
-    table: &TiTable,
-    parallelism: usize,
-) -> Result<(f64, EvalTrace), FiniteError> {
-    match lifted::prob_hierarchical(query, table) {
-        Ok(p) => Ok((p, EvalTrace::default())),
-        Err(FiniteError::Logic(_)) => lineage_traced(query, table, parallelism),
-        Err(e) => Err(e),
-    }
+    let compiled = CompiledQuery::compile(table.schema(), query);
+    let plan = ChosenPlan::exact(&compiled);
+    let (p, _) = evaluate_plan(&compiled, &plan, table, 1, None)?
+        .expect("the fork-join executor runs every task");
+    Ok(p)
 }
 
 /// `P(Q)` by lineage + Shannon over the whole formula, whether or not a
-/// safe plan exists — the intensional half of [`prob_boolean`].
+/// safe plan exists: the tests' reference for the intensional path.
 pub fn prob_lineage(query: &Formula, table: &TiTable) -> Result<f64, FiniteError> {
-    lineage_traced(query, table, 1).map(|(p, _)| p)
+    let mut arena = LineageArena::new();
+    let root = lineage_of_arena(query, table, &mut arena)?;
+    Ok(shannon::probability_dag(&mut arena, root, &|id| {
+        table.prob(id)
+    }))
 }
 
-fn lineage_traced(
-    query: &Formula,
-    table: &TiTable,
-    parallelism: usize,
-) -> Result<(f64, EvalTrace), FiniteError> {
-    let mut trace = EvalTrace::default();
-    let ps = shannon::ScopedExecutor::or_default(None, parallelism, |exec| {
-        shannon_traced(&[query], table, parallelism, exec, &mut trace)
-    })?
-    .expect("the fork-join executor runs every task");
-    Ok((ps[0], trace))
-}
-
-/// The intensional path: ground each formula into its own hash-consed
-/// arena, then run the DAG Shannon engine over all of them — at
-/// `parallelism ≥ 2` forking their heavy parts onto `exec` as one batch
+/// The intensional path: run the DAG Shannon engine over grounded
+/// lineages, each in its own hash-consed arena — at `parallelism ≥ 2`
+/// forking their heavy parts onto `exec` as one batch
 /// ([`shannon::probability_dags_exec`]) — adding the work counters to
-/// `trace`. `Ok(None)` means `exec` skipped a task.
+/// `trace`. `None` means `exec` skipped a task.
 pub(crate) fn shannon_traced(
-    formulas: &[&Formula],
+    mut grounded: Vec<(LineageArena, LineageId)>,
     table: &TiTable,
     parallelism: usize,
     exec: &dyn shannon::TaskExecutor,
     trace: &mut EvalTrace,
-) -> Result<Option<Vec<f64>>, FiniteError> {
-    let mut grounded = Vec::with_capacity(formulas.len());
-    for formula in formulas {
-        let mut arena = LineageArena::new();
-        let root = lineage_of_arena(formula, table, &mut arena)?;
-        grounded.push((arena, root));
-    }
+) -> Option<Vec<f64>> {
     let roots = grounded.iter_mut().map(|(arena, root)| (arena, *root));
     let policy = shannon::ParallelPolicy::with_threads(parallelism);
     let probs = |id| table.prob(id);
-    let Some((results, report)) =
-        shannon::probability_dags_exec(roots.collect(), &probs, policy, exec)
-    else {
-        return Ok(None);
-    };
+    let (results, report) = shannon::probability_dags_exec(roots.collect(), &probs, policy, exec)?;
     if parallelism >= 2 {
         trace.add_parallel(report);
     }
@@ -135,7 +108,7 @@ pub(crate) fn shannon_traced(
         trace.add_shannon(stats, arena_stats);
         p
     });
-    Ok(Some(ps.collect()))
+    Some(ps.collect())
 }
 
 /// Marginal probabilities `Pr(~a ∈ Q(D))` for every answer tuple of a query
@@ -147,55 +120,23 @@ pub fn answer_marginals(
     query: &Formula,
     table: &TiTable,
 ) -> Result<Vec<(Vec<Value>, f64)>, FiniteError> {
-    let fv: Vec<String> = free_vars(query).into_iter().collect();
-    if fv.is_empty() {
-        let p = prob_boolean(query, table)?;
-        return Ok(if p > 0.0 { vec![(vec![], p)] } else { vec![] });
-    }
     let domain = GroundingDomain::new(table, query);
+    let values = || domain.values();
     let mut out = Vec::new();
-    let mut assignment: Vec<(String, Value)> = Vec::with_capacity(fv.len());
-    enumerate_tuples(
-        query,
-        table,
-        &fv,
-        domain.values(),
-        0,
-        &mut assignment,
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-fn enumerate_tuples(
-    query: &Formula,
-    table: &TiTable,
-    fv: &[String],
-    domain: &[Value],
-    i: usize,
-    assignment: &mut Vec<(String, Value)>,
-    out: &mut Vec<(Vec<Value>, f64)>,
-) -> Result<(), FiniteError> {
-    if i == fv.len() {
-        let sentence = ground(query, assignment);
-        let p = prob_boolean(&sentence, table)?;
+    for_each_grounding(query, values, |tuple, sentence| {
+        let p = prob_boolean(sentence, table)?;
         if p > 0.0 {
-            out.push((assignment.iter().map(|(_, v)| v.clone()).collect(), p));
+            out.push((tuple.to_vec(), p));
         }
-        return Ok(());
-    }
-    for v in domain {
-        assignment.push((fv[i].clone(), v.clone()));
-        enumerate_tuples(query, table, fv, domain, i + 1, assignment, out)?;
-        assignment.pop();
-    }
-    Ok(())
+        Ok::<_, FiniteError>(())
+    })?;
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worlds;
+    use crate::{lifted, worlds};
     use infpdb_core::fact::Fact;
     use infpdb_core::schema::{Relation, Schema};
     use infpdb_logic::parse;
@@ -262,19 +203,46 @@ mod tests {
     }
 
     #[test]
+    fn domain_dependent_components_match_world_semantics() {
+        let t = table();
+        // `7` occurs only in the second component; the first still
+        // ranges over it, as the undecomposed query does
+        for qs in [
+            "(exists x. !R(x)) /\\ !T(7)",
+            "(forall x. R(x)) \\/ T(7)",
+            "(forall x. exists y. S(x, y)) \\/ T(7)",
+        ] {
+            let q = parse(qs, t.schema()).unwrap();
+            let brute = worlds::prob_boolean_brute(&q, &t).unwrap();
+            assert_eq!(prob_boolean(&q, &t).unwrap(), brute, "{qs}");
+            assert_eq!(prob_lineage(&q, &t).unwrap(), brute, "{qs}");
+        }
+    }
+
+    #[test]
     fn traced_lineage_evaluation_reports_stats() {
         let t = table();
-        let q = parse("exists x, y. R(x) /\\ S(x, y) /\\ T(y)", t.schema()).unwrap();
-        let (p, trace) = prob_boolean_traced(&q, &t, 1).unwrap();
-        let brute = worlds::prob_boolean_brute(&q, &t).unwrap();
-        assert!((p - brute).abs() < 1e-9);
+        let run = |qs: &str| {
+            let q = parse(qs, t.schema()).unwrap();
+            let compiled = CompiledQuery::compile(t.schema(), &q);
+            let plan = ChosenPlan::exact(&compiled);
+            let (p, trace) = evaluate_plan(&compiled, &plan, &t, 1, None)
+                .unwrap()
+                .unwrap();
+            let brute = worlds::prob_boolean_brute(&q, &t).unwrap();
+            assert!((p - brute).abs() < 1e-9, "{qs}: {p} vs {brute}");
+            trace
+        };
+        // H₀ has no safe plan: the lineage path fills both counters
+        let trace = run("exists x, y. R(x) /\\ S(x, y) /\\ T(y)");
         let arena = trace.arena.expect("lineage path fills arena stats");
         assert!(arena.nodes > 2, "grounding interned real nodes");
         assert!(trace.shannon.is_some());
+        assert_eq!(trace.plan.expect("a plan ran").shannon, 1);
         // the lifted path reports no intensional trace
-        let q2 = parse("exists x. R(x)", t.schema()).unwrap();
-        let (_, trace2) = prob_boolean_traced(&q2, &t, 1).unwrap();
-        assert_eq!(trace2, EvalTrace::default());
+        let trace2 = run("exists x. R(x)");
+        assert_eq!((trace2.shannon, trace2.arena), (None, None));
+        assert_eq!(trace2.plan.expect("a plan ran").lifted, 1);
     }
 
     #[test]

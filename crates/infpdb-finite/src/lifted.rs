@@ -67,7 +67,7 @@ pub fn eval_plan(plan: &SafePlan, table: &TiTable, domain: &[Value]) -> f64 {
 /// the table's facts costs no more than building the domain, so the
 /// scan runs unless an enclosing project has already built a domain
 /// smaller than the table.
-fn eval_reached(plan: &SafePlan, table: &TiTable, domain: &GroundingDomain) -> f64 {
+pub(crate) fn eval_reached(plan: &SafePlan, table: &TiTable, domain: &GroundingDomain) -> f64 {
     match plan {
         SafePlan::Atom(atom) => atom_prob(atom, table),
         SafePlan::IndependentJoin(parts) => parts

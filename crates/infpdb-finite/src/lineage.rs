@@ -19,7 +19,8 @@ use infpdb_core::fact::{Fact, FactId};
 use infpdb_core::instance::Instance;
 use infpdb_core::value::Value;
 use infpdb_logic::ast::{Formula, Term, Var};
-use infpdb_logic::vars::{free_vars, occurs_free};
+use infpdb_logic::compile::CompiledQuery;
+use infpdb_logic::vars::{for_each_grounding, free_vars, occurs_free};
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
@@ -347,15 +348,41 @@ pub fn lineage_of_arena(
     table: &TiTable,
     arena: &mut LineageArena,
 ) -> Result<LineageId, FiniteError> {
+    lineage_in(query, table, &GroundingDomain::new(table, query), arena)
+}
+
+/// [`lineage_of_arena`] for one component of a compiled query `Q`: the
+/// component's quantifiers range over `adom(table) ∪ adom(Q)`, the
+/// domain of the whole query (Fact 2.1), not only the component's own
+/// constants. A domain-dependent component — `∃x ¬R(x)` beside `¬T(7)`
+/// — thus sees `7` exactly as the undecomposed query does.
+pub fn lineage_of_component(
+    compiled: &CompiledQuery,
+    index: usize,
+    table: &TiTable,
+    arena: &mut LineageArena,
+) -> Result<LineageId, FiniteError> {
+    let component = compiled.components()[index].formula();
+    let domain = GroundingDomain::new(table, compiled.normalized());
+    lineage_in(component, table, &domain, arena)
+}
+
+/// Grounds the sentence `query` into `arena`, every quantifier ranging
+/// over `domain`.
+pub(crate) fn lineage_in(
+    query: &Formula,
+    table: &TiTable,
+    domain: &GroundingDomain,
+    arena: &mut LineageArena,
+) -> Result<LineageId, FiniteError> {
     let fv = free_vars(query);
     if !fv.is_empty() {
         return Err(FiniteError::Logic(infpdb_logic::LogicError::NotASentence(
             fv.into_iter().collect(),
         )));
     }
-    let domain = GroundingDomain::new(table, query);
     let mut env: Vec<(Var, Value)> = Vec::new();
-    Ok(build_arena(query, table, &domain, &mut env, arena))
+    Ok(build_arena(query, table, domain, &mut env, arena))
 }
 
 fn build_arena(
@@ -453,54 +480,17 @@ pub fn answer_lineages(
     query: &Formula,
     table: &TiTable,
 ) -> Result<Vec<(Vec<Value>, Lineage)>, FiniteError> {
-    let fv: Vec<Var> = free_vars(query).into_iter().collect();
-    if fv.is_empty() {
-        let l = lineage_of(query, table)?;
-        return Ok(if l == Lineage::Bot {
-            vec![]
-        } else {
-            vec![(vec![], l)]
-        });
-    }
     let domain = GroundingDomain::new(table, query);
+    let values = || domain.values();
     let mut out = Vec::new();
-    let mut assignment: Vec<(Var, Value)> = Vec::with_capacity(fv.len());
-    ground_rec(
-        query,
-        table,
-        &fv,
-        domain.values(),
-        0,
-        &mut assignment,
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ground_rec(
-    query: &Formula,
-    table: &TiTable,
-    fv: &[Var],
-    domain: &[Value],
-    i: usize,
-    assignment: &mut Vec<(Var, Value)>,
-    out: &mut Vec<(Vec<Value>, Lineage)>,
-) -> Result<(), FiniteError> {
-    if i == fv.len() {
-        let sentence = infpdb_logic::vars::ground(query, assignment);
-        let l = lineage_of(&sentence, table)?;
+    for_each_grounding(query, values, |tuple, sentence| {
+        let l = lineage_of(sentence, table)?;
         if l != Lineage::Bot {
-            out.push((assignment.iter().map(|(_, v)| v.clone()).collect(), l));
+            out.push((tuple.to_vec(), l));
         }
-        return Ok(());
-    }
-    for v in domain {
-        assignment.push((fv[i].clone(), v.clone()));
-        ground_rec(query, table, fv, domain, i + 1, assignment, out)?;
-        assignment.pop();
-    }
-    Ok(())
+        Ok::<_, FiniteError>(())
+    })?;
+    Ok(out)
 }
 
 #[cfg(test)]

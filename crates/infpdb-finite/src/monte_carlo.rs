@@ -16,13 +16,12 @@
 //! with reused scratch buffers — no per-sample formula walk, no
 //! per-sample allocation.
 
-use crate::arena::LineageArena;
+use crate::arena::{LineageArena, LineageId};
 use crate::lineage::lineage_of_arena;
 use crate::shannon::{run_jobs, Job, TaskExecutor};
 use crate::{FiniteError, TiTable};
 use infpdb_core::space::rand_core::{RngCore, SplitMix64};
 use infpdb_logic::ast::Formula;
-use infpdb_logic::vars::free_vars;
 
 /// A Monte-Carlo estimate with its Hoeffding error bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,7 +99,7 @@ where
 /// contents are identical.
 fn run_chunk(
     arena: &LineageArena,
-    root: crate::arena::LineageId,
+    root: LineageId,
     table: &TiTable,
     n: usize,
     seed: u64,
@@ -137,21 +136,30 @@ pub fn estimate_parallel(
     threads: usize,
     exec: &dyn TaskExecutor,
 ) -> Result<Option<McEstimate>, FiniteError> {
-    let fv = free_vars(query);
-    if !fv.is_empty() {
-        return Err(FiniteError::Logic(infpdb_logic::LogicError::NotASentence(
-            fv.into_iter().collect(),
-        )));
-    }
-    assert!(samples > 0, "need at least one sample");
     let mut arena = LineageArena::new();
     let root = lineage_of_arena(query, table, &mut arena)?;
+    Ok(estimate_lineage(
+        &arena, root, table, samples, seed, threads, exec,
+    ))
+}
+
+/// [`estimate_parallel`] on an already grounded lineage.
+pub(crate) fn estimate_lineage(
+    arena: &LineageArena,
+    root: LineageId,
+    table: &TiTable,
+    samples: usize,
+    seed: u64,
+    threads: usize,
+    exec: &dyn TaskExecutor,
+) -> Option<McEstimate> {
+    assert!(samples > 0, "need at least one sample");
     let chunks = sample_chunks(samples, seed);
     let hits = if threads < 2 || chunks.len() < 2 {
         let (mut present, mut buf) = (Vec::new(), Vec::new());
         chunks
             .iter()
-            .map(|&(s, n)| run_chunk(&arena, root, table, n, s, &mut present, &mut buf))
+            .map(|&(s, n)| run_chunk(arena, root, table, n, s, &mut present, &mut buf))
             .sum()
     } else {
         let stripes = run_stripes(&chunks, threads.min(chunks.len()), exec, || {
@@ -159,17 +167,14 @@ pub fn estimate_parallel(
             let (mut present, mut buf) = (Vec::new(), Vec::new());
             move |s, n| run_chunk(&arena, root, &table, n, s, &mut present, &mut buf)
         });
-        let Some(hits) = stripes else {
-            return Ok(None);
-        };
-        hits
+        stripes?
     };
     let half_width = ((2.0f64 / 0.05).ln() / (2.0 * samples as f64)).sqrt();
-    Ok(Some(McEstimate {
+    Some(McEstimate {
         estimate: hits as f64 / samples as f64,
         samples,
         half_width,
-    }))
+    })
 }
 
 #[cfg(test)]

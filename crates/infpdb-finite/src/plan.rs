@@ -15,11 +15,12 @@
 //! this, and both samplers derive their RNG streams from the plan's
 //! per-component seeds in fixed-size chunks.
 
-use crate::arena::LineageArena;
+use crate::arena::{LineageArena, LineageId};
 use crate::engine::{shannon_traced, EvalTrace};
-use crate::lineage::lineage_of_arena;
+use crate::lineage::{lineage_in, GroundingDomain};
 use crate::{karp_luby, lifted, monte_carlo, shannon, FiniteError, TiTable};
 use infpdb_logic::compile::{CompiledQuery, Connective};
+use infpdb_logic::LogicError;
 
 /// The evaluation strategy assigned to one query component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +107,27 @@ pub struct ChosenPlan {
 }
 
 impl ChosenPlan {
+    /// The plan that needs no profile: lifted inference on every
+    /// component with a safe plan, Shannon on the rest. It is chosen for
+    /// no tolerance and samples nothing, so its costs, seeds and ε are 0.
+    pub fn exact(compiled: &CompiledQuery) -> Self {
+        let components = compiled.components().iter().map(|c| ComponentPlan {
+            strategy: if c.is_safe() {
+                Strategy::Lifted
+            } else {
+                Strategy::Shannon
+            },
+            cost: 0.0,
+            seed: 0,
+        });
+        ChosenPlan {
+            connective: compiled.connective(),
+            components: components.collect(),
+            eps: 0.0,
+            eps_trunc: 0.0,
+        }
+    }
+
     /// Compact counters for the trace: how many components ran each
     /// strategy, and the total cost estimate.
     pub fn summary(&self) -> PlanSummary {
@@ -208,7 +230,10 @@ impl PlanSummary {
 /// independent parts of all Shannon components fork as one batch of
 /// tasks (a component that does not split is one part), and samplers
 /// fork their chunk stripes. Returns `Ok(None)` when the executor
-/// skipped tasks (cancellation).
+/// skipped tasks (cancellation). Every component grounds over
+/// `adom(table) ∪ adom(Q)` of the whole compiled query (Fact 2.1, as
+/// [`crate::lineage::lineage_of_component`]), so splitting a query into
+/// components moves no domain-dependent answer.
 ///
 /// The returned trace reports what actually ran: merged Shannon/arena
 /// counters over the exact components, and `plan` set to the summary of
@@ -227,6 +252,14 @@ pub fn evaluate_plan(
         plan.components.len(),
         "plan must match the compiled query's component list"
     );
+    // every component grounds over the whole query's domain, built at
+    // most once
+    let domain = GroundingDomain::new(table, compiled.normalized());
+    let ground = |i: usize| -> Result<(LineageArena, LineageId), FiniteError> {
+        let mut arena = LineageArena::new();
+        let root = lineage_in(components[i].formula(), table, &domain, &mut arena)?;
+        Ok((arena, root))
+    };
     shannon::ScopedExecutor::or_default(exec, parallelism, |exec| {
         let mut executed = plan.clone();
         let mut trace = EvalTrace::default();
@@ -237,8 +270,11 @@ pub fn evaluate_plan(
             .collect();
         let mut forked = vec![None; components.len()];
         if !shannon.is_empty() {
-            let formulas: Vec<_> = shannon.iter().map(|&i| components[i].formula()).collect();
-            let Some(ps) = shannon_traced(&formulas, table, parallelism, exec, &mut trace)? else {
+            let grounded = shannon
+                .iter()
+                .map(|&i| ground(i))
+                .collect::<Result<_, _>>()?;
+            let Some(ps) = shannon_traced(grounded, table, parallelism, exec, &mut trace) else {
                 return Ok(None);
             };
             for (&i, p) in shannon.iter().zip(ps) {
@@ -248,29 +284,39 @@ pub fn evaluate_plan(
         let mut acc = 1.0f64;
         let mut single = 0.0f64;
         for (i, (comp, cplan)) in components.iter().zip(&plan.components).enumerate() {
-            let formula = comp.formula();
             let p = match cplan.strategy {
                 _ if forked[i].is_some() => forked[i],
-                Strategy::Lifted => Some(lifted::prob_hierarchical(formula, table)?),
+                // the safe plan compilation derived for the component
+                Strategy::Lifted => match comp.safe_plan() {
+                    Some(safe) => Some(lifted::eval_reached(safe, table, &domain)),
+                    None => {
+                        return Err(FiniteError::Logic(LogicError::UnsupportedFragment(
+                            "lifted inference needs a component with a safe plan".into(),
+                        )))
+                    }
+                },
                 Strategy::Shannon => {
-                    shannon_traced(&[formula], table, parallelism, exec, &mut trace)?
+                    shannon_traced(vec![ground(i)?], table, parallelism, exec, &mut trace)
                         .map(|ps| ps[0])
                 }
-                Strategy::MonteCarlo { samples } => monte_carlo::estimate_parallel(
-                    formula,
-                    table,
-                    samples,
-                    cplan.seed,
-                    parallelism,
-                    exec,
-                )?
-                .map(|e| e.estimate),
+                Strategy::MonteCarlo { samples } => {
+                    let (arena, root) = ground(i)?;
+                    monte_carlo::estimate_lineage(
+                        &arena,
+                        root,
+                        table,
+                        samples,
+                        cplan.seed,
+                        parallelism,
+                        exec,
+                    )
+                    .map(|e| e.estimate)
+                }
                 Strategy::KarpLuby {
                     samples,
                     max_clauses,
                 } => {
-                    let mut arena = LineageArena::new();
-                    let root = lineage_of_arena(formula, table, &mut arena)?;
+                    let (arena, root) = ground(i)?;
                     match karp_luby::to_dnf_arena(&arena, root, max_clauses) {
                         Some(dnf) => karp_luby::estimate_dnf_parallel(
                             &dnf,
@@ -285,7 +331,7 @@ pub fn evaluate_plan(
                         // outgrew the clause cap the profile predicted under
                         None => {
                             executed.components[i].strategy = Strategy::Shannon;
-                            shannon_traced(&[formula], table, parallelism, exec, &mut trace)?
+                            shannon_traced(vec![ground(i)?], table, parallelism, exec, &mut trace)
                                 .map(|ps| ps[0])
                         }
                     }
@@ -316,7 +362,6 @@ mod tests {
     use crate::worlds::prob_boolean_brute;
     use infpdb_core::fact::Fact;
     use infpdb_core::schema::{Relation, Schema};
-    use infpdb_logic::compile::QueryComponent;
     use infpdb_logic::parse;
     use std::sync::Mutex;
 
@@ -351,24 +396,12 @@ mod tests {
         .unwrap()
     }
 
-    fn exact_plan(
-        compiled: &CompiledQuery,
-        strategy_for: impl Fn(&QueryComponent) -> Strategy,
-    ) -> ChosenPlan {
-        ChosenPlan {
-            connective: compiled.connective(),
-            components: compiled
-                .components()
-                .iter()
-                .map(|c| ComponentPlan {
-                    strategy: strategy_for(c),
-                    cost: 1.0,
-                    seed: 42,
-                })
-                .collect(),
-            eps: 0.01,
-            eps_trunc: 0.01,
+    fn all_shannon(compiled: &CompiledQuery) -> ChosenPlan {
+        let mut plan = ChosenPlan::exact(compiled);
+        for c in &mut plan.components {
+            c.strategy = Strategy::Shannon;
         }
+        plan
     }
 
     #[test]
@@ -379,13 +412,7 @@ mod tests {
         assert_eq!(compiled.components().len(), 2);
         let brute = prob_boolean_brute(&q, &t).unwrap();
         // lifted on safe components
-        let plan = exact_plan(&compiled, |c| {
-            if c.is_safe() {
-                Strategy::Lifted
-            } else {
-                Strategy::Shannon
-            }
-        });
+        let plan = ChosenPlan::exact(&compiled);
         let (p, trace) = evaluate_plan(&compiled, &plan, &t, 1, None)
             .unwrap()
             .unwrap();
@@ -393,13 +420,43 @@ mod tests {
         let summary = trace.plan.expect("plan summary filled");
         assert_eq!(summary.lifted, 2);
         // all-Shannon agrees too
-        let plan2 = exact_plan(&compiled, |_| Strategy::Shannon);
+        let plan2 = all_shannon(&compiled);
         let (p2, trace2) = evaluate_plan(&compiled, &plan2, &t, 1, None)
             .unwrap()
             .unwrap();
         assert!((p2 - brute).abs() < 1e-12);
         assert_eq!(trace2.plan.unwrap().shannon, 2);
         assert!(trace2.shannon.is_some() && trace2.arena.is_some());
+    }
+
+    #[test]
+    fn components_ground_over_the_whole_querys_domain() {
+        let t = table();
+        // `7` is outside adom(table) and appears only in the second
+        // component: it witnesses `∃x ¬R(x)` and refutes `∀x R(x)`, as in
+        // the world semantics, only if the first component grounds over
+        // the whole query's constants
+        for (qs, expected) in [
+            ("(exists x. !R(x)) /\\ !T(7)", 1.0),
+            ("(forall x. R(x)) \\/ T(7)", 0.0),
+        ] {
+            let q = parse(qs, t.schema()).unwrap();
+            let compiled = CompiledQuery::compile(t.schema(), &q);
+            assert_eq!(compiled.components().len(), 2, "{qs}");
+            assert_eq!(prob_boolean_brute(&q, &t).unwrap(), expected, "{qs}");
+            let mut sampled = all_shannon(&compiled);
+            for c in &mut sampled.components {
+                c.strategy = Strategy::MonteCarlo { samples: 1000 };
+            }
+            for plan in [all_shannon(&compiled), sampled] {
+                for threads in [1, 2] {
+                    let (p, _) = evaluate_plan(&compiled, &plan, &t, threads, None)
+                        .unwrap()
+                        .unwrap();
+                    assert_eq!(p, expected, "{qs} at {threads} threads");
+                }
+            }
+        }
     }
 
     #[test]
@@ -567,7 +624,7 @@ mod tests {
             let q = parse(qs, t.schema()).unwrap();
             let compiled = CompiledQuery::compile(t.schema(), &q);
             assert_eq!(compiled.components().len(), 2, "{qs}");
-            let plan = exact_plan(&compiled, |_| Strategy::Shannon);
+            let plan = all_shannon(&compiled);
             let (p1, tr1) = evaluate_plan(&compiled, &plan, &t, 1, None)
                 .unwrap()
                 .unwrap();

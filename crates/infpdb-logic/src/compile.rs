@@ -14,8 +14,9 @@
 //!   this is the plan-cache key `infpdb-serve` uses,
 //! * the **rank profile** (`r` and `s` of Proposition 6.1's `O(n + r + s)`
 //!   bound, plus node/atom counts for cost estimates), and
-//! * the extensional **safe plan** when the query is a hierarchical
-//!   self-join-free CQ (`None` otherwise — the lineage engine handles it).
+//! * the relation-disjoint **components**, each with its extensional
+//!   safe plan when it is a hierarchical self-join-free CQ on its own
+//!   (`None` otherwise — the lineage engine handles it).
 //!
 //! Compilation is total: every well-formed formula compiles; safety is
 //! recorded, not required.
@@ -118,29 +119,21 @@ impl QueryComponent {
     }
 }
 
-/// A query compiled once: original formula, normal form, fingerprint,
-/// rank profile, relation-disjoint components, and (when one exists)
-/// extensional safe plan.
-///
-/// The original formula is retained verbatim because the execute phase's
-/// partial answer on cancellation evaluates *it* — not the normal form —
-/// with the exact engine, bit-for-bit what that engine returns for the
-/// formula as written.
+/// A query compiled once: normal form, fingerprint, rank profile, and
+/// the relation-disjoint components every evaluation plans and runs.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
-    original: Formula,
     normalized: Formula,
     fingerprint: u64,
     profile: QueryProfile,
-    safe_plan: Option<SafePlan>,
     connective: Connective,
     components: Vec<QueryComponent>,
 }
 
 impl CompiledQuery {
     /// Compiles a formula: rectify → NNF → fingerprint → rank profile →
-    /// safety analysis. Never fails; unsafe or non-CQ queries simply get
-    /// no [`SafePlan`].
+    /// decomposition, with the safety analysis per component. Never
+    /// fails; unsafe or non-CQ components simply get no [`SafePlan`].
     pub fn compile(schema: &Schema, query: &Formula) -> Self {
         let normalized = to_nnf(&rectify(query));
         let fingerprint = fingerprint_normalized(schema, &normalized);
@@ -150,14 +143,11 @@ impl CompiledQuery {
             atoms: crate::rank::atom_count(query),
             nodes: crate::rank::node_count(query),
         };
-        let safe_plan = as_cq(&normalized).ok().and_then(|cq| safe_plan(&cq).ok());
         let (connective, components) = decompose(&normalized);
         CompiledQuery {
-            original: query.clone(),
             normalized,
             fingerprint,
             profile,
-            safe_plan,
             connective,
             components,
         }
@@ -166,11 +156,6 @@ impl CompiledQuery {
     /// Parses and compiles query text in one step.
     pub fn compile_text(schema: &Schema, text: &str) -> Result<Self, LogicError> {
         Ok(Self::compile(schema, &crate::parse(text, schema)?))
-    }
-
-    /// The formula exactly as submitted (what the execute phase runs).
-    pub fn original(&self) -> &Formula {
-        &self.original
     }
 
     /// The rectified negation normal form.
@@ -186,17 +171,6 @@ impl CompiledQuery {
     /// The rank profile.
     pub fn profile(&self) -> QueryProfile {
         self.profile
-    }
-
-    /// The extensional safe plan, when the normalized query is a
-    /// hierarchical self-join-free CQ.
-    pub fn safe_plan(&self) -> Option<&SafePlan> {
-        self.safe_plan.as_ref()
-    }
-
-    /// Whether an extensional safe plan exists.
-    pub fn is_safe(&self) -> bool {
-        self.safe_plan.is_some()
     }
 
     /// How [`components`](Self::components) combine back into `P(Q)`.
@@ -432,8 +406,7 @@ mod tests {
         let s = schema();
         let q = parse("!(!R(1))", &s).unwrap();
         let cq = CompiledQuery::compile(&s, &q);
-        assert_eq!(cq.original(), &q);
-        // while the normal form collapses the double negation
+        // the normal form collapses the double negation
         assert_eq!(cq.normalized(), &parse("R(1)", &s).unwrap());
     }
 
@@ -468,13 +441,14 @@ mod tests {
 
     #[test]
     fn safe_plan_recorded_for_hierarchical_cqs_only() {
-        assert!(compile("exists x. R(x)").is_safe());
-        assert!(compile("exists x. exists y. S(x, y)").is_safe());
+        let first = |q: &str| compile(q).components()[0].clone();
+        assert!(first("exists x. R(x)").is_safe());
+        assert!(first("exists x. exists y. S(x, y)").is_safe());
         // a self-join is not safe-plannable
-        let unsafe_q = compile("exists x. exists y. R(x) /\\ R(y)");
+        let unsafe_q = first("exists x. exists y. R(x) /\\ R(y)");
         assert!(unsafe_q.safe_plan().is_none());
         // non-CQ shapes compile fine without a plan
-        assert!(!compile("forall x. R(x)").is_safe());
+        assert!(!first("forall x. R(x)").is_safe());
     }
 
     #[test]

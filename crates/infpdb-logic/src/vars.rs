@@ -4,7 +4,8 @@
 //! answers of an FO query on instance `D` are contained in
 //! `(adom(D) ∪ adom(φ))^k`. Grounding free variables by constants
 //! ([`substitute`]) is how Proposition 6.1 lifts Boolean evaluation to
-//! queries with free variables: `Q(~a)` for all `~a ∈ adom(Ω_n)^k`.
+//! queries with free variables: `Q(~a)` for all `~a ∈ adom(Ω_n)^k`, the
+//! tuples [`for_each_grounding`] enumerates.
 
 use crate::ast::{Formula, Term, Var};
 use infpdb_core::value::Value;
@@ -134,12 +135,40 @@ pub fn substitute(f: &Formula, var: &str, value: &Value) -> Formula {
     }
 }
 
-/// Grounds a formula with a full assignment for its free variables (in the
-/// order given). Returns a sentence.
-pub fn ground(f: &Formula, assignment: &[(Var, Value)]) -> Formula {
-    assignment
-        .iter()
-        .fold(f.clone(), |acc, (v, val)| substitute(&acc, v, val))
+/// Calls `visit(tuple, sentence)` for every grounding of the free
+/// variables of `query` by values of `domain()`: variables in sorted
+/// order, values in domain order, so the tuples come in lexicographic
+/// order. A sentence gets exactly one visit, with the empty tuple, and
+/// never builds the domain. The first error `visit` returns stops the
+/// enumeration.
+pub fn for_each_grounding<D: AsRef<[Value]>, E>(
+    query: &Formula,
+    domain: impl FnOnce() -> D,
+    mut visit: impl FnMut(&[Value], &Formula) -> Result<(), E>,
+) -> Result<(), E> {
+    fn rec<E, F: FnMut(&[Value], &Formula) -> Result<(), E>>(
+        f: &Formula,
+        vars: &[Var],
+        domain: &[Value],
+        tuple: &mut Vec<Value>,
+        visit: &mut F,
+    ) -> Result<(), E> {
+        let Some((var, rest)) = vars.split_first() else {
+            return visit(tuple, f);
+        };
+        for value in domain {
+            tuple.push(value.clone());
+            rec(&substitute(f, var, value), rest, domain, tuple, visit)?;
+            tuple.pop();
+        }
+        Ok(())
+    }
+    let vars: Vec<Var> = free_vars(query).into_iter().collect();
+    if vars.is_empty() {
+        return visit(&[], query);
+    }
+    let mut tuple = Vec::with_capacity(vars.len());
+    rec(query, &vars, domain().as_ref(), &mut tuple, &mut visit)
 }
 
 #[cfg(test)]
@@ -249,15 +278,42 @@ mod tests {
     }
 
     #[test]
-    fn ground_applies_full_assignment() {
-        let f = atom(vec![Term::var("x"), Term::var("y")]);
-        let g = ground(
-            &f,
-            &[
-                ("x".to_string(), Value::int(1)),
-                ("y".to_string(), Value::int(2)),
-            ],
-        );
-        assert_eq!(g, atom(vec![Term::cnst(1i64), Term::cnst(2i64)]));
+    fn groundings_enumerate_tuples_lexicographically() {
+        let visits = |f: &Formula, domain: &[Value]| {
+            let mut out = Vec::new();
+            for_each_grounding(
+                f,
+                || domain,
+                |tuple, sentence| {
+                    out.push((tuple.to_vec(), sentence.clone()));
+                    Ok::<_, ()>(())
+                },
+            )
+            .unwrap();
+            out
+        };
+        // free variables in sorted order (x before y), whatever order the
+        // atom mentions them in; values in domain order
+        let f = atom(vec![Term::var("y"), Term::var("x")]);
+        let domain = [3, 1, 2].map(Value::int);
+        let mut expected = Vec::new();
+        for x in &domain {
+            for y in &domain {
+                let sentence = atom(vec![Term::Const(y.clone()), Term::Const(x.clone())]);
+                expected.push((vec![x.clone(), y.clone()], sentence));
+            }
+        }
+        assert_eq!(visits(&f, &domain), expected);
+        // a sentence: one visit, with the empty tuple, and no domain
+        let g = Formula::exists("x", atom(vec![Term::var("x")]));
+        assert_eq!(visits(&g, &domain), [(vec![], g.clone())]);
+        let unbuilt = || -> &[Value] { panic!("a sentence builds no domain") };
+        let mut calls = 0;
+        for_each_grounding(&g, unbuilt, |_, _| {
+            calls += 1;
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        assert_eq!(calls, 1);
     }
 }

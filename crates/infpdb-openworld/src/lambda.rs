@@ -17,9 +17,10 @@ use infpdb_core::fact::Fact;
 use infpdb_core::schema::Schema;
 use infpdb_core::universe::Universe;
 use infpdb_core::value::Value;
-use infpdb_finite::engine;
+use infpdb_finite::plan::{evaluate_plan, ChosenPlan};
 use infpdb_finite::TiTable;
 use infpdb_logic::ast::Formula;
+use infpdb_logic::compile::CompiledQuery;
 use infpdb_logic::normal::as_ucq;
 use infpdb_math::ProbInterval;
 
@@ -133,9 +134,15 @@ impl LambdaCompletion {
         if let Err(e) = as_ucq(query) {
             return Err(OpenWorldError::NotMonotone(e.to_string()));
         }
-        let lo = engine::prob_boolean(query, &self.base)?;
-        let upper = self.upper_table()?;
-        let hi = engine::prob_boolean(query, &upper)?;
+        // one compilation for both endpoints
+        let compiled = CompiledQuery::compile(self.schema(), query);
+        let exact = ChosenPlan::exact(&compiled);
+        let prob = |table: &TiTable| {
+            evaluate_plan(&compiled, &exact, table, 1, None)
+                .map(|r| r.expect("the fork-join executor runs every task").0)
+        };
+        let lo = prob(&self.base)?;
+        let hi = prob(&self.upper_table()?)?;
         ProbInterval::new(lo, hi).map_err(OpenWorldError::Math)
     }
 

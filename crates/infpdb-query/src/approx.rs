@@ -98,26 +98,8 @@ pub fn approx_prob_boolean_par(
     PreparedQuery::prepare(prepared, query, engine, PlanKnobs::default())
         .with_parallelism(parallelism)
         // a fresh token never cancels
-        .execute(eps, &CancelToken::new(), PartialOnCancel::Skip, None)
+        .execute(eps, &CancelToken::new(), None)
         .map(|e| e.approx)
-}
-
-/// Whether a cancelled evaluation should still produce a sound partial
-/// answer from the facts processed so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartialOnCancel {
-    /// Run the exact evaluator on the partial prefix (at the tolerance
-    /// [`partial_certificate`](crate::truncate::partial_certificate)
-    /// certifies) and attach the result to the
-    /// [`CancelInfo`](crate::cancel::CancelInfo). This spends one
-    /// evaluation *after* the cancellation fired, bounded by the work
-    /// already admitted.
-    #[default]
-    Evaluate,
-    /// Return immediately; the partial answer
-    /// ([`CancelInfo::partial`](crate::cancel::CancelInfo::partial)) is
-    /// `None`.
-    Skip,
 }
 
 #[cfg(test)]

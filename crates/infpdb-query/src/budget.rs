@@ -16,12 +16,16 @@
 
 use crate::truncate::TruncationPlan;
 use crate::QueryError;
-use infpdb_finite::engine;
+use infpdb_core::value::Value;
+use infpdb_finite::plan::{evaluate_plan, ChosenPlan};
 use infpdb_finite::TiTable;
 use infpdb_logic::ast::Formula;
+use infpdb_logic::compile::CompiledQuery;
+use infpdb_logic::vars::for_each_grounding;
 use infpdb_math::KahanSum;
 use infpdb_openworld::CompletedPdb;
 use infpdb_ti::construction::CountableTiPdb;
+use std::collections::BTreeSet;
 
 /// An inspectable plan for an ε-evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,14 +68,28 @@ pub fn n_of_eps_profile(
 
 /// Additive-ε approximation of `P′(Q)` on a completed PDB (mixture of a
 /// finite original with an independent t.i. tail), each world's
-/// conditional table evaluated exactly by [`engine::prob_boolean`].
+/// conditional table evaluated exactly by [`ChosenPlan::exact`] through
+/// [`evaluate_plan`].
 pub fn approx_prob_completed(
     completed: &CompletedPdb,
     query: &Formula,
     eps: f64,
 ) -> Result<crate::approx::Approximation, QueryError> {
     let tail_plan = TruncationPlan::new(completed.tail(), eps)?;
+    prob_completed(completed, &tail_plan, query, eps)
+}
+
+/// [`approx_prob_completed`] on an already truncated tail.
+fn prob_completed(
+    completed: &CompletedPdb,
+    tail_plan: &TruncationPlan,
+    query: &Formula,
+    eps: f64,
+) -> Result<crate::approx::Approximation, QueryError> {
     let original = completed.original();
+    // one compilation for every world's conditional table
+    let compiled = CompiledQuery::compile(original.schema(), query);
+    let exact = ChosenPlan::exact(&compiled);
     let mut acc = KahanSum::new();
     for (world, pw) in original.space().outcomes() {
         if *pw == 0.0 {
@@ -90,7 +108,8 @@ pub fn approx_prob_completed(
                 .add_fact(fact.clone(), p)
                 .map_err(|e| QueryError::Finite(e.to_string()))?;
         }
-        let cond = engine::prob_boolean(query, &table)?;
+        let (cond, _) = evaluate_plan(&compiled, &exact, &table, 1, None)?
+            .expect("the fork-join executor runs every task");
         acc.add(pw * cond);
     }
     Ok(crate::approx::Approximation {
@@ -104,78 +123,33 @@ pub fn approx_prob_completed(
 /// Approximate marginal answers on a completed PDB: for each valuation of
 /// the free variables over the combined active domain (original worlds ∪
 /// truncated tail ∪ query constants), evaluate the ground sentence through
-/// [`approx_prob_completed`]'s mixture decomposition. Each marginal is
-/// within additive ε.
+/// [`approx_prob_completed`]'s mixture decomposition, on one truncation
+/// of the tail. Each marginal is within additive ε.
 pub fn approx_answers_completed(
     completed: &CompletedPdb,
     query: &Formula,
     eps: f64,
-) -> Result<Vec<(Vec<infpdb_core::value::Value>, f64)>, QueryError> {
-    use infpdb_core::value::Value;
-    let fv: Vec<String> = infpdb_logic::vars::free_vars(query).into_iter().collect();
-    if fv.is_empty() {
-        let a = approx_prob_completed(completed, query, eps)?;
-        return Ok(if a.estimate > 0.0 {
-            vec![(vec![], a.estimate)]
-        } else {
-            vec![]
-        });
-    }
+) -> Result<Vec<(Vec<Value>, f64)>, QueryError> {
     let tail_plan = TruncationPlan::new(completed.tail(), eps)?;
-    let mut domain: Vec<Value> = completed.original().active_domain().into_iter().collect();
-    for v in tail_plan.table.active_domain() {
-        if !domain.contains(&v) {
-            domain.push(v);
-        }
-    }
-    for c in infpdb_logic::vars::constants(query) {
-        if !domain.contains(&c) {
-            domain.push(c);
-        }
-    }
+    // each value at its first place in original, tail, constants
+    let domain = || {
+        let mut seen = BTreeSet::new();
+        let original = completed.original().active_domain();
+        let values = original.into_iter().chain(tail_plan.table.active_domain());
+        let values = values.chain(infpdb_logic::vars::constants(query));
+        values
+            .filter(|v| seen.insert(v.clone()))
+            .collect::<Vec<_>>()
+    };
     let mut out = Vec::new();
-    let mut assignment: Vec<(String, Value)> = Vec::with_capacity(fv.len());
-    answers_rec(
-        completed,
-        query,
-        eps,
-        &fv,
-        &domain,
-        0,
-        &mut assignment,
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn answers_rec(
-    completed: &CompletedPdb,
-    query: &Formula,
-    eps: f64,
-    fv: &[String],
-    domain: &[infpdb_core::value::Value],
-    i: usize,
-    assignment: &mut Vec<(String, infpdb_core::value::Value)>,
-    out: &mut Vec<(Vec<infpdb_core::value::Value>, f64)>,
-) -> Result<(), QueryError> {
-    if i == fv.len() {
-        let sentence = infpdb_logic::vars::ground(query, assignment);
-        let a = approx_prob_completed(completed, &sentence, eps)?;
+    for_each_grounding(query, domain, |tuple, sentence| {
+        let a = prob_completed(completed, &tail_plan, sentence, eps)?;
         if a.estimate > 0.0 {
-            out.push((
-                assignment.iter().map(|(_, v)| v.clone()).collect(),
-                a.estimate,
-            ));
+            out.push((tuple.to_vec(), a.estimate));
         }
-        return Ok(());
-    }
-    for v in domain {
-        assignment.push((fv[i].clone(), v.clone()));
-        answers_rec(completed, query, eps, fv, domain, i + 1, assignment, out)?;
-        assignment.pop();
-    }
-    Ok(())
+        Ok::<_, QueryError>(())
+    })?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -183,7 +157,6 @@ mod tests {
     use super::*;
     use infpdb_core::fact::Fact;
     use infpdb_core::schema::{RelId, Relation, Schema};
-    use infpdb_core::value::Value;
     use infpdb_finite::FinitePdb;
     use infpdb_logic::parse;
     use infpdb_math::series::{GeometricSeries, ZetaSeries};

@@ -49,8 +49,7 @@ pub struct CancelInfo {
     /// A sound anytime answer from the facts processed so far, when one
     /// exists: a full [`Approximation`] at the (wider) tolerance the
     /// partial prefix certifies. `None` when the prefix was too short to
-    /// certify anything non-vacuous, or partial evaluation was not
-    /// requested.
+    /// certify anything non-vacuous, or the request's plan samples.
     pub partial: Option<Approximation>,
 }
 

@@ -291,7 +291,6 @@ fn verify_against_supply(prepared: &PreparedPdb, recovered: &Recovered) -> (Fact
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::PartialOnCancel;
     use crate::cancel::CancelToken;
     use crate::planner::{Engine, PlanKnobs, StrategyKind};
     use crate::prepared::PreparedQuery;
@@ -343,7 +342,7 @@ mod tests {
         let prepared = PreparedPdb::new(pdb.clone());
         prepared.warm(0.001).unwrap();
         let baseline = PreparedQuery::prepare(prepared.clone(), &q, SHANNON, PlanKnobs::default())
-            .execute(0.001, &CancelToken::new(), PartialOnCancel::Evaluate, None)
+            .execute(0.001, &CancelToken::new(), None)
             .unwrap();
         prepared
             .persist(&store, Some(7), Some(Json::obj([("tail", Json::Int(1))])))
@@ -362,7 +361,7 @@ mod tests {
         );
         assert_eq!(reopened.materialized_len(), prepared.materialized_len());
         let replay = PreparedQuery::prepare(reopened, &q, SHANNON, PlanKnobs::default())
-            .execute(0.001, &CancelToken::new(), PartialOnCancel::Evaluate, None)
+            .execute(0.001, &CancelToken::new(), None)
             .unwrap();
         assert_eq!(
             replay.approx, baseline.approx,
@@ -449,10 +448,10 @@ mod tests {
                 let q = parse("exists x. R(x)", pdb.schema()).unwrap();
                 let fresh = PreparedPdb::new(pdb.clone());
                 let a = PreparedQuery::prepare(reopened, &q, SHANNON, PlanKnobs::default())
-                    .execute(0.01, &CancelToken::new(), PartialOnCancel::Evaluate, None)
+                    .execute(0.01, &CancelToken::new(), None)
                     .unwrap();
                 let b = PreparedQuery::prepare(fresh, &q, SHANNON, PlanKnobs::default())
-                    .execute(0.01, &CancelToken::new(), PartialOnCancel::Evaluate, None)
+                    .execute(0.01, &CancelToken::new(), None)
                     .unwrap();
                 assert_eq!(a.approx, b.approx, "recovered prefix answers match fresh");
             }
@@ -540,7 +539,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let err = PreparedQuery::prepare(reopened, &q, Engine::Auto, PlanKnobs::default())
-            .execute(0.01, &token, PartialOnCancel::Evaluate, None)
+            .execute(0.01, &token, None)
             .unwrap_err();
         assert!(matches!(err, crate::QueryError::Cancelled(_)));
         std::fs::remove_dir_all(&dir).ok();

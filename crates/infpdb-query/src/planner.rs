@@ -51,7 +51,7 @@ use crate::truncate::TruncationPlan;
 use crate::QueryError;
 use infpdb_core::fingerprint::Fingerprinter;
 use infpdb_finite::arena::LineageArena;
-use infpdb_finite::lineage::lineage_of_arena;
+use infpdb_finite::lineage::lineage_of_component;
 use infpdb_finite::plan::{ChosenPlan, ComponentPlan, Strategy};
 use infpdb_finite::{karp_luby, monte_carlo, shannon, TiTable};
 use infpdb_logic::compile::{CompiledQuery, Connective};
@@ -180,9 +180,9 @@ impl PlanProfile {
         knobs: &PlanKnobs,
     ) -> Result<PlanProfile, QueryError> {
         let mut rows = Vec::with_capacity(compiled.components().len());
-        for comp in compiled.components() {
+        for (i, comp) in compiled.components().iter().enumerate() {
             let mut arena = LineageArena::new();
-            let root = lineage_of_arena(comp.formula(), profile_table, &mut arena)
+            let root = lineage_of_component(compiled, i, profile_table, &mut arena)
                 .map_err(QueryError::from)?;
             let nodes = arena.stats().nodes;
             let vars = arena.vars(root).len();

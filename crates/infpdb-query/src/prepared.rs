@@ -30,14 +30,15 @@
 //! Catalog extension ([`PreparedPdb::prefix_for`], the crate's one
 //! cancellable fact loop) checkpoints the [`CancelToken`] every
 //! [`CHECK_EVERY`] facts, and a cancelled execution can still certify a
-//! sound partial answer via [`partial_certificate`].
+//! sound partial answer via [`partial_certificate`]: the plan the request
+//! chose, run by [`evaluate_plan`] on the facts materialized so far.
 
-use crate::approx::{Approximation, PartialOnCancel};
+use crate::approx::Approximation;
 use crate::cancel::{CancelInfo, CancelKind, CancelToken, CHECK_EVERY};
 use crate::planner::{self, Engine, PlanEvent, PlanKnobs, PlanProfile, Planner, ProfileOutcome};
 use crate::truncate::partial_certificate;
 use crate::QueryError;
-use infpdb_finite::engine::{self, EvalTrace};
+use infpdb_finite::engine::EvalTrace;
 use infpdb_finite::plan::{evaluate_plan, ChosenPlan};
 use infpdb_finite::shannon::TaskExecutor;
 use infpdb_finite::TiTable;
@@ -47,6 +48,7 @@ use infpdb_math::truncation::{self, Truncation};
 use infpdb_ti::catalog::FactCatalog;
 use infpdb_ti::construction::CountableTiPdb;
 use infpdb_ti::fingerprint::countable_pdb_fingerprint;
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex, OnceLock};
 
 #[derive(Debug)]
@@ -260,13 +262,12 @@ impl PreparedQuery {
     /// parallel tasks (a fork-join executor when `None`); one that skips
     /// tasks because `cancel` fired surfaces as
     /// [`QueryError::Cancelled`] too. A cancelled execution carries a
-    /// sound partial answer when `partial_policy` asks for one and no
-    /// component of the chosen plan samples.
+    /// sound partial answer unless a component of the chosen plan
+    /// samples.
     pub fn execute(
         &self,
         eps: f64,
         cancel: &CancelToken,
-        partial_policy: PartialOnCancel,
         exec: Option<&dyn TaskExecutor>,
     ) -> Result<Execution, QueryError> {
         // validates ε (Proposition 6.1 needs ε ∈ (0, 1/2)) before the
@@ -334,9 +335,7 @@ impl PreparedQuery {
         };
         Err(cancelled(
             self.pdb.pdb(),
-            self.compiled.original(),
-            self.parallelism,
-            partial_policy,
+            &self.compiled,
             chosen.as_deref(),
             stop,
         ))
@@ -345,32 +344,33 @@ impl PreparedQuery {
 
 /// The cancellation tail of [`PreparedQuery::execute`]: certify the
 /// facts materialized before the checkpoint fired, at the `ε_m` their
-/// prefix supports, and (policy permitting) evaluate a sound partial
-/// answer on them with the exact evaluator. When the chosen plan samples
-/// a component there is no partial: the exact evaluator would run the
-/// Shannon expansion the plan priced out, after the budget is spent.
+/// prefix supports, and evaluate a sound partial answer on them with the
+/// plan the request chose — [`ChosenPlan::exact`] when the profile was
+/// cut short before any plan existed. It runs on the calling thread:
+/// the bits are those of any parallelism (the determinism contract of
+/// [`evaluate_plan`]), no thread is forked after the deadline, and the
+/// request's executor, which skips every task once its token fired,
+/// cannot drop the partial. A plan that samples gets no partial: its
+/// estimate would carry a sampling error the certified `ε_m` does not
+/// cover.
 fn cancelled(
     pdb: &CountableTiPdb,
-    query: &Formula,
-    parallelism: usize,
-    partial_policy: PartialOnCancel,
+    compiled: &CompiledQuery,
     plan: Option<&ChosenPlan>,
     (kind, facts_processed, partial_table): (CancelKind, usize, TiTable),
 ) -> QueryError {
-    let evaluate =
-        partial_policy == PartialOnCancel::Evaluate && !plan.is_some_and(ChosenPlan::has_sampling);
-    let partial = evaluate
+    let plan = plan.map_or_else(|| Cow::Owned(ChosenPlan::exact(compiled)), Cow::Borrowed);
+    let partial = (!plan.has_sampling())
         .then(|| partial_certificate(pdb, facts_processed))
         .flatten()
         .and_then(|(trunc, eps_m)| {
-            engine::prob_boolean_traced(query, &partial_table, parallelism)
-                .ok()
-                .map(|(estimate, _)| Approximation {
-                    estimate,
-                    eps: eps_m,
-                    n: trunc.n,
-                    tail_mass: trunc.tail_mass,
-                })
+            let (estimate, _) = evaluate_plan(compiled, &plan, &partial_table, 1, None).ok()??;
+            Some(Approximation {
+                estimate,
+                eps: eps_m,
+                n: trunc.n,
+                tail_mass: trunc.tail_mass,
+            })
         });
     QueryError::Cancelled(CancelInfo {
         kind,
@@ -382,8 +382,11 @@ fn cancelled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::StrategyKind;
     use crate::truncate::TruncationPlan;
+    use infpdb_core::fact::Fact;
     use infpdb_core::schema::{RelId, Relation, Schema};
+    use infpdb_core::value::Value;
     use infpdb_logic::parse;
     use infpdb_math::series::{GeometricSeries, ZetaSeries};
     use infpdb_ti::enumerator::FactSupply;
@@ -397,8 +400,7 @@ mod tests {
     }
 
     fn run(pq: &PreparedQuery, eps: f64) -> Execution {
-        pq.execute(eps, &CancelToken::new(), PartialOnCancel::Evaluate, None)
-            .unwrap()
+        pq.execute(eps, &CancelToken::new(), None).unwrap()
     }
 
     fn geometric() -> CountableTiPdb {
@@ -484,7 +486,7 @@ mod tests {
         let q = parse("exists x. R(x)", prepared.pdb().schema()).unwrap();
         let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Auto, knobs());
         for eps in [0.5, 0.0, -0.1, f64::NAN] {
-            let err = pq.execute(eps, &CancelToken::new(), PartialOnCancel::Evaluate, None);
+            let err = pq.execute(eps, &CancelToken::new(), None);
             assert!(
                 matches!(err, Err(QueryError::Math(_))),
                 "eps {eps}: {err:?}"
@@ -504,7 +506,7 @@ mod tests {
         let truth = zeta_exists_truth();
         let pq = PreparedQuery::prepare(PreparedPdb::new(pdb.clone()), &q, Engine::Auto, knobs());
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        let result = pq.execute(0.01, &token, PartialOnCancel::Evaluate, None);
+        let result = pq.execute(0.01, &token, None);
         let info = cancel_info(result.unwrap_err());
         assert_eq!(info.kind, CancelKind::Deadline);
         if let Some(partial) = info.partial {
@@ -515,7 +517,8 @@ mod tests {
         // the same tail after 4096 facts, which certify a partial
         let m = 4096;
         let stop = (CancelKind::Deadline, m, pdb.truncate(m).unwrap());
-        let tail = cancelled(&pdb, &q, 1, PartialOnCancel::Evaluate, None, stop);
+        let compiled = CompiledQuery::compile(pdb.schema(), &q);
+        let tail = cancelled(&pdb, &compiled, None, stop);
         let partial = cancel_info(tail).partial.expect("4096 facts certify");
         assert_eq!(partial.n, m);
         assert!(partial.eps < 0.01);
@@ -523,13 +526,13 @@ mod tests {
     }
 
     #[test]
-    fn skip_policy_returns_no_partial() {
+    fn a_pre_cancelled_token_certifies_no_partial() {
         let prepared = PreparedPdb::new(geometric());
         let q = parse("exists x. R(x)", prepared.pdb().schema()).unwrap();
         let pq = PreparedQuery::prepare(prepared, &q, Engine::Auto, knobs());
         let token = CancelToken::new();
         token.cancel();
-        let result = pq.execute(0.01, &token, PartialOnCancel::Skip, None);
+        let result = pq.execute(0.01, &token, None);
         let info = cancel_info(result.unwrap_err());
         assert_eq!(info.kind, CancelKind::Explicit);
         assert_eq!(info.facts_processed, 0);
@@ -559,8 +562,7 @@ mod tests {
                 eps_trunc: 0.01,
             };
             let stop = (CancelKind::Deadline, n, prefix.table.clone());
-            let policy = PartialOnCancel::Evaluate;
-            cancel_info(cancelled(&p, &q, 1, policy, Some(&plan), stop))
+            cancel_info(cancelled(&p, &compiled, Some(&plan), stop))
         };
         let sampled = tail(Strategy::MonteCarlo { samples: 1000 });
         assert_eq!(sampled.facts_processed, n);
@@ -637,7 +639,7 @@ mod tests {
         let q = parse("exists x. R(x)", prepared.pdb().schema()).unwrap();
         let pq = PreparedQuery::prepare(prepared.clone(), &q, Engine::Auto, knobs());
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        let result = pq.execute(0.01, &token, PartialOnCancel::Evaluate, None);
+        let result = pq.execute(0.01, &token, None);
         let info = cancel_info(result.unwrap_err());
         assert_eq!(info.kind, CancelKind::Deadline);
         assert_eq!(info.facts_processed, 92);
@@ -648,10 +650,80 @@ mod tests {
         assert_eq!(prepared.materialized_len(), 92, "nothing grounded");
     }
 
+    /// `R/1`, `S/2` and `T/1` interleaved, `R(k)`, `S(k, k+1)`, `T(k+1)`
+    /// for `k = 1, 2, …`, with geometrically decaying probabilities.
+    fn three_relations() -> CountableTiPdb {
+        let rels = [("R", 1), ("S", 2), ("T", 1)].map(|(r, k)| Relation::new(r, k));
+        let schema = Schema::from_relations(rels).unwrap();
+        let fact = |i: usize| {
+            let k = |d: usize| Value::int((i / 3 + d) as i64);
+            match i % 3 {
+                0 => Fact::new(RelId(0), [k(1)]),
+                1 => Fact::new(RelId(1), [k(1), k(2)]),
+                _ => Fact::new(RelId(2), [k(2)]),
+            }
+        };
+        let series = GeometricSeries::new(0.5, 0.8).unwrap();
+        CountableTiPdb::new(FactSupply::from_fn(schema, fact, series)).unwrap()
+    }
+
+    #[test]
+    fn a_cancelled_warm_execution_returns_the_full_answer_as_its_partial() {
+        // once a request has run to completion, the same request under an
+        // expired deadline stops at the last checkpoint with the whole
+        // prefix in hand; its partial must be the full answer, bit for
+        // bit, whatever plan the engine chose and at every parallelism
+        let pdb = three_relations();
+        let queries = [
+            "exists x. R(x)",
+            "exists x, y. R(x) /\\ S(x, y)",
+            "exists x, y. R(x) /\\ S(x, y) /\\ T(y)",
+            "(exists x. R(x)) /\\ (exists y. T(y))",
+            "(exists x, y. S(x, y) /\\ T(y)) \\/ (exists x. R(x))",
+            "forall x. (R(x) -> exists y. S(x, y))",
+            "!(exists x. T(x)) /\\ R(1)",
+            "exists x. R(x) /\\ T(x)",
+        ];
+        let engines = [
+            Engine::Auto,
+            Engine::Force(StrategyKind::Lifted),
+            Engine::Force(StrategyKind::Shannon),
+        ];
+        let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+        let mut pinned = 0;
+        for parallelism in [1, 2] {
+            let prepared = PreparedPdb::new(pdb.clone());
+            for qs in queries {
+                let q = parse(qs, pdb.schema()).unwrap();
+                for engine in engines {
+                    let pq = PreparedQuery::prepare(prepared.clone(), &q, engine, knobs())
+                        .with_parallelism(parallelism);
+                    let full = match pq.execute(0.01, &CancelToken::new(), None) {
+                        Ok(full) => full,
+                        Err(QueryError::Ineligible { .. }) => continue,
+                        Err(e) => panic!("{qs} {engine:?}: {e}"),
+                    };
+                    assert!(!full.plan.has_sampling(), "{qs} {engine:?}");
+                    let info = cancel_info(pq.execute(0.01, &expired, None).unwrap_err());
+                    let partial = info.partial.expect("an exact plan keeps its partial");
+                    assert_eq!(
+                        partial.estimate.to_bits(),
+                        full.approx.estimate.to_bits(),
+                        "{qs} {engine:?} at parallelism {parallelism}"
+                    );
+                    assert_eq!(partial.n, full.approx.n, "{qs} {engine:?}");
+                    pinned += 1;
+                }
+            }
+        }
+        // Auto and forced Shannon everywhere, forced lifted on the five
+        // queries whose every component is safe
+        assert_eq!(pinned, 2 * (2 * queries.len() + 5));
+    }
+
     #[test]
     fn finite_support_caps_the_prefix() {
-        let rfact =
-            |n: i64| infpdb_core::fact::Fact::new(RelId(0), [infpdb_core::value::Value::int(n)]);
+        let rfact = |n: i64| Fact::new(RelId(0), [Value::int(n)]);
         let supply = FactSupply::from_vec(
             schema(),
             vec![(rfact(1), 0.5), (rfact(2), 0.25), (rfact(3), 0.125)],

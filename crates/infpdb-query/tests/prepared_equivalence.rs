@@ -23,7 +23,7 @@ use infpdb_logic::ast::Formula;
 use infpdb_logic::compile::CompiledQuery;
 use infpdb_logic::parse;
 use infpdb_math::series::GeometricSeries;
-use infpdb_query::approx::{Approximation, PartialOnCancel};
+use infpdb_query::approx::Approximation;
 use infpdb_query::cancel::CancelToken;
 use infpdb_query::planner::{eval_prefix_len, PlanProfile};
 use infpdb_query::prepared::{PreparedPdb, PreparedQuery};
@@ -94,8 +94,7 @@ fn reference(pdb: &CountableTiPdb, query: &Formula, eps: f64, engine: Engine) ->
 /// One prepared execution's answer and trace, evaluating a partial
 /// answer on cancellation.
 fn execute(pq: &PreparedQuery, eps: f64, cancel: &CancelToken) -> Outcome {
-    pq.execute(eps, cancel, PartialOnCancel::Evaluate, None)
-        .map(|e| (e.approx, e.trace))
+    pq.execute(eps, cancel, None).map(|e| (e.approx, e.trace))
 }
 
 /// Boolean queries over `{R/1}`, including unsafe (self-join) shapes so

@@ -58,7 +58,7 @@ use infpdb_core::fingerprint::Fingerprinter;
 use infpdb_finite::engine::EvalTrace;
 use infpdb_finite::shannon::TaskExecutor;
 use infpdb_logic::ast::Formula;
-use infpdb_query::approx::{Approximation, PartialOnCancel};
+use infpdb_query::approx::Approximation;
 use infpdb_query::budget::BudgetReport;
 use infpdb_query::cancel::{CancelKind, CancelToken};
 use infpdb_query::planner::{Engine, PlanKnobs};
@@ -942,12 +942,7 @@ fn compute(
         plan,
         event,
     } = query
-        .execute(
-            admitted.eps,
-            cancel,
-            PartialOnCancel::Evaluate,
-            exec.map(|e| e as &dyn TaskExecutor),
-        )
+        .execute(admitted.eps, cancel, exec.map(|e| e as &dyn TaskExecutor))
         .map_err(serve_error)?;
     inner.metrics.record_plan(&plan.summary(), event.replanned);
     let elapsed = start.elapsed();

@@ -136,6 +136,14 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// The default open-world tail of `open`, `batch`, `store snapshot`,
+/// `serve` and the shell: its total fresh-fact mass, and the first
+/// integer it invents facts for. One pair, so the defaults of every
+/// subcommand build the same PDB and answer bit-identically.
+pub(crate) const TAIL_MASS: f64 = 0.5;
+/// See [`TAIL_MASS`].
+pub(crate) const TAIL_START: i64 = 1_000_000;
+
 fn lib_err(e: impl std::fmt::Display) -> CliError {
     CliError::Library(e.to_string())
 }
@@ -582,8 +590,8 @@ impl Default for BatchOptions {
             policy: DegradePolicy::WidenEps,
             queue_cap: None,
             overflow: OverflowPolicy::Block,
-            tail_mass: 0.5,
-            tail_start: 1_000_000,
+            tail_mass: TAIL_MASS,
+            tail_start: TAIL_START,
             parallelism: 1,
         }
     }
@@ -972,6 +980,19 @@ impl<'a> Flags<'a> {
         self.given.iter().find(|&&(f, _)| f == name)?.1
     }
 
+    /// The `N` positionals a subcommand reads. A missing one is the
+    /// usage error `missing[i]`; one more is a usage error naming it.
+    pub(crate) fn positionals<const N: usize>(
+        &self,
+        missing: [&str; N],
+    ) -> Result<[&'a str; N], CliError> {
+        if let Some(extra) = self.positional.get(N) {
+            return Err(CliError::Usage(format!("unexpected argument {extra:?}")));
+        }
+        <[&str; N]>::try_from(self.positional.as_slice())
+            .map_err(|_| CliError::Usage(missing[self.positional.len()].to_string()))
+    }
+
     /// The value of a valued flag parsed as `T`, if it was given; a value
     /// that does not parse is a usage error.
     pub(crate) fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
@@ -1029,18 +1050,11 @@ pub fn run(
         _ => (&[], &[]),
     };
     let flags = Flags::parse(&args[1..], declared.0, declared.1)?;
-    let positional = |i: usize, missing: &str| {
-        flags
-            .positional
-            .get(i)
-            .copied()
-            .ok_or_else(|| CliError::Usage(missing.to_string()))
-    };
     match args[0].as_str() {
-        "info" => cmd_info(&read(positional(0, usage)?)?),
+        "info" => cmd_info(&read(flags.positionals([usage])?[0])?),
         "query" => {
-            let table = read(positional(0, usage)?)?;
-            let q = positional(1, "query: missing query string")?;
+            let [table, q] = flags.positionals([usage, "query: missing query string"])?;
+            let table = read(table)?;
             if flags.has("--explain") {
                 return cmd_query_explain(&table, q);
             }
@@ -1048,29 +1062,28 @@ pub fn run(
             cmd_query(&table, q, flags.get("--engine").unwrap_or("auto"), threads)
         }
         "marginals" => {
-            let table = read(positional(0, usage)?)?;
-            let q = positional(1, "marginals: missing query string")?;
-            cmd_marginals(&table, q)
+            let [table, q] = flags.positionals([usage, "marginals: missing query string"])?;
+            cmd_marginals(&read(table)?, q)
         }
         "sample" => {
-            let table = read(positional(0, usage)?)?;
+            let table = read(flags.positionals([usage])?[0])?;
             let count = flags.parsed("--count")?.unwrap_or(5);
             cmd_sample(&table, count, flags.parsed("--seed")?.unwrap_or(42))
         }
         "open" => {
-            let table = read(positional(0, usage)?)?;
-            let q = positional(1, "open: missing query string")?;
+            let [table, q] = flags.positionals([usage, "open: missing query string"])?;
+            let table = read(table)?;
             let eps = flags.parsed("--eps")?.unwrap_or(0.01);
-            let tail_mass = flags.parsed("--tail-mass")?.unwrap_or(0.5);
-            let tail_start = flags.parsed("--tail-start")?.unwrap_or(1_000_000);
+            let tail_mass = flags.parsed("--tail-mass")?.unwrap_or(TAIL_MASS);
+            let tail_start = flags.parsed("--tail-start")?.unwrap_or(TAIL_START);
             if flags.has("--explain") {
                 return cmd_open_explain(&table, q, eps, tail_mass, tail_start);
             }
             cmd_open(&table, q, eps, tail_mass, tail_start)
         }
         "batch" => {
-            let table = read(positional(0, usage)?)?;
-            let queries = read(positional(1, "batch: missing queries file")?)?;
+            let [table, queries] = flags.positionals([usage, "batch: missing queries file"])?;
+            let (table, queries) = (read(table)?, read(queries)?);
             let d = BatchOptions::default();
             let policy = match flags.get("--policy") {
                 None => d.policy,
@@ -1115,20 +1128,26 @@ pub fn run(
             };
             match flags.positional.first().copied() {
                 Some("snapshot") => cmd_store_snapshot(
-                    &read(positional(1, store_usage)?)?,
+                    &read(flags.positionals([store_usage, store_usage])?[1])?,
                     dir,
                     flags.parsed("--eps")?.unwrap_or(0.01),
-                    flags.parsed("--tail-mass")?.unwrap_or(0.5),
-                    flags.parsed("--tail-start")?.unwrap_or(1_000_000),
+                    flags.parsed("--tail-mass")?.unwrap_or(TAIL_MASS),
+                    flags.parsed("--tail-start")?.unwrap_or(TAIL_START),
                 ),
-                Some("verify") => cmd_store_verify(dir),
-                Some("info") => cmd_store_info(dir),
+                Some("verify") => flags
+                    .positionals([store_usage])
+                    .and_then(|_| cmd_store_verify(dir)),
+                Some("info") => flags
+                    .positionals([store_usage])
+                    .and_then(|_| cmd_store_info(dir)),
                 _ => Err(CliError::Usage(store_usage.into())),
             }
         }
         "bench" => {
             let smoke = flags.has("--smoke");
+            // `store` selects the store bench only as the first argument
             if args.get(1).is_some_and(|a| a == "store") {
+                flags.positionals([usage])?;
                 return cmd_bench_store(
                     smoke,
                     flags.parsed("--facts")?,
@@ -1138,6 +1157,7 @@ pub fn run(
                     flags.get("--out"),
                 );
             }
+            flags.positionals([])?;
             let scheduler = match flags.get("--scheduler") {
                 None => None,
                 Some(other) => Some(SchedulerKind::parse(other).ok_or_else(|| {
@@ -1679,6 +1699,47 @@ Person(1000000)
         assert!(matches!(shell(&["--conect", "x"]), Err(CliError::Usage(_))));
         assert!(matches!(shell(&["--connect"]), Err(CliError::Usage(_))));
         assert!(shell(&[]).is_ok());
+    }
+
+    #[test]
+    fn extra_positional_arguments_are_usage_errors() {
+        let files = |path: &str| -> std::io::Result<String> {
+            match path {
+                "kb.pdb" => Ok(TABLE.to_string()),
+                "q.txt" => Ok("Person(42)\n".to_string()),
+                _ => Err(std::io::Error::new(std::io::ErrorKind::NotFound, "nope")),
+            }
+        };
+        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        // one positional more than each subcommand reads: refused before
+        // anything is evaluated, measured or written, naming the first
+        // extra
+        for (bad, extra) in [
+            (&["info", "kb.pdb", "stray", "extra"][..], "stray"),
+            (&["query", "kb.pdb", "Person(42)", "stray"], "stray"),
+            (&["marginals", "kb.pdb", "Person(x)", "stray"], "stray"),
+            (&["sample", "kb.pdb", "stray"], "stray"),
+            (
+                &["open", "kb.pdb", "Person(42)", "stray", "--eps", "0.1"],
+                "stray",
+            ),
+            (&["batch", "kb.pdb", "q.txt", "stray"], "stray"),
+            (
+                &["store", "snapshot", "kb.pdb", "stray", "--dir", "d"],
+                "stray",
+            ),
+            (&["store", "verify", "stray", "--dir", "d"], "stray"),
+            (&["store", "info", "stray", "--dir", "d"], "stray"),
+            (&["bench", "store", "stray", "--smoke"], "stray"),
+            // `store` selects the store bench only right after `bench`
+            (&["bench", "--smoke", "store"], "store"),
+        ] {
+            let expected = format!("unexpected argument {extra:?}");
+            assert!(
+                matches!(run(&args(bad), files), Err(CliError::Usage(m)) if m == expected),
+                "{bad:?} must be a usage error naming {extra:?}"
+            );
+        }
     }
 
     #[test]

@@ -11,10 +11,6 @@ use infpdb_net::{signal, QuotaConfig};
 use infpdb_serve::{QueryService, SchedulerKind, ServiceConfig};
 use std::time::Duration;
 
-/// Tail defaults shared with `open`/`batch`/shell.
-const TAIL_MASS: f64 = 0.5;
-const TAIL_START: i64 = 1_000_000;
-
 /// Tuning for `serve`, mirroring its command-line flags.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -64,8 +60,8 @@ impl Default for ServeOptions {
             quota_rps: None,
             quota_burst: 32.0,
             arena_stats: false,
-            tail_mass: TAIL_MASS,
-            tail_start: TAIL_START,
+            tail_mass: cli::TAIL_MASS,
+            tail_start: cli::TAIL_START,
             store_dir: None,
             store_shard_capacity: None,
             snapshot_every: Duration::from_secs(30),
@@ -185,8 +181,8 @@ pub fn cmd_serve(
 }
 
 /// Parses `serve` flags from `args` (everything after the table path).
-/// A flag `serve` does not declare, a valued flag without its value and
-/// a repeated flag are usage errors.
+/// A flag `serve` does not declare, a valued flag without its value, a
+/// repeated flag and a second positional argument are usage errors.
 pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
     let flags = cli::Flags::parse(
         args,
@@ -206,6 +202,7 @@ pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
         ],
         &["--arena-stats"],
     )?;
+    flags.positionals([])?;
     let d = ServeOptions::default();
     let scheduler = match flags.get("--scheduler") {
         None => d.scheduler,
@@ -395,6 +392,20 @@ Person 42 @ 0.5
             assert!(
                 matches!(parse_serve_options(&a(bad)), Err(CliError::Usage(_))),
                 "{bad:?} must be a usage error"
+            );
+        }
+    }
+
+    #[test]
+    fn a_positional_after_the_table_is_a_usage_error() {
+        let a = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        for bad in [&["stray"][..], &["--threads", "2", "stray", "extra"]] {
+            assert!(
+                matches!(
+                    parse_serve_options(&a(bad)),
+                    Err(CliError::Usage(m)) if m == "unexpected argument \"stray\""
+                ),
+                "{bad:?} must be a usage error naming the first extra"
             );
         }
     }

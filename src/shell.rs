@@ -35,11 +35,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// Tail defaults shared with `infpdb open`/`batch` so the shell's
-/// answers are bit-identical to theirs.
-const TAIL_MASS: f64 = 0.5;
-const TAIL_START: i64 = 1_000_000;
-
 /// What `handle_line` asks the driving loop to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
@@ -135,7 +130,8 @@ impl Shell {
         let table = cli::parse_table(&text).map_err(|e| e.to_string())?;
         let relations = table.schema().len();
         let facts = table.len();
-        let open = cli::open_world_pdb(&table, TAIL_MASS, TAIL_START).map_err(|e| e.to_string())?;
+        let open = cli::open_world_pdb(&table, cli::TAIL_MASS, cli::TAIL_START)
+            .map_err(|e| e.to_string())?;
         let service = QueryService::new(
             open,
             ServiceConfig {
@@ -574,9 +570,9 @@ commands:
 /// Runs the interactive loop over arbitrary reader/writer (stdin and
 /// stdout in the binary; pipes in tests). `args` are the `shell`
 /// subcommand's arguments: `--connect URL` drives a remote `serve`, and
-/// any other flag is a usage error. Returns an error only on bad
-/// arguments or I/O failure — command errors are printed and the loop
-/// continues.
+/// any other flag or a positional argument is a usage error. Returns an
+/// error only on bad arguments or I/O failure — command errors are
+/// printed and the loop continues.
 pub fn repl(
     input: impl std::io::BufRead,
     mut output: impl std::io::Write,
@@ -584,6 +580,7 @@ pub fn repl(
     interactive: bool,
 ) -> Result<(), CliError> {
     let flags = crate::cli::Flags::parse(args, &["--connect"], &[])?;
+    flags.positionals([])?;
     let mut shell = Shell::new(|path| std::fs::read_to_string(path));
     if let Some(url) = flags.get("--connect") {
         match shell.connect(url) {
@@ -789,6 +786,18 @@ Person 42 @ 0.5
         let scrape = infpdb_net::promtext::parse_scrape(&out).expect("metrics parse");
         let problems = infpdb_net::promtext::lint(&scrape);
         assert!(problems.is_empty(), "lint problems: {problems:?}");
+    }
+
+    #[test]
+    fn a_positional_argument_is_a_usage_error() {
+        // a URL without `--connect` is refused, not ignored for a local
+        // shell
+        let args = ["http://127.0.0.1:9".to_string()];
+        let result = repl(&b"quit\n"[..], Vec::new(), &args, false);
+        assert!(
+            matches!(&result, Err(CliError::Usage(m)) if m.contains("http://127.0.0.1:9")),
+            "{result:?}"
+        );
     }
 
     #[test]
